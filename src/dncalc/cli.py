@@ -5,15 +5,14 @@ report; the other subcommands are thin wrappers that assemble a one-task
 scenario from flags.  Exit status: 0 when every task passed, 1 when a task
 failed or errored, 2 on input problems (bad flags, malformed scenario).
 
-The scalar backend comes from the scenario file (or flags) unless the
-DNCALC_BACKEND environment variable overrides it.
+All arithmetic is exact rational: no flag or environment variable picks a
+scalar backend, and a scenario's optional "backend" field must be "rational".
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .errors import DnCalcError, ScenarioError
@@ -23,17 +22,6 @@ from .runner import run_scenario
 EXIT_OK = 0
 EXIT_TASK_FAILED = 1
 EXIT_INPUT_ERROR = 2
-
-
-def _backend_override():
-    value = os.environ.get("DNCALC_BACKEND")
-    if value is None:
-        return None
-    if value not in ("rational", "float"):
-        raise ScenarioError(
-            "DNCALC_BACKEND must be 'rational' or 'float', got %r" % value
-        )
-    return value
 
 
 def _add_geometry_flags(parser):
@@ -56,9 +44,6 @@ def _add_geometry_flags(parser):
         help="'zero', 'random', or a JSON file with the weight jet",
     )
     parser.add_argument("--seed", type=int, default=0, help="seed for random geometry")
-    parser.add_argument(
-        "--backend", choices=("rational", "float"), default="rational"
-    )
     parser.add_argument("--output", "-o", help="write the JSON report here")
 
 
@@ -77,7 +62,6 @@ def _geometry_scenario(args, tasks):
             "tangential": args.tangential_order,
         },
         "depth": args.depth,
-        "backend": args.backend,
         "seed": args.seed,
         "metric": resolve(args.metric),
         "weight": resolve(args.weight),
@@ -95,19 +79,13 @@ def _emit(report, output):
 
 
 def _run_inline(raw, output):
-    override = _backend_override()
-    scenario = Scenario(raw, override)
-    digest = "inline"
-    report = run_scenario(scenario, digest, backend_override=override)
+    report = run_scenario(Scenario(raw), "inline")
     return _emit(report, output)
 
 
 def _cmd_run(args):
-    override = _backend_override()
-    scenario, digest = load_scenario(args.scenario, override)
-    report = run_scenario(
-        scenario, digest, parallel=args.parallel, backend_override=override
-    )
+    scenario, digest = load_scenario(args.scenario)
+    report = run_scenario(scenario, digest, parallel=args.parallel)
     return _emit(report, args.output)
 
 

@@ -2,15 +2,24 @@
 
 A jet truncates a smooth function of the collar coordinates (r, y^1..y^{n-1})
 around a boundary base point: r is the inward distance to the boundary and
-the y's are tangential.  Coefficients are stored sparsely, keyed by the
+the y's are tangential.  The coefficient of r^m y^mu is addressed by the
 multi-index (m, mu_1, ..., mu_{n-1}); m is bounded by the jet's radial order
-and sum(mu) by its tangential order.
+and t = sum(mu) by its tangential order.
+
+Storage is one positive integer denominator ``den`` shared by all terms and
+a dict ``num`` of nonzero integer numerators, always in lowest terms:
+gcd(den, *num.values()) == 1.  So each jet has exactly one representation,
+and arithmetic runs on Python ints, normalising once per result jet rather
+than once per coefficient.  ``num`` is keyed by a packed monomial: fields of
+``KEY_BITS`` bits holding, from the top, m, t and mu_1..mu_{n-1}.  The key
+of a product monomial is the sum of the factors' keys, and its truncation
+test reads the m and t fields of that sum.  ``Jet.c`` is a read-only view
+of the same coefficients as multi-index tuple -> ``Fraction``.
 
 Radial and tangential truncation orders act as derivative budgets: taking a
 radial derivative returns a jet whose radial order is one lower, and
 combining jets of different orders truncates to the common (minimum) orders.
-Jets from different spaces (dimension, base point or scalar backend) never
-combine.
+Jets from different spaces (dimension or base point) never combine.
 
 All values are immutable after construction and all operations are pure.
 """
@@ -18,21 +27,33 @@ All values are immutable after construction and all operations are pure.
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable, Mapping
+from fractions import Fraction
+from types import MappingProxyType
+from typing import Iterable, Mapping
 
-from .errors import (
-    BackendError,
-    BudgetExhaustedError,
-    IncompatibleJetsError,
-    NotInvertibleError,
-)
-from .scalars import get_backend, mpq
+from .errors import BudgetExhaustedError, IncompatibleJetsError, NotInvertibleError
+from .scalars import get_backend
+
+#: width of one field of a packed monomial key
+KEY_BITS = 8
+_FIELD = (1 << KEY_BITS) - 1
+_GUARD = 1 << (KEY_BITS - 1)
+#: largest truncation order a key field holds; the sum of two in-range
+#: fields plus the truncation offset must stay below 2**KEY_BITS
+MAX_ORDER = _GUARD - 1
+#: products with at most this many candidate term pairs test each pair;
+#: larger ones pay for bucketing to skip the pairs that fall out of range.
+#: Bucketing every product slows the many small products of deep jets, and
+#: testing every pair slows the large products of dense ones; any value
+#: from 64 to 4096 times about the same
+_DIRECT_PAIRS = 256
 
 
 class JetSpace:
-    """Ambient data shared by compatible jets: dimension, base point, backend."""
+    """Ambient data shared by compatible jets: dimension and base point, plus
+    the monomial key layout for that dimension."""
 
-    __slots__ = ("n", "base_point", "backend")
+    __slots__ = ("n", "base_point", "backend", "_tshift", "_mshift", "_guard", "_keys", "_indices")
 
     def __init__(self, n: int, base_point: str = "p0", backend="rational"):
         if n < 2:
@@ -40,6 +61,11 @@ class JetSpace:
         self.n = n
         self.base_point = base_point
         self.backend = get_backend(backend) if isinstance(backend, str) else backend
+        self._tshift = KEY_BITS * (n - 1)
+        self._mshift = self._tshift + KEY_BITS
+        self._guard = (_GUARD << self._mshift) | (_GUARD << self._tshift)
+        self._keys = {}  # multi-index tuple -> packed key
+        self._indices = {}  # packed key -> multi-index tuple
 
     def __eq__(self, other):
         return (
@@ -59,29 +85,58 @@ class JetSpace:
             self.backend.name,
         )
 
+    # -- monomial keys ------------------------------------------------------
+
+    def _key(self, idx: tuple) -> int:
+        key = self._keys.get(idx)
+        if key is None:
+            key = idx[0] << KEY_BITS | sum(idx[1:])
+            for mu in idx[1:]:
+                key = key << KEY_BITS | mu
+            self._keys[idx] = key
+            self._indices[key] = idx
+        return key
+
+    def _index(self, key: int) -> tuple:
+        idx = self._indices.get(key)
+        if idx is None:
+            mus = [(key >> (KEY_BITS * s)) & _FIELD for s in range(self.n - 2, -1, -1)]
+            idx = (key >> self._mshift, *mus)
+            self._keys[idx] = key
+            self._indices[key] = idx
+        return idx
+
+    def _offset(self, kr: int, ky: int) -> int:
+        """Added to a key, sets a guard bit iff m > kr or t > ky."""
+        return ((MAX_ORDER - kr) << self._mshift) | ((MAX_ORDER - ky) << self._tshift)
+
     # -- constructors -----------------------------------------------------
 
     def zero(self, kr: int, ky: int) -> "Jet":
-        return Jet._make(self, kr, ky, {})
+        _check_orders(kr, ky)
+        return Jet._make(self, kr, ky, 1, {})
 
     def one(self, kr: int, ky: int) -> "Jet":
         return self.constant(1, kr, ky)
 
     def constant(self, value, kr: int, ky: int) -> "Jet":
+        _check_orders(kr, ky)
         v = self.backend.coerce(value)
         if not v:
-            return self.zero(kr, ky)
-        return Jet._make(self, kr, ky, {(0,) * self.n: v})
+            return Jet._make(self, kr, ky, 1, {})
+        return Jet._make(self, kr, ky, v.denominator, {0: v.numerator})
 
     def coordinate(self, direction: int, kr: int, ky: int) -> "Jet":
         """The coordinate function r (direction 0) or y^direction."""
+        _check_orders(kr, ky)
         idx = [0] * self.n
         idx[direction] = 1
-        return Jet._make(self, kr, ky, {tuple(idx): self.backend.one()})
+        return Jet._make(self, kr, ky, 1, {self._key(tuple(idx)): 1})
 
     def jet(self, coeffs: Mapping[tuple, object], kr: int, ky: int) -> "Jet":
         """Build a jet from an index->value mapping, validating the indices."""
-        out = {}
+        _check_orders(kr, ky)
+        values = {}
         for idx, val in coeffs.items():
             idx = tuple(int(i) for i in idx)
             if len(idx) != self.n or any(i < 0 for i in idx):
@@ -92,24 +147,64 @@ class JetSpace:
                 )
             v = self.backend.coerce(val)
             if v:
-                out[idx] = v
-        return Jet._make(self, kr, ky, out)
+                values[self._key(idx)] = v
+        # over the lcm of the reduced denominators the numerators are coprime
+        den = math.lcm(*(v.denominator for v in values.values()))
+        num = {k: v.numerator * (den // v.denominator) for k, v in values.items()}
+        return Jet._make(self, kr, ky, den, num)
+
+
+def _check_orders(kr: int, ky: int):
+    if 0 <= kr <= MAX_ORDER and 0 <= ky <= MAX_ORDER:
+        return
+    name, order = ("radial", kr) if not 0 <= kr <= MAX_ORDER else ("tangential", ky)
+    raise IncompatibleJetsError(
+        "%s order %d outside 0..%d, the range of a packed monomial key field"
+        % (name, order, MAX_ORDER)
+    )
+
+
+def _reduced(space: JetSpace, kr: int, ky: int, den: int, num: dict) -> "Jet":
+    """Jet from integer sums over ``den``: drops zeros, then divides out the
+    common factor with one gcd call."""
+    if not num:
+        return Jet._make(space, kr, ky, 1, num)
+    g = math.gcd(den, *num.values())  # g == den when every sum cancelled
+    if g != 1:
+        den //= g
+        num = {k: v // g for k, v in num.items() if v}
+    elif 0 in num.values():
+        num = {k: v for k, v in num.items() if v}
+    return Jet._make(space, kr, ky, den, num)
 
 
 class Jet:
-    __slots__ = ("space", "kr", "ky", "c")
+    __slots__ = ("space", "kr", "ky", "den", "num", "_view")
 
     def __init__(self, *args, **kwargs):
         raise TypeError("use JetSpace constructors or Jet arithmetic to build jets")
 
     @classmethod
-    def _make(cls, space: JetSpace, kr: int, ky: int, coeffs: dict) -> "Jet":
+    def _make(cls, space: JetSpace, kr: int, ky: int, den: int, num: dict) -> "Jet":
+        """Wrap a representation already in lowest terms without zero entries."""
         self = object.__new__(cls)
         self.space = space
         self.kr = kr
         self.ky = ky
-        self.c = coeffs
+        self.den = den
+        self.num = num
+        self._view = None
         return self
+
+    @property
+    def c(self) -> Mapping[tuple, Fraction]:
+        """Read-only multi-index -> Fraction view, built on first use."""
+        if self._view is None:
+            index, den = self.space._index, self.den
+            self._view = MappingProxyType(
+                {index(k): Fraction(v, den) for k, v in self.num.items()}
+            )
+        return self._view
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -121,78 +216,98 @@ class Jet:
 
     def truncated(self, kr: int, ky: int) -> "Jet":
         """Restriction to lower truncation orders (drops excess indices)."""
-        kr = min(kr, self.kr)
-        ky = min(ky, self.ky)
-        if kr == self.kr and ky == self.ky:
+        if kr >= self.kr and ky >= self.ky:
             return self
-        out = {
-            idx: v for idx, v in self.c.items() if idx[0] <= kr and sum(idx[1:]) <= ky
-        }
-        return Jet._make(self.space, kr, ky, out)
+        kr = kr if kr < self.kr else self.kr
+        ky = ky if ky < self.ky else self.ky
+        space = self.space
+        off, guard = space._offset(kr, ky), space._guard
+        num = {k: v for k, v in self.num.items() if not (k + off) & guard}
+        if len(num) == len(self.num):
+            return Jet._make(space, kr, ky, self.den, self.num)
+        return _reduced(space, kr, ky, self.den, num)
 
     def _aligned(self, other: "Jet"):
         self._check_space(other)
-        kr = min(self.kr, other.kr)
-        ky = min(self.ky, other.ky)
+        kr, ky = self.kr, self.ky
+        if kr == other.kr and ky == other.ky:
+            return self, other, kr, ky
+        kr = kr if kr < other.kr else other.kr
+        ky = ky if ky < other.ky else other.ky
         return self.truncated(kr, ky), other.truncated(kr, ky), kr, ky
 
     def with_budgets(self, kr: int, ky: int) -> "Jet":
         """Re-declare truncation orders.  Raising an order asserts that the
         dropped tail is genuinely zero; only callers constructing functions
         from known coefficients may do that."""
+        _check_orders(kr, ky)
         if kr < self.kr or ky < self.ky:
             return self.truncated(kr, ky)
-        return Jet._make(self.space, kr, ky, dict(self.c))
+        return Jet._make(self.space, kr, ky, self.den, self.num)
 
     @property
     def is_zero(self) -> bool:
-        return not self.c
+        return not self.num
 
-    def constant_term(self):
-        return self.c.get((0,) * self.space.n, self.space.backend.zero())
+    def constant_term(self) -> Fraction:
+        return Fraction(self.num.get(0, 0), self.den)
 
     def __eq__(self, other):
-        if isinstance(other, (int, str)) or type(other).__name__ in ("mpq", "Fraction"):
+        if isinstance(other, (int, str, Fraction)):
             other = self.space.constant(other, self.kr, self.ky)
         if not isinstance(other, Jet):
             return NotImplemented
         a, b, _, _ = self._aligned(other)
-        return a.c == b.c
+        return a.den == b.den and a.num == b.num
 
     def __hash__(self):
-        return hash((self.kr, self.ky, frozenset(self.c.items())))
+        # equality aligns truncation orders, so only the constant term is
+        # common to all jets equal to this one
+        return hash(self.constant_term())
 
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other):
         if not isinstance(other, Jet):
             other = self.space.constant(other, self.kr, self.ky)
-        a, b, kr, ky = self._aligned(other)
-        out = dict(a.c)
-        for idx, v in b.c.items():
-            s = out.get(idx)
-            if s is None:
-                out[idx] = v
-            else:
-                s = s + v
-                if s:
-                    out[idx] = s
-                else:
-                    del out[idx]
-        return Jet._make(self.space, kr, ky, out)
+        return self._combine(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet._make(self.space, self.kr, self.ky, {i: -v for i, v in self.c.items()})
+        return Jet._make(
+            self.space, self.kr, self.ky, self.den, {k: -v for k, v in self.num.items()}
+        )
 
     def __sub__(self, other):
         if not isinstance(other, Jet):
             other = self.space.constant(other, self.kr, self.ky)
-        return self + (-other)
+        return self._combine(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
+
+    def _combine(self, other: "Jet", sign: int) -> "Jet":
+        """self + sign * other over a common denominator."""
+        a, b, kr, ky = self._aligned(other)
+        if not b.num:
+            return a
+        if not a.num:
+            return b if sign == 1 else -b
+        da, db = a.den, b.den
+        if da == db:
+            den = da
+            out = dict(a.num)
+        else:
+            g = math.gcd(da, db)
+            fa = db // g
+            sign *= da // g
+            den = da * fa
+            out = {k: v * fa for k, v in a.num.items()}
+        get = out.get
+        for k, v in b.num.items():
+            out[k] = get(k, 0) + v * sign
+        return _reduced(self.space, kr, ky, den, out)
 
     def __mul__(self, other):
         if not isinstance(other, Jet):
@@ -200,97 +315,110 @@ class Jet:
         self._check_space(other)
         kr = self.kr if self.kr < other.kr else other.kr
         ky = self.ky if self.ky < other.ky else other.ky
-        ac, bc = self.c, other.c
-        if not ac or not bc:
-            return Jet._make(self.space, kr, ky, {})
-        if len(bc) < len(ac):
-            ac, bc = bc, ac
-        exact = self.space.backend.exact
-        if exact:
-            # convolve integer numerators over common denominators: one
-            # rational normalisation per output coefficient, not per term
-            da = math.lcm(*(v.denominator for v in ac.values()))
-            db = math.lcm(*(v.denominator for v in bc.values()))
-            ac = {i: v.numerator * (da // v.denominator) for i, v in ac.items()}
-            bc = {i: v.numerator * (db // v.denominator) for i, v in bc.items()}
-        bitems = []
-        for i2, v2 in bc.items():
-            m2 = i2[0]
-            t2 = sum(i2[1:])
-            if m2 <= kr and t2 <= ky:
-                bitems.append((i2, m2, t2, v2))
+        space = self.space
+        an, bn = self.num, other.num
+        if not an or not bn:
+            return Jet._make(space, kr, ky, 1, {})
+        if len(bn) < len(an):
+            an, bn = bn, an
+        # a key k is inside the orders iff (k + off) & guard == 0; keys of
+        # in-range factors add without carrying between fields
+        off = space._offset(kr, ky)
+        guard = space._guard
+        bitems = [(k, v) for k, v in bn.items() if not (k + off) & guard]
         out: dict = {}
         get = out.get
-        for i1, v1 in ac.items():
-            m1 = i1[0]
-            if m1 > kr:
-                continue
-            t1 = sum(i1[1:])
-            if t1 > ky:
-                continue
-            mmax = kr - m1
-            tmax = ky - t1
-            for i2, m2, t2, v2 in bitems:
-                if m2 > mmax or t2 > tmax:
+        if len(an) * len(bitems) <= _DIRECT_PAIRS:
+            for k1, v1 in an.items():
+                if (k1 + off) & guard:
                     continue
-                idx = tuple(map(int.__add__, i1, i2))
-                cur = get(idx)
-                if cur is None:
-                    out[idx] = v1 * v2
-                else:
-                    out[idx] = cur + v1 * v2
-        if exact:
-            d = da * db
-            return Jet._make(
-                self.space, kr, ky, {k: mpq(v, d) for k, v in out.items() if v}
-            )
-        return Jet._make(
-            self.space, kr, ky, {k: v for k, v in out.items() if v}
-        )
+                for k2, v2 in bitems:
+                    k = k1 + k2
+                    if (k + off) & guard:
+                        continue
+                    out[k] = get(k, 0) + v1 * v2
+            return _reduced(space, kr, ky, self.den * other.den, out)
+        # large products: bucket b by its (m, t) fields, and give each (m, t)
+        # of a the concatenated buckets whose products stay in range, so
+        # that the inner loop visits in-range pairs only
+        tshift = space._tshift
+        offh, guardh = off >> tshift, guard >> tshift
+        rows: dict = {}
+        for item in bitems:
+            h = item[0] >> tshift
+            row = rows.get(h)
+            if row is None:
+                rows[h] = [item]
+            else:
+                row.append(item)
+        rows = list(rows.items())
+        partners: dict = {}
+        for k1, v1 in an.items():
+            if (k1 + off) & guard:
+                continue
+            h1 = k1 >> tshift
+            plist = partners.get(h1)
+            if plist is None:
+                plist = partners[h1] = [
+                    item for h2, row in rows if not (h1 + h2 + offh) & guardh for item in row
+                ]
+            for k2, v2 in plist:
+                k = k1 + k2
+                out[k] = get(k, 0) + v1 * v2
+        return _reduced(space, kr, ky, self.den * other.den, out)
 
     __rmul__ = __mul__
 
     def scale(self, value) -> "Jet":
         v = self.space.backend.coerce(value)
-        if not v:
-            return Jet._make(self.space, self.kr, self.ky, {})
-        return Jet._make(
-            self.space, self.kr, self.ky, {i: c * v for i, c in self.c.items()}
-        )
+        p, q = v.numerator, v.denominator
+        if not p or not self.num:
+            return Jet._make(self.space, self.kr, self.ky, 1, {})
+        # lowest terms from two gcds: den with p, and q with the numerators
+        g1 = math.gcd(self.den, p)
+        g2 = math.gcd(q, *self.num.values())
+        f = p // g1
+        den = (self.den // g1) * (q // g2)
+        num = {k: (c // g2) * f for k, c in self.num.items()}
+        return Jet._make(self.space, self.kr, self.ky, den, num)
 
     # -- calculus ------------------------------------------------------------
 
     def partial(self, direction: int) -> "Jet":
         """Formal partial derivative; spends one unit of the matching budget."""
-        n = self.space.n
+        space = self.space
+        n = space.n
         if not 0 <= direction < n:
             raise IncompatibleJetsError("direction %d out of range" % direction)
         if direction == 0:
             if self.kr == 0:
                 raise BudgetExhaustedError("radial derivative budget exhausted")
             kr, ky = self.kr - 1, self.ky
+            shift = space._mshift
+            step = 1 << shift
         else:
             if self.ky == 0:
                 raise BudgetExhaustedError("tangential derivative budget exhausted")
             kr, ky = self.kr, self.ky - 1
+            shift = KEY_BITS * (n - 1 - direction)
+            step = (1 << shift) + (1 << space._tshift)
         out = {}
-        for idx, v in self.c.items():
-            e = idx[direction]
-            if e == 0:
-                continue
-            nidx = idx[:direction] + (e - 1,) + idx[direction + 1 :]
-            out[nidx] = v * e
-        return Jet._make(self.space, kr, ky, out)
+        for k, v in self.num.items():
+            e = (k >> shift) & _FIELD
+            if e:
+                out[k - step] = v * e
+        return _reduced(space, kr, ky, self.den, out)
 
     def restricted_to_boundary(self) -> "Jet":
         """The y-jet at r = 0 (keeps only radially constant coefficients)."""
-        out = {i: v for i, v in self.c.items() if i[0] == 0}
-        return Jet._make(self.space, 0, self.ky, out)
+        return self.radial_coefficient(0)
 
     def radial_coefficient(self, m: int) -> "Jet":
         """The y-jet multiplying r^m (a Taylor coefficient, not a derivative)."""
-        out = {(0,) + i[1:]: v for i, v in self.c.items() if i[0] == m}
-        return Jet._make(self.space, 0, self.ky, out)
+        shift = self.space._mshift
+        lo = m << shift
+        out = {k - lo: v for k, v in self.num.items() if k >> shift == m}
+        return _reduced(self.space, 0, self.ky, self.den, out)
 
     def radial_derivative_at_zero(self, m: int) -> "Jet":
         """The y-jet of the m-th radial derivative at r = 0."""
@@ -303,7 +431,7 @@ class Jet:
         so the sum terminates at total order kr + ky."""
         c0 = self.constant_term()
         u = self - c0
-        acc = self.space.constant(0, self.kr, self.ky)
+        acc = self.space.zero(self.kr, self.ky)
         power = self.space.one(self.kr, self.ky)
         for k, coeff in enumerate(coefficients):
             if k > 0:
@@ -321,8 +449,7 @@ class Jet:
         c0 = self.constant_term()
         if not c0:
             raise NotInvertibleError("reciprocal of a jet with zero constant term")
-        one = self.space.backend.one()
-        inv0 = one / c0
+        inv0 = 1 / c0
         coeffs = []
         acc = inv0
         for _ in range(self._series_order()):
@@ -331,63 +458,52 @@ class Jet:
         return self._series(coeffs)
 
     def sqrt(self) -> "Jet":
-        """Square root with positive constant term; exact in the rational
-        backend only when the constant term is a perfect square."""
-        backend = self.space.backend
+        """Square root; the constant term must be a positive rational square."""
         c0 = self.constant_term()
-        if backend.exact:
-            if c0 <= 0:
-                raise NotInvertibleError("sqrt of a jet with non-positive constant term")
-        s0 = backend.sqrt(c0)
+        if c0 <= 0:
+            raise NotInvertibleError("sqrt of a jet with non-positive constant term")
+        s0 = self.space.backend.sqrt(c0)
         return self._binomial_series(s0, c0, 2)
 
     def nth_root(self, k: int) -> "Jet":
-        """k-th root with positive constant term (exactness as for sqrt)."""
-        backend = self.space.backend
+        """k-th root; the constant term must be a positive rational k-th power."""
         c0 = self.constant_term()
-        if backend.exact and c0 <= 0:
+        if c0 <= 0:
             raise NotInvertibleError("root of a jet with non-positive constant term")
-        s0 = backend.nth_root(c0, k)
+        s0 = self.space.backend.nth_root(c0, k)
         return self._binomial_series(s0, c0, k)
 
     def _binomial_series(self, s0, c0, k: int) -> "Jet":
         # (c0 + u)^(1/k) = s0 * sum C(1/k, j) (u/c0)^j
-        backend = self.space.backend
-        one = backend.one()
-        alpha = one / backend.coerce(k)
-        inv0 = one / c0
+        alpha = Fraction(1, k)
+        inv0 = 1 / c0
         coeffs = []
-        binom = one
+        binom = Fraction(1)
         for j in range(self._series_order()):
             coeffs.append(s0 * binom * inv0**j)
             binom = binom * (alpha - j) / (j + 1)
         return self._series(coeffs)
 
     def exp(self) -> "Jet":
-        """Truncated exponential; the rational backend needs a zero constant
-        term so the result stays in the field."""
-        backend = self.space.backend
-        e0 = backend.exp(self.constant_term())
-        one = backend.one()
+        """Truncated exponential; needs a zero constant term so the result
+        stays in the rational field."""
+        acc = self.space.backend.exp(self.constant_term())
         coeffs = []
-        acc = e0
         for j in range(self._series_order()):
             coeffs.append(acc)
-            acc = acc * one / backend.coerce(j + 1)
+            acc = acc / (j + 1)
         return self._series(coeffs)
 
     def log(self) -> "Jet":
-        """Truncated logarithm; the rational backend needs constant term 1."""
-        backend = self.space.backend
+        """Truncated logarithm; needs constant term 1."""
         c0 = self.constant_term()
-        if not c0 or (not backend.exact and c0 <= 0):
+        if not c0:
             raise NotInvertibleError("log of a jet with non-positive constant term")
-        l0 = backend.log(c0)
-        one = backend.one()
-        inv0 = one / c0
+        l0 = self.space.backend.log(c0)
+        inv0 = 1 / c0
         coeffs = [l0]
         for j in range(1, self._series_order()):
-            coeffs.append((-one) ** (j + 1) * inv0**j / backend.coerce(j))
+            coeffs.append((-1) ** (j + 1) * inv0**j / j)
         return self._series(coeffs)
 
     # -- display ---------------------------------------------------------------
@@ -403,12 +519,12 @@ class Jet:
         return "*".join(parts)
 
     def __repr__(self):
-        if not self.c:
+        if not self.num:
             return "Jet(0)"
         terms = []
-        for idx in sorted(self.c):
+        for idx, v in sorted(self.c.items()):
             mono = self._monomial_str(idx)
-            val = self.space.backend.to_str(self.c[idx])
+            val = str(v)
             terms.append(val if not mono else "%s*%s" % (val, mono))
         return "Jet(%s)" % " + ".join(terms)
 
@@ -416,20 +532,21 @@ class Jet:
 def dense_product_oracle(a: Jet, b: Jet) -> Jet:
     """Independent convolution over all coefficient pairs, truncated afterwards.
 
-    Deliberately ignores every shortcut the fast path takes; used by tests.
+    Deliberately ignores every shortcut the fast path takes: it works on the
+    ``Fraction`` view with tuple indices.  Used by tests.
     """
     a2, b2, kr, ky = a._aligned(b)
     out: dict = {}
     for i1, v1 in a2.c.items():
         for i2, v2 in b2.c.items():
             idx = tuple(x + y for x, y in zip(i1, i2))
-            out[idx] = out.get(idx, a.space.backend.zero()) + v1 * v2
+            out[idx] = out.get(idx, Fraction(0)) + v1 * v2
     out = {
         idx: v
         for idx, v in out.items()
         if v and idx[0] <= kr and sum(idx[1:]) <= ky
     }
-    return Jet._make(a.space, kr, ky, out)
+    return a.space.jet(out, kr, ky)
 
 
 def collar_from_radial_orders(
@@ -440,6 +557,7 @@ def collar_from_radial_orders(
     The orders are m-th radial derivatives at r = 0; tangential content beyond
     each y-jet's own truncation is asserted to be zero.
     """
+    _check_orders(kr, ky)
     coeffs: dict = {}
     for m, yjet in enumerate(orders):
         if yjet is None:
@@ -450,5 +568,5 @@ def collar_from_radial_orders(
         for idx, v in yjet.c.items():
             if sum(idx[1:]) > ky:
                 continue
-            coeffs[(m,) + idx[1:]] = v / space.backend.coerce(fact)
-    return Jet._make(space, kr, ky, coeffs)
+            coeffs[(m,) + idx[1:]] = v / fact
+    return space.jet(coeffs, kr, ky)

@@ -91,12 +91,11 @@ def random_instance(
     n: int = 3,
     kr: int = 5,
     ky: int = 4,
-    backend: str = "rational",
     tangentially_constant: bool = False,
 ):
     """A (metric, weight) pair; the same seed always returns the same pair."""
     rng = random.Random(seed)
-    space = JetSpace(n, backend=backend)
+    space = JetSpace(n)
     tdeg = 0 if tangentially_constant else 2
     metric = random_metric(rng, space, kr, ky, tangential_degree=tdeg)
     weight = random_weight(rng, space, kr, ky, tangential_degree=tdeg)

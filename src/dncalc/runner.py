@@ -295,17 +295,12 @@ def _task_validate_disk(scenario: Scenario, task: dict) -> dict:
     }
 
 
-def _run_single(raw: dict, backend_override: str | None, index: int) -> dict:
-    scenario = Scenario(raw, backend_override)
+def _run_single(raw: dict, index: int) -> dict:
+    scenario = Scenario(raw)
     return run_task(scenario, scenario.tasks[index], index)
 
 
-def run_scenario(
-    scenario: Scenario,
-    digest: str,
-    parallel: bool = False,
-    backend_override: str | None = None,
-) -> dict:
+def run_scenario(scenario: Scenario, digest: str, parallel: bool = False) -> dict:
     report = {
         "schema_version": SCHEMA_VERSION,
         "provenance": {
@@ -321,7 +316,7 @@ def run_scenario(
     if parallel and len(scenario.tasks) > 1:
         with ProcessPoolExecutor() as pool:
             futures = [
-                pool.submit(_run_single, scenario.raw, backend_override, i)
+                pool.submit(_run_single, scenario.raw, i)
                 for i in range(len(scenario.tasks))
             ]
             tasks = [f.result() for f in futures]

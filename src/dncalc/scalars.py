@@ -1,27 +1,19 @@
-"""Scalar backends for jet coefficients.
+"""The exact scalar backend for jet coefficients.
 
-Two backends are supported and selected per run: exact rationals (the
-default, backed by gmpy2.mpq when available) and double-precision floats.
-Exactness of the rational backend is what makes all the residual and
-round-trip checks zero-tolerance, so rational operations that would leave
-the field (square roots of non-squares, exp of a nonzero rational) raise
-instead of approximating.
+There is one backend: exact rationals, ``mpq`` being ``fractions.Fraction``.
+Jets hold their coefficients as integers over a common denominator (see
+``jets``), so this module supplies the scalar constants, coercions and
+exact roots the other layers need, not the per-term arithmetic.  Exactness
+is what makes all the residual and round-trip checks zero-tolerance, so
+operations that would leave the rational field (square roots of non-squares,
+exp of a nonzero rational) raise instead of approximating.
 """
 
 from __future__ import annotations
 
-import math
+from fractions import Fraction as mpq
 
 from .errors import BackendError, NotInvertibleError
-
-try:
-    from gmpy2 import mpq
-
-    _HAVE_GMPY2 = True
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
-    from fractions import Fraction as mpq
-
-    _HAVE_GMPY2 = False
 
 
 def _int_nth_root(n: int, k: int) -> int | None:
@@ -49,7 +41,6 @@ def rational(value) -> "mpq":
 
 class RationalBackend:
     name = "rational"
-    exact = True
 
     @staticmethod
     def coerce(value):
@@ -112,67 +103,10 @@ class RationalBackend:
         return mpq(s)
 
 
-class FloatBackend:
-    name = "float"
-    exact = False
-
-    @staticmethod
-    def coerce(value):
-        if isinstance(value, str):
-            return float(mpq(value))
-        return float(value)
-
-    @staticmethod
-    def zero():
-        return 0.0
-
-    @staticmethod
-    def one():
-        return 1.0
-
-    @staticmethod
-    def sqrt(c):
-        if c <= 0:
-            raise NotInvertibleError("square root of non-positive constant %s" % c)
-        return math.sqrt(c)
-
-    @staticmethod
-    def nth_root(c, k):
-        if c <= 0:
-            raise NotInvertibleError("%d-th root of non-positive constant %s" % (k, c))
-        return c ** (1.0 / k)
-
-    @staticmethod
-    def exp(c):
-        return math.exp(c)
-
-    @staticmethod
-    def log(c):
-        if c <= 0:
-            raise NotInvertibleError("log of non-positive constant %s" % c)
-        return math.log(c)
-
-    @staticmethod
-    def to_float(c):
-        return c
-
-    @staticmethod
-    def to_str(c):
-        return repr(c)
-
-    @staticmethod
-    def from_str(s: str):
-        return float(s)
-
-
 RATIONAL = RationalBackend()
-FLOAT = FloatBackend()
-
-_BACKENDS = {"rational": RATIONAL, "float": FLOAT}
 
 
 def get_backend(name: str):
-    try:
-        return _BACKENDS[name]
-    except KeyError:
-        raise BackendError("unknown scalar backend %r" % name) from None
+    if name != RATIONAL.name:
+        raise BackendError("unknown scalar backend %r" % name)
+    return RATIONAL

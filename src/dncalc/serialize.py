@@ -38,9 +38,9 @@ def scalar_from_json(space: JetSpace, data) -> Any:
 
 
 def jet_to_json(jet: Jet) -> dict:
-    terms = []
-    for idx in sorted(jet.c):
-        terms.append({"index": list(idx), "value": jet.space.backend.to_str(jet.c[idx])})
+    terms = [
+        {"index": list(idx), "value": str(v)} for idx, v in sorted(jet.c.items())
+    ]
     return {
         "radial_order": jet.kr,
         "tangential_order": jet.ky,
@@ -180,7 +180,7 @@ RECONSTRUCTION_METHODS = (
 class Scenario:
     """Validated scenario: geometry plus an ordered task list."""
 
-    def __init__(self, raw: dict, backend_override: str | None = None):
+    def __init__(self, raw: dict):
         if not isinstance(raw, dict):
             raise ScenarioError("scenario must be a JSON object")
         version = raw.get("schema_version")
@@ -196,9 +196,12 @@ class Scenario:
         self.kr = self._int_field(trunc, "radial", minimum=0, where="truncation")
         self.ky = self._int_field(trunc, "tangential", minimum=0, where="truncation")
         self.depth = self._int_field(raw, "depth", minimum=1)
-        backend = backend_override or raw.get("backend", "rational")
-        if backend not in ("rational", "float"):
-            raise ScenarioError("backend must be 'rational' or 'float'")
+        backend = raw.get("backend", "rational")
+        if backend != "rational":
+            raise ScenarioError(
+                "field 'backend' must be 'rational' (the only scalar backend), got %r"
+                % (backend,)
+            )
         self.backend = backend
         self.base_point = str(raw.get("base_point", "p0"))
         self.seed = int(raw.get("seed", 0))
@@ -351,7 +354,7 @@ def _parse_modes(spec, where) -> list:
     raise ScenarioError("%s.modes must be 'lo:hi' or a list of integers" % where)
 
 
-def load_scenario(path: str, backend_override: str | None = None) -> tuple:
+def load_scenario(path: str) -> tuple:
     try:
         with open(path, "rb") as fh:
             blob = fh.read()
@@ -365,7 +368,7 @@ def load_scenario(path: str, backend_override: str | None = None) -> tuple:
             % (exc.lineno, exc.colno, exc.msg)
         ) from None
     digest = hashlib.sha256(blob).hexdigest()
-    return Scenario(raw, backend_override), digest
+    return Scenario(raw), digest
 
 
 def dump_report(report: dict, path: str | None) -> str:

@@ -244,13 +244,9 @@ def test_parallel_flag(tmp_path):
     assert [t["status"] for t in report["tasks"]] == ["pass", "pass"]
 
 
-def test_backend_env_override(tmp_path, monkeypatch):
+def test_float_backend_scenario_exits_two(tmp_path, capsys):
     raw = flat_scenario([{"kind": "factorize", "mode": "scalar"}])
+    raw["backend"] = "float"
     path = write_scenario(tmp_path, raw)
-    out = str(tmp_path / "report.json")
-    monkeypatch.setenv("DNCALC_BACKEND", "float")
-    assert main(["run", path, "-o", out]) == 0
-    report = read_report(out)
-    assert report["provenance"]["backend"] == "float"
-    monkeypatch.setenv("DNCALC_BACKEND", "bogus")
-    assert main(["run", path, "-o", out]) == 2
+    assert main(["run", path]) == 2
+    assert "field 'backend'" in capsys.readouterr().err

@@ -9,7 +9,13 @@ from dncalc.errors import (
     IncompatibleJetsError,
     NotInvertibleError,
 )
-from dncalc.jets import Jet, JetSpace, collar_from_radial_orders, dense_product_oracle
+from dncalc.jets import (
+    MAX_ORDER,
+    Jet,
+    JetSpace,
+    collar_from_radial_orders,
+    dense_product_oracle,
+)
 from dncalc.scalars import mpq
 
 
@@ -173,15 +179,6 @@ def test_exp_rational_backend_requires_zero_constant():
         sp.one(2, 2).exp()
 
 
-def test_float_backend_transcendental_constants():
-    sp = JetSpace(3, backend="float")
-    v = sp.constant(0.5, 3, 2)
-    e = v.exp()
-    assert e.constant_term() == pytest.approx(math.exp(0.5))
-    assert v.sqrt().constant_term() == pytest.approx(math.sqrt(0.5))
-    assert (v.exp().log()).constant_term() == pytest.approx(0.5)
-
-
 def test_log_inverts_exp():
     rng = random.Random(8)
     sp = rational_space()
@@ -228,3 +225,38 @@ def test_restricted_to_boundary():
     g = f.restricted_to_boundary()
     assert g.kr == 0
     assert g == sp.jet({(0, 2, 0): 1}, 0, 2)
+
+
+def test_equal_jets_hash_equal_across_truncation_orders():
+    sp = rational_space()
+    assert sp.one(3, 2) == sp.one(4, 2)
+    assert hash(sp.one(3, 2)) == hash(sp.one(4, 2))
+    assert len({sp.one(3, 2), sp.one(4, 2)}) == 1
+    r = sp.coordinate(0, 3, 2)
+    assert r + 1 == (r + 1).with_budgets(5, 4)
+    assert len({r + 1, (r + 1).with_budgets(5, 4), (r + 1).truncated(0, 0)}) == 1
+    # a jet equal to a scalar hashes like that scalar
+    assert sp.constant(mpq(3, 4), 2, 2) == mpq(3, 4)
+    assert hash(sp.constant(mpq(3, 4), 2, 2)) == hash(mpq(3, 4))
+
+
+def test_orders_beyond_a_key_field_are_rejected():
+    sp = rational_space()
+    big = MAX_ORDER + 1
+    builders = [
+        lambda kr, ky: sp.zero(kr, ky),
+        lambda kr, ky: sp.one(kr, ky),
+        lambda kr, ky: sp.constant(2, kr, ky),
+        lambda kr, ky: sp.coordinate(1, kr, ky),
+        lambda kr, ky: sp.jet({(0, 0, 0): 1}, kr, ky),
+        lambda kr, ky: sp.one(0, 0).with_budgets(kr, ky),
+        lambda kr, ky: collar_from_radial_orders(sp, [sp.one(0, 0)], kr, ky),
+    ]
+    for build in builders:
+        for kr, ky, name in ((big, 0, "radial"), (0, big, "tangential"), (-1, 0, "radial")):
+            with pytest.raises(IncompatibleJetsError) as info:
+                build(kr, ky)
+            message = str(info.value)
+            assert name in message and str(kr if name == "radial" else ky) in message
+            assert str(MAX_ORDER) in message
+        assert build(MAX_ORDER, MAX_ORDER).kr == MAX_ORDER

@@ -8,8 +8,8 @@ from dncalc.scalars import mpq
 from dncalc.symbols import CJet, FormalSymbol, HomSymbol, SymbolContext, XiPoly, compose
 
 
-def euclidean_ctx(n=3, kr=4, ky=3, backend="rational"):
-    sp = JetSpace(n, backend=backend)
+def euclidean_ctx(n=3, kr=4, ky=3):
+    sp = JetSpace(n)
     gu = [
         [sp.one(kr, ky) if a == b else sp.zero(kr, ky) for b in range(n - 1)]
         for a in range(n - 1)
