@@ -252,6 +252,27 @@ class Jet:
     def constant_term(self) -> Fraction:
         return Fraction(self.num.get(0, 0), self.den)
 
+    def lowest_order_terms(self, kr: int, ky: int) -> tuple[int | None, dict]:
+        """The terms of lowest total order m + sum(mu) among those inside
+        orders (kr, ky), as (order, {monomial key: numerator over den}).
+        The keys identify monomials and are opaque; (None, {}) if no term
+        lies inside the orders."""
+        if 0 in self.num:  # the constant term, inside any orders
+            return 0, {0: self.num[0]}
+        space = self.space
+        off, guard, tshift = space._offset(kr, ky), space._guard, space._tshift
+        low, out = None, {}
+        for key, c in self.num.items():
+            if (key + off) & guard:
+                continue
+            h = key >> tshift  # the m and t fields
+            order = (h >> KEY_BITS) + (h & _FIELD)
+            if low is None or order < low:
+                low, out = order, {}
+            if order == low:
+                out[key] = c
+        return low, out
+
     def __eq__(self, other):
         if isinstance(other, (int, str, Fraction)):
             other = self.space.constant(other, self.kr, self.ky)

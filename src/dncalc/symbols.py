@@ -15,7 +15,12 @@ w and q2), and division by the principal factor -w.
 
 Normalisation divides out common q2 factors of A and B, so two symbols are
 equal exactly when their components coincide; w is not a rational function
-of xi', hence (A, B, p) with minimal p is a faithful representation.
+of xi', hence (A, B, p) with minimal p is a faithful representation.  Most
+attempts to lower p fail, so a cheap necessary condition refuses most of
+them before the jet long division: if P = q2 * Q, then Q vanishes at the
+base point to the same (r, y) order k as P does (q2's leading coefficient is
+a unit), and the order-k part of P is q2(0) times that of Q.  So the rational
+xi-polynomial at each order-k monomial of P must be a multiple of q2(0).
 
 Complex scalars never appear inside a single jet; instead every polynomial
 coefficient is a pair of real jets (CJet), which keeps the frequent
@@ -33,7 +38,9 @@ ranges of the factors (truncation replaces the smoothing-remainder calculus).
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from itertools import combinations_with_replacement
+from operator import add
 
 from .errors import (
     BudgetExhaustedError,
@@ -212,12 +219,6 @@ class XiPoly:
             return v.re.space.backend
         return None
 
-    def scale_half(self) -> "XiPoly":
-        backend = self._backend()
-        if backend is None:
-            return self
-        return self.scale(backend.one() / backend.coerce(2))
-
     def scale_minus_half(self) -> "XiPoly":
         backend = self._backend()
         if backend is None:
@@ -290,6 +291,7 @@ class SymbolContext:
         "_q2_base",
         "_lead_inv",
         "_q2_values",
+        "_q2_base_point",
     )
 
     def __init__(self, g_upper):
@@ -316,6 +318,7 @@ class SymbolContext:
         self._q2_base = {}
         self._lead_inv = None
         self._q2_values = {}
+        self._q2_base_point = None
 
     def q2_base_partial(self, direction: int) -> XiPoly:
         poly = self._q2_base.get(direction)
@@ -367,6 +370,15 @@ class SymbolContext:
     # exact polynomial division by q2 (or None if not divisible) -----------
 
     def divide_by_q2(self, poly: XiPoly) -> XiPoly | None:
+        """The quotient Q with poly = q2 * Q, or None if there is none.
+
+        The jet long division runs only after two cheap necessary
+        conditions.  The first reads the extreme monomials of a product
+        with q2.  The second is ``_lowest_order_divisible``: if poly = q2*Q,
+        the order-k part of poly, for k its lowest (r, y) order, is q2(0)
+        times the order-k part of Q, so each of its (r, y) monomials holds
+        a rational xi-polynomial divisible by q2 at the base point.
+        """
         if poly.is_zero:
             return XiPoly._make(poly.nxi, poly.deg - 2, {})
         if poly.deg < 2:
@@ -374,6 +386,8 @@ class SymbolContext:
         # necessary conditions from the extreme monomials of a product with
         # q2, whose lex-max is xi_1^2 and lex-min is xi_{n-1}^2
         if max(poly.c)[0] < 2 or min(poly.c)[-1] < 2:
+            return None
+        if not self._lowest_order_divisible(poly):
             return None
         lead_inv = self.lead_inv
         q2items = list(self.q2.c.items())
@@ -399,6 +413,76 @@ class SymbolContext:
                 else:
                     rem[te] = s
         return XiPoly._make(poly.nxi, poly.deg - 2, {e: v for e, v in quot.items() if not v.is_zero})
+
+    def _lowest_order_divisible(self, poly: XiPoly) -> bool:
+        """Necessary condition for q2 | poly, read at the lowest (r, y) order.
+
+        Let K be the smallest truncation orders among poly's coefficients
+        and q2's, and k the lowest total order m + |mu| of a term r^m y^mu
+        of poly inside K.  The long division only adds, multiplies and
+        truncates, so if it succeeds, poly = q2 * Q holds in the jets
+        truncated at K.  There Q is unique, because q2's leading coefficient
+        g^{11} is a unit, and the division builds Q's coefficients from
+        poly's by ring operations, so they vanish to order k too.  Hence the
+        order-k part of poly is q2(0) times the order-k part of Q, monomial
+        by monomial: for each (r, y) monomial of order k, the real and the
+        imaginary rational xi-polynomials of its coefficients are multiples
+        of q2(0).  Each is tested by long division over the integers: with
+        the polynomial scaled to integers and q2(0) to coprime integers,
+        Gauss's lemma makes the quotient of an exact division integral, so
+        a leading coefficient that q2(0)'s own does not divide refuses too.
+        """
+        kr, ky = self.kr, self.ky
+        for v in poly.c.values():
+            kr = min(kr, v.re.kr, v.im.kr)
+            ky = min(ky, v.re.ky, v.im.ky)
+        low = None
+        # (monomial key, 0 for re / 1 for im) -> {xi exponent: (numerator, den)}
+        parts: dict = {}
+        for e, v in poly.c.items():
+            for part, jet in enumerate((v.re, v.im)):
+                order, terms = jet.lowest_order_terms(kr, ky)
+                if order is None or (low is not None and order > low):
+                    continue
+                if low is None or order < low:
+                    low, parts = order, {}
+                for key, c in terms.items():
+                    parts.setdefault((key, part), {})[e] = (c, jet.den)
+        lead, rest = self._q2_at_base()
+        for values in parts.values():
+            den = math.lcm(*(d for _, d in values.values()))
+            rem = {e: c * (den // d) for e, (c, d) in values.items()}
+            while rem:
+                e = max(rem)
+                c, r = divmod(rem.pop(e), lead)
+                if r or e[0] < 2:
+                    return False
+                t = (e[0] - 2,) + e[1:]
+                for qe, qv in rest:
+                    te = tuple(map(add, t, qe))
+                    x = rem.get(te, 0) - c * qv
+                    if x:
+                        rem[te] = x
+                    else:
+                        rem.pop(te, None)
+        return True
+
+    def _q2_at_base(self) -> tuple[int, list]:
+        """q2(0) scaled to coprime integers, as the coefficient of xi_1^2
+        and the (exponent, coefficient) pairs of its other nonzero terms.
+
+        q2(0) / g^{11}(0) has xi_1^2 coefficient 1 and is scaled by the lcm
+        of its denominators.  Each prime power in that lcm is the full
+        denominator power of some coefficient, whose integer then lacks the
+        prime, so the integers are coprime."""
+        if self._q2_base_point is None:
+            lead0 = self.lead_inv.constant_term()  # 1 / g^{11}(0)
+            values = {e: v.re.constant_term() * lead0 for e, v in self.q2.c.items()}
+            den = math.lcm(*(x.denominator for x in values.values()))
+            lead = (2,) + (0,) * (self.nxi - 1)
+            rest = [(e, int(x * den)) for e, x in values.items() if x and e != lead]
+            self._q2_base_point = (den, rest)
+        return self._q2_base_point
 
 
 #: budget value meaning "no truncation restriction" (exact zero tails)
@@ -632,18 +716,11 @@ class HomSymbol:
         """d/d xi_a; the degree drops by one."""
         ctx = self.ctx
         q2d = ctx.q2_xi[a]
-        if self.p == 0:
-            na = self.a.xi_partial(a) * ctx.q2
-            nb = self.b.xi_partial(a) * ctx.q2 + (self.b * q2d).scale_half()
-        else:
-            pa = self.a.xi_partial(a)
-            pb = self.b.xi_partial(a)
-            na = pa * ctx.q2 - (self.a * q2d).scale(self.p)
-            nb = (
-                pb * ctx.q2
-                + (self.b * q2d).scale_half()
-                - (self.b * q2d).scale(self.p)
-            )
+        # B w / q2^p: w gives B q2d w / (2 q2), and q2^-p gives -p B q2d w / q2
+        na = self.a.xi_partial(a) * ctx.q2
+        nb = self.b.xi_partial(a) * ctx.q2 + (self.b * q2d).scale(Fraction(1 - 2 * self.p, 2))
+        if self.p:
+            na = na - (self.a * q2d).scale(self.p)
         kr, ky = min(self.kr, ctx.kr), min(self.ky, ctx.ky)
         return HomSymbol(ctx, self.degree - 1, na, nb, self.p + 1, kr, ky).normalized()
 
@@ -662,10 +739,9 @@ class HomSymbol:
         da = self.a.base_partial(direction)
         db = self.b.base_partial(direction)
         na = da * ctx.q2
-        nb = db * ctx.q2 + (self.b * q2b).scale_half()
+        nb = db * ctx.q2 + (self.b * q2b).scale(Fraction(1 - 2 * self.p, 2))
         if self.p:
             na = na - (self.a * q2b).scale(self.p)
-            nb = nb - (self.b * q2b).scale(self.p)
         return HomSymbol(ctx, self.degree, na, nb, self.p + 1, kr, ky).normalized()
 
     def d_y(self, a: int) -> "HomSymbol":

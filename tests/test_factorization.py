@@ -13,7 +13,7 @@ from dncalc.geometry import BoundaryMetricJet, custom_gauge, gauge_s, gauge_sigm
 from dncalc.jets import JetSpace
 from dncalc.randomgen import random_instance
 from dncalc.scalars import mpq
-from dncalc.symbols import HomSymbol
+from dncalc.symbols import HomSymbol, SymbolContext
 
 
 KR, KY = 5, 4
@@ -172,3 +172,30 @@ def test_gauge_and_scalar_agree_for_tangentially_constant_data():
     res_o = factorize_gauge(metric, gauge_sigma(metric, weight), 4, weight=weight)
     for j in res_s.symbol.grades():
         assert res_s.symbol.grade(j) == res_o.symbol.grade(j)
+
+
+def test_early_refusal_of_q2_divisions_changes_no_symbol(monkeypatch):
+    # the q2 division refuses most attempts from the lowest (r, y) order
+    # alone; with that test accepting everything, every grade must keep the
+    # same denominator power and numerators
+    def factorisations(metric, weight):
+        return [
+            factorize_scalar(metric, weight, 3),
+            factorize_gauge(metric, gauge_s(metric, weight), 3, weight=weight),
+            factorize_gauge(metric, gauge_sigma(metric, weight), 3, weight=weight),
+        ]
+
+    for metric, weight in (
+        random_instance(1000),
+        random_instance(41, n=4, tangentially_constant=True),
+    ):
+        checked = factorisations(metric, weight)
+        with monkeypatch.context() as m:
+            m.setattr(SymbolContext, "_lowest_order_divisible", lambda self, poly: True)
+            unchecked = factorisations(metric, weight)
+            assert all(verify_residual(ref) is None for ref in unchecked)
+        for res, ref in zip(checked, unchecked):
+            assert verify_residual(res) is None
+            for j in res.symbol.grades():
+                s, t = res.symbol.grade(j), ref.symbol.grade(j)
+                assert s.p == t.p and s.a == t.a and s.b == t.b

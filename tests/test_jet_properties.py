@@ -2,7 +2,8 @@
 
 Each reference works on {multi-index tuple: Fraction} dicts with no shared
 code with ``dncalc.jets``: it is the textbook definition of the operation,
-followed by truncation to the result's orders.
+followed by truncation to the result's orders.  The hypothesis settings
+come from the ``dncalc`` profile that ``conftest.py`` loads.
 """
 
 import itertools
@@ -13,8 +14,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dncalc.jets import JetSpace
-
-SETTINGS = settings(max_examples=120, deadline=None, derandomize=True, database=None)
 
 SPACES = {n: JetSpace(n) for n in (2, 3, 4)}
 
@@ -95,7 +94,6 @@ def singles(draw):
     return draw(jets(draw(st.sampled_from((2, 3, 4)))))
 
 
-@SETTINGS
 @given(pairs())
 def test_add_sub_mul_match_fraction_references(pair):
     (a, da, akr, aky), (b, db, bkr, bky) = pair
@@ -107,7 +105,7 @@ def test_add_sub_mul_match_fraction_references(pair):
     assert agrees(-a, {i: -v for i, v in da.items()}, akr, aky)
 
 
-@settings(SETTINGS, max_examples=40)
+@settings(max_examples=40)
 @given(pairs((3, 4), kr_range=(4, 5), ky_range=(3, 4), min_terms=30, max_terms=45))
 def test_large_products_match_fraction_reference(pair):
     # dense enough that products take the bucketed path
@@ -116,7 +114,6 @@ def test_large_products_match_fraction_reference(pair):
     assert agrees(a * b, ref_mul(da, db, kr, ky), kr, ky)
 
 
-@SETTINGS
 @given(pairs())
 def test_inputs_that_cancel_give_the_canonical_zero(pair):
     (a, da, akr, aky), (b, db, bkr, bky) = pair
@@ -127,7 +124,6 @@ def test_inputs_that_cancel_give_the_canonical_zero(pair):
     assert agrees((a + b) - a, ref_truncate(db, kr, ky), kr, ky)
 
 
-@SETTINGS
 @given(singles(), st.fractions(min_value=-6, max_value=6, max_denominator=9))
 def test_scale_matches_fraction_reference(single, q):
     a, da, kr, ky = single
@@ -135,7 +131,6 @@ def test_scale_matches_fraction_reference(single, q):
     assert agrees(a * q, {i: v * q for i, v in da.items()}, kr, ky)
 
 
-@SETTINGS
 @given(singles(), st.data())
 def test_calculus_matches_fraction_references(single, data):
     a, da, kr, ky = single
@@ -152,7 +147,6 @@ def test_calculus_matches_fraction_references(single, data):
     assert agrees(a.truncated(tkr, tky), da, tkr, tky)
 
 
-@SETTINGS
 @given(pairs(), st.data())
 def test_equal_jets_from_different_routes_hash_equal(pair, data):
     (a, _, akr, aky), (b, _, bkr, bky) = pair

@@ -303,3 +303,36 @@ def test_formal_symbol_add_respects_exact_tails():
     s = q + b
     assert s.lo == 0 and s.hi == 2
     assert s.grade(2) == HomSymbol.q2_symbol(ctx)
+
+
+def test_q2_factor_above_the_base_order_still_normalises():
+    # every coefficient of r * q2 * X vanishes at the base point, so the early
+    # test of the q2 division reads the order-1 terms, q2(0) times those of r X
+    rng = random.Random(23)
+    ctx = random_ctx(rng)
+    r = CJet(ctx.space.coordinate(0, ctx.kr, ctx.ky))
+    for _ in range(4):
+        x = random_symbol(rng, ctx, degree=rng.choice([0, 1, -1]))
+        rx = x.scale(r)
+        raw = HomSymbol(ctx, x.degree, ctx.q2 * rx.a, ctx.q2 * rx.b, rx.p + 1)
+        assert all(not v.re.constant_term() for v in raw.a.c.values())
+        norm = raw.normalized()
+        assert norm.p == raw.p - 1
+        assert norm == rx
+
+
+def test_divisible_base_point_part_with_indivisible_order_one_part_keeps_p():
+    ctx = random_ctx(random.Random(29))
+    nxi, one = ctx.nxi, ctx.one_cjet()
+    r = CJet(ctx.space.coordinate(0, ctx.kr, ctx.ky))
+    x = XiPoly(nxi, 2, {(2, 0): one})
+    y = XiPoly(nxi, 1, {(0, 1): one})
+    # q2 * x passes the early test at order 0, and r * xi_2^4 is no multiple
+    # of q2(0) at order 1, so only the long division refuses the division
+    raw = HomSymbol(ctx, 2, ctx.q2 * x + XiPoly(nxi, 4, {(0, 4): r}), ctx.q2 * y, 1)
+    assert ctx._lowest_order_divisible(raw.a)
+    assert ctx.divide_by_q2(raw.a) is None
+    assert raw.normalized().p == 1
+    # the same remainder at order 0 is refused by the early test itself
+    assert not ctx._lowest_order_divisible(ctx.q2 * x + XiPoly(nxi, 4, {(0, 4): one}))
+    assert ctx.divide_by_q2(ctx.q2 * y) == y
