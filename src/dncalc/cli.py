@@ -16,7 +16,13 @@ import json
 import sys
 
 from .errors import DnCalcError, ScenarioError
-from .serialize import SCHEMA_VERSION, Scenario, dump_report, load_scenario
+from .serialize import (
+    RECONSTRUCTION_METHODS,
+    SCHEMA_VERSION,
+    Scenario,
+    dump_report,
+    load_scenario,
+)
 from .runner import run_scenario
 
 EXIT_OK = 0
@@ -216,14 +222,7 @@ def build_parser():
     p.add_argument(
         "--method",
         required=True,
-        choices=(
-            "first-order",
-            "metric-known-weight",
-            "weight-scalar",
-            "weight-gauge",
-            "volume-gauge",
-            "volume-scalar",
-        ),
+        choices=RECONSTRUCTION_METHODS,
     )
     p.add_argument("--order", type=int, default=3)
     p.add_argument("--prescribe", help="d1V=<value|true> or d2V=<value|true>")

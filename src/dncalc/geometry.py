@@ -55,18 +55,10 @@ def _adjugate(mat):
     return adj
 
 
-def _rational_det(mat):
-    n = len(mat)
-    if n == 1:
-        return mat[0][0]
-    if n == 2:
-        return mat[0][0] * mat[1][1] - mat[0][1] * mat[1][0]
-    acc = 0
-    for j in range(n):
-        minor = [row[:j] + row[j + 1 :] for row in mat[1:]]
-        term = mat[0][j] * _rational_det(minor)
-        acc = acc + (-term if j % 2 else term)
-    return acc
+def _inverse(mat):
+    """Inverse of a matrix of jets through its adjugate and determinant."""
+    inv = _det(mat).reciprocal()
+    return [[x * inv for x in row] for row in _adjugate(mat)]
 
 
 class BoundaryMetricJet:
@@ -119,14 +111,7 @@ class BoundaryMetricJet:
     def from_upper(cls, g_upper) -> "BoundaryMetricJet":
         """Build from the inverse block (used when reconstructions recover
         g^{ab} rather than g_{ab})."""
-        rows = [list(r) for r in g_upper]
-        det_up = _det(rows)
-        adj = _adjugate(rows)
-        det_inv = det_up.reciprocal()
-        lower = [
-            [adj[a][b] * det_inv for b in range(len(rows))] for a in range(len(rows))
-        ]
-        return cls(lower)
+        return cls(_inverse([list(r) for r in g_upper]))
 
     @staticmethod
     def _check_spd(rows):
@@ -134,7 +119,7 @@ class BoundaryMetricJet:
         n = len(const)
         for k in range(1, n + 1):
             minor = [[const[i][j] for j in range(k)] for i in range(k)]
-            if _rational_det(minor) <= 0:
+            if _det(minor) <= 0:
                 raise MetricError(
                     "constant term of the metric block is not positive definite"
                 )

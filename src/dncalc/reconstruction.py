@@ -2,19 +2,26 @@
 
 Every recovery below consumes only rescale-invariant functions of the data
 (squares of principal observables, ratios of symbol components) and works
-order by order in the radial direction.  At each order the data grade is an
-affine function of the top unknown coefficients, with one exception: in the
-gauge-theoretic problem with the metric known, the first and second radial
-derivatives of the weight enter one grade jointly through the combination
+order by order in the radial direction.  A method's boundary stage reads the
+lowest orders off the principal form, the density and the grade-0 shape.
+Then one driver, ``_drive``, takes each further order m: the data grade
+1 - m is affine in the order-m unknowns (the symmetric entries of
+d_r^m g^{ab}, the scalar d_r^m V, or both), plus one affine row for
+det(g^{ab}) delta = 1 when the volume is known.  The driver solves it by
+forward probes (run the forward model at unit parameter settings and
+difference) rather than hand-derived remainder formulas, so a transcription
+slip in a remainder cannot silently corrupt an inversion; exact arithmetic
+makes the probes lossless.  A failed solve names the method, order and grade.
+
+The one non-affine step: in the gauge-theoretic problem with the metric
+known, the first and second radial derivatives of the weight enter one grade
+jointly through the combination
 
     (d_r V)^2 / 4 + E0 d_r V / 2 - d_r^2 V / 2        (E0 the boundary drift)
 
 so prescribing d_r^2 V leaves a quadratic equation for d_r V that may have
-two real roots; both are returned and each extends to a full branch.  All
-affine solves use forward probes (run the forward model at unit parameter
-settings and difference) rather than hand-derived remainder formulas, so a
-transcription slip in a remainder cannot silently corrupt an inversion;
-exact arithmetic makes the probes lossless.
+two real roots; both are returned and the driver extends each to a full
+branch.  Every recovery ends by re-synthesising the consumed grades.
 
 The linear algebra is Gauss elimination over the local ring of jets: pivots
 must be unit jets (nonzero constant term), which the triangular structure of
@@ -28,8 +35,11 @@ from dataclasses import dataclass, field
 
 from .dn import DNSymbolData, dn_symbol_gauge, dn_symbol_scalar
 from .errors import DataError, DepthError, ReconstructionError
-from .geometry import BoundaryMetricJet, _adjugate, _det
-from .jets import Jet, JetSpace, collar_from_radial_orders
+from .geometry import BoundaryMetricJet, _det, _inverse
+from .jets import Jet, collar_from_radial_orders
+from .scalars import mpq
+
+HALF = mpq(1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -40,82 +50,54 @@ def solve_linear_jets(rows, nunknowns: int):
     """Solve an (over-determined, exactly consistent) linear system whose
     coefficients and right-hand sides are jets.  Raises when no unit pivot
     exists for some unknown or when elimination leaves a nonzero residue."""
-    remaining = [( [c for c in coeffs], rhs ) for coeffs, rhs in rows]
-    pivots: dict[int, tuple[list, Jet]] = {}
+    rows = [(list(coeffs), rhs) for coeffs, rhs in rows]
+    # Gauss-Jordan in place: rows[:col] are the pivot rows found so far
     for col in range(nunknowns):
-        pick = None
-        for i, (coeffs, _) in enumerate(remaining):
-            c = coeffs[col]
-            if not c.is_zero and c.constant_term() != 0:
-                pick = i
-                break
+        units = (i for i in range(col, len(rows)) if rows[i][0][col].constant_term())
+        pick = next(units, None)
         if pick is None:
             raise ReconstructionError(
                 "no unit pivot for unknown %d of %d" % (col, nunknowns)
             )
-        coeffs, rhs = remaining.pop(pick)
+        coeffs, rhs = rows.pop(pick)
         inv = coeffs[col].reciprocal()
         coeffs = [c * inv for c in coeffs]
         rhs = rhs * inv
-        for pcol, (pcs, prhs) in list(pivots.items()):
-            f = pcs[col]
-            if not f.is_zero:
-                pivots[pcol] = (
-                    [a - f * b for a, b in zip(pcs, coeffs)],
-                    prhs - f * rhs,
-                )
-        nxt = []
-        for ocs, orhs in remaining:
+        rows.insert(col, (coeffs, rhs))
+        for i, (ocs, orhs) in enumerate(rows):
             f = ocs[col]
-            if not f.is_zero:
-                ocs = [a - f * b for a, b in zip(ocs, coeffs)]
-                orhs = orhs - f * rhs
-            nxt.append((ocs, orhs))
-        remaining = nxt
-        pivots[col] = (coeffs, rhs)
-    for coeffs, rhs in remaining:
+            if i != col and not f.is_zero:
+                rows[i] = ([a - f * b for a, b in zip(ocs, coeffs)], orhs - f * rhs)
+    for coeffs, rhs in rows[nunknowns:]:
         if any(not c.is_zero for c in coeffs) or not rhs.is_zero:
             raise ReconstructionError("inconsistent linear system for jet unknowns")
-    return [pivots[c][1] for c in range(nunknowns)]
+    return [rhs for _, rhs in rows[:nunknowns]]
 
 
 # ---------------------------------------------------------------------------
 # shared plumbing
 
 
+def _sym_entries(nxi: int):
+    return [(a, b) for a in range(nxi) for b in range(a, nxi)]
+
+
+def _sample_entries(nxi: int):
+    """Entries of a symmetric form, diagonal first: the order of _samples."""
+    return sorted(_sym_entries(nxi), key=lambda e: e[0] != e[1])
+
+
 def _samples(nxi: int):
-    backend_one = 1
-    out = []
-    for a in range(nxi):
-        e = [0] * nxi
-        e[a] = backend_one
-        out.append(tuple(e))
-    for a in range(nxi):
-        for b in range(a + 1, nxi):
-            e = [0] * nxi
-            e[a] = backend_one
-            e[b] = backend_one
-            out.append(tuple(e))
-    return out
+    """Fibre points e_a, then e_a + e_b for a < b: enough to fit a form."""
+    return [tuple(int(i in e) for i in range(nxi)) for e in _sample_entries(nxi)]
 
 
-def _fit_quadratic_form(values: dict, nxi: int):
-    """Symmetric matrix M with M^{ab} xi_a xi_b matching jet values sampled at
-    the basis vectors and their pairwise sums."""
+def _fit_quadratic_form(values, nxi: int):
+    """Symmetric matrix M with M^{ab} xi_a xi_b matching the jet values
+    sampled at the ``_samples`` points, in that order."""
     mat = [[None] * nxi for _ in range(nxi)]
-    for a in range(nxi):
-        e = [0] * nxi
-        e[a] = 1
-        mat[a][a] = values[tuple(e)]
-    for a in range(nxi):
-        for b in range(a + 1, nxi):
-            e = [0] * nxi
-            e[a] = 1
-            e[b] = 1
-            half = (values[tuple(e)] - mat[a][a] - mat[b][b])
-            backend = half.space.backend
-            mat[a][b] = half.scale(backend.one() / backend.coerce(2))
-            mat[b][a] = mat[a][b]
+    for (a, b), v in zip(_sample_entries(nxi), values):
+        mat[a][b] = mat[b][a] = v if a == b else (v - mat[a][a] - mat[b][b]).scale(HALF)
     return mat
 
 
@@ -128,16 +110,7 @@ def _ratio_vector(dn: DNSymbolData, grade: int, samples) -> list:
 
 
 def _magnitude(jets) -> float:
-    mags = [0.0]
-    for j in jets:
-        backend = j.space.backend
-        for v in j.c.values():
-            mags.append(abs(backend.to_float(v)))
-    return max(mags)
-
-
-def _sym_entries(nxi: int):
-    return [(a, b) for a in range(nxi) for b in range(a, nxi)]
+    return max((abs(float(v)) for j in jets for v in j.c.values()), default=0.0)
 
 
 def _matrix_from_entries(entries, values, nxi):
@@ -148,35 +121,39 @@ def _matrix_from_entries(entries, values, nxi):
     return mat
 
 
-def _embed_weight(space: JetSpace, orders, kr: int, ky: int) -> Jet:
-    return collar_from_radial_orders(space, list(orders), kr, ky)
-
-
-def _embed_metric_upper(space: JetSpace, order_mats, kr: int, ky: int) -> BoundaryMetricJet:
+def _collar_matrix(space, order_mats, kr: int, ky: int):
+    """Matrix of collar jets sum_m r^m/m! * order_mats[m] entry by entry."""
     nxi = space.n - 1
-    entries = []
-    for a in range(nxi):
-        row = []
-        for b in range(nxi):
-            orders = [m[a][b] if m is not None else None for m in order_mats]
-            row.append(collar_from_radial_orders(space, orders, kr, ky))
-        entries.append(row)
-    return BoundaryMetricJet.from_upper(entries)
+    return [
+        [
+            collar_from_radial_orders(space, [mat[a][b] for mat in order_mats], kr, ky)
+            for b in range(nxi)
+        ]
+        for a in range(nxi)
+    ]
 
 
-def _zero_matrix(space: JetSpace, ky: int):
-    nxi = space.n - 1
-    z = space.zero(0, ky)
-    return [[z] * nxi for _ in range(nxi)]
+def _trace(g_lower, m_upper):
+    nxi = len(g_lower)
+    terms = [g_lower[a][b] * m_upper[a][b] for a in range(nxi) for b in range(nxi)]
+    return sum(terms[1:], terms[0])
 
 
-def _unit_matrix_entry(space: JetSpace, ky: int, a: int, b: int):
-    nxi = space.n - 1
-    mat = [[space.zero(0, ky) for _ in range(nxi)] for _ in range(nxi)]
-    one = space.one(0, ky)
-    mat[a][b] = one
-    mat[b][a] = one
-    return mat
+def _check_depth(dn: DNSymbolData, order: int):
+    if order > dn.depth - 1:
+        raise DepthError(
+            "order %d needs depth %d data, got %d" % (order, order + 1, dn.depth)
+        )
+
+
+def _prescribed(prescription: tuple, dn: DNSymbolData):
+    """The prescribed radial derivative ("d1V" or "d2V") as a y-jet."""
+    kind, value = prescription
+    if kind not in ("d1V", "d2V"):
+        raise DataError("prescription must fix d1V or d2V, got %r" % kind)
+    if isinstance(value, Jet):
+        return kind, value.restricted_to_boundary()
+    return kind, dn.ctx.space.constant(value, 0, dn.boundary_metric.ky)
 
 
 @dataclass
@@ -201,7 +178,192 @@ class ReconstructionReport:
 
 
 # ---------------------------------------------------------------------------
-# boundary recovery from the gauge pair (metric and weight unknown)
+# candidate geometry, the order-by-order driver and re-synthesis
+
+
+def _forward(dn: DNSymbolData, metric, weight, depth: int) -> DNSymbolData:
+    """Data of dn's kind at the given depth from a candidate at radial order
+    kr = depth + 1: a known BoundaryMetricJet or weight Jet is truncated to
+    kr, and a list of recovered radial orders (matrices of y-jets, or
+    y-jets) is embedded as a collar."""
+    space, ky, kr = dn.ctx.space, dn.boundary_metric.ky, depth + 1
+    if isinstance(metric, list):
+        metric = BoundaryMetricJet.from_upper(_collar_matrix(space, metric, kr, ky))
+    if isinstance(weight, list):
+        weight = collar_from_radial_orders(space, weight, kr, ky)
+    metric, weight = metric.truncated(kr, ky), weight.truncated(kr, ky)
+    if dn.map_kind == "lambda0":
+        return dn_symbol_scalar(metric, weight, depth)
+    return dn_symbol_gauge(metric, weight, depth, dn.gauge_tag)
+
+
+def _probe(fn, nparams: int):
+    """Value at 0 and unit-direction differences of a map affine in nparams
+    parameters and returning a list of jets."""
+    base = fn([0] * nparams)
+    dirs = []
+    for i in range(nparams):
+        value = fn([int(j == i) for j in range(nparams)])
+        dirs.append([a - b for a, b in zip(value, base)])
+    return base, dirs
+
+
+def _det_constraint_row(space, ky, order_mats, m, entries, delta_known, nweight):
+    """Row expressing that det(g^{ab}) * delta has vanishing r^m coefficient.
+
+    Affine in the order-m matrix (a weight unknown gets coefficient zero);
+    appended to probe systems to pin the trace direction that the symbol
+    data cannot see once the volume is known.
+    """
+    nxi = space.n - 1
+    dtrunc = delta_known.truncated(m, ky)
+
+    def phi(setting):
+        trial = [space.constant(x, 0, ky) for x in setting]
+        mats = order_mats + [_matrix_from_entries(entries, trial, nxi)]
+        det = _det(_collar_matrix(space, mats, m, ky))
+        return [(det * dtrunc).radial_coefficient(m)]
+
+    base, dirs = _probe(phi, len(entries))
+    return [d[0] for d in dirs] + [space.zero(0, ky)] * nweight, -base[0]
+
+
+def _drive(method: str, dn: DNSymbolData, metric, weight, start: int, order: int,
+           delta_known=None):
+    """Recover radial orders start..order of whichever of metric and weight
+    is a list of recovered orders (the other is the known jet), appending
+    each order to its list.  Order m is one affine probe solve at grade
+    1 - m against the candidate at radial order m + 2 and depth m + 1, plus
+    the determinant constraint when delta_known is given."""
+    space, ky = dn.ctx.space, dn.boundary_metric.ky
+    nxi = dn.n - 1
+    samples = _samples(nxi)
+    entries = _sym_entries(nxi) if isinstance(metric, list) else []
+    nweight = int(isinstance(weight, list))
+    nparams = len(entries) + nweight
+    for m in range(start, order + 1):
+        grade = 1 - m
+        # a known metric is truncated once per order, not once per probe
+        known_metric = None if entries else metric.truncated(m + 2, ky)
+
+        def build(setting):
+            trial = [space.constant(x, 0, ky) for x in setting]
+            cand_m, cand_w = known_metric, weight
+            if entries:
+                cand_m = metric + [_matrix_from_entries(entries, trial, nxi)]
+            if nweight:
+                cand_w = weight + trial[-1:]
+            return _ratio_vector(_forward(dn, cand_m, cand_w, m + 1), grade, samples)
+
+        base, dirs = _probe(build, nparams)
+        data = _ratio_vector(dn, grade, samples)
+        rows = [([d[t] for d in dirs], data[t] - base[t]) for t in range(len(base))]
+        if delta_known is not None:
+            rows.append(
+                _det_constraint_row(space, ky, metric, m, entries, delta_known, nweight)
+            )
+        try:
+            sol = solve_linear_jets(rows, nparams)
+        except ReconstructionError as exc:
+            raise ReconstructionError(
+                "%s: order %d (grade %d): %s" % (method, m, grade, exc)
+            ) from exc
+        if entries:
+            metric.append(_matrix_from_entries(entries, sol, nxi))
+        if nweight:
+            weight.append(sol[-1])
+
+
+def _resynthesise(dn: DNSymbolData, metric, weight, order: int, residuals: dict,
+                  suffix: str = "", principal_key=None):
+    """Run the forward model on the recovered jets at depth order + 1 and
+    record in ``residuals`` the largest coefficient of data minus
+    re-synthesis for grades 1..1 - order (keys grade_<j><suffix>), and for
+    the squared principal observable under principal_key if given.
+    Returns the re-synthesised data."""
+    samples = _samples(dn.n - 1)
+    resn = _forward(dn, metric, weight, order + 1)
+    for grade in range(1, -order, -1):
+        diff = [
+            a - b
+            for a, b in zip(
+                _ratio_vector(dn, grade, samples), _ratio_vector(resn, grade, samples)
+            )
+        ]
+        residuals["grade_%d%s" % (grade, suffix)] = _magnitude(diff)
+    if principal_key is not None:
+        xi0 = samples[0]
+        residuals[principal_key] = _magnitude(
+            [dn.principal_square_eval(xi0) - resn.principal_square_eval(xi0)]
+        )
+    return resn
+
+
+# ---------------------------------------------------------------------------
+# boundary stages
+
+
+def _principal_form(dn: DNSymbolData, factor=None):
+    """The squared principal observable (times factor) as a quadratic form in
+    xi, and its determinant, whose constant term must be positive."""
+    vals = [dn.principal_square_eval(xi) for xi in _samples(dn.n - 1)]
+    if factor is not None:
+        vals = [v * factor for v in vals]
+    form = _fit_quadratic_form(vals, dn.n - 1)
+    det_form = _det(form)
+    if det_form.constant_term() <= 0:
+        raise DataError("squared principal form has non-positive determinant")
+    return form, det_form
+
+
+def _divided(mat, jet):
+    inv = jet.reciprocal()
+    return [[x * inv for x in row] for row in mat]
+
+
+def _boundary_metric(dn: DNSymbolData, factor=None):
+    """g^{ab}|0 and delta|0 from a principal form delta g^{ab}: its
+    determinant is delta^(n-2)."""
+    form, det_form = _principal_form(dn, factor)
+    delta0 = det_form.nth_root(dn.n - 2)
+    return _divided(form, delta0), delta0
+
+
+def _weight_from_density(density: Jet, modulo_constant: bool) -> Jet:
+    """V|0 from the y-jet e^{-2V}, normalised to V(base) = 0 when the
+    weight is only known modulo an additive constant."""
+    c0 = density.constant_term()
+    if c0 <= 0:
+        raise DataError("density data is not positive")
+    if modulo_constant:
+        density = density.scale(1 / c0)
+    return density.log().scale(-HALF)
+
+
+def _density(dn: DNSymbolData, metric: BoundaryMetricJet) -> Jet:
+    """e^{-2V} at the boundary from the squared principal observable."""
+    bmetric = metric.restricted_to_boundary()
+    xi0 = _samples(dn.n - 1)[0]
+    psq = dn.principal_square_eval(xi0)
+    return psq * (bmetric.ctx.q2_value(xi0) * bmetric.delta).reciprocal()
+
+
+def _grade0_shape(dn: DNSymbolData, g0, weight_orders):
+    """Quadratic form of the grade-0 odd ratio of the data minus that of a
+    radially constant probe (metric g0, the given weight orders), scaled by
+    4 q2^2, and its trace against g_{ab}|0.  The form is -(d_r g^{ab} minus
+    a multiple of g^{ab}), the multiple depending on the data kind."""
+    nxi = dn.n - 1
+    probe = _forward(dn, [g0], weight_orders, 2)
+    vals = []
+    for xi in _samples(nxi):
+        _, od_d = dn.grade_ratio_eval(0, xi)
+        _, od_p = probe.grade_ratio_eval(0, xi)
+        q2v = dn.ctx.q2_value(xi)
+        # the shape term is real and lands on the odd part
+        vals.append((od_d - od_p).re.scale(4) * q2v * q2v)
+    form = _fit_quadratic_form(vals, nxi)
+    return form, _trace(_inverse(g0), form)
 
 
 def _check_pair(dn_s: DNSymbolData, dn_sigma: DNSymbolData):
@@ -221,71 +383,27 @@ def _boundary_stage(dn_s: DNSymbolData, dn_sigma: DNSymbolData):
     _check_pair(dn_s, dn_sigma)
     n = dn_s.n
     nxi = n - 1
-    samples = _samples(nxi)
-
     # squared principal observable in the flat gauge is the form delta*g^{ab}
-    vals = {xi: dn_sigma.principal_square_eval(xi) for xi in samples}
-    big_g = _fit_quadratic_form(vals, nxi)
-    det_form = _det([row[:] for row in big_g])
-    if det_form.constant_term() <= 0:
-        raise DataError("squared principal form has non-positive determinant")
-    delta0 = det_form.nth_root(n - 2)
-    delta0_inv = delta0.reciprocal()
-    g0 = [[big_g[a][b] * delta0_inv for b in range(nxi)] for a in range(nxi)]
-
+    g0, delta0 = _boundary_metric(dn_sigma)
     # weight modulo constant from the ratio of principal squares
-    rho = dn_s.density_ratio_sq(dn_sigma, samples[0])
-    c0 = rho.constant_term()
-    if c0 <= 0:
-        raise DataError("density ratio must be positive")
-    backend = rho.space.backend
-    rho_hat = rho.scale(backend.one() / c0)
-    v0 = rho_hat.log().scale(-(backend.one() / backend.coerce(2)))
-
-    # first radial derivative from the grade-0 ratio against a radially
-    # constant probe: the difference is -k^{ab} xi_a xi_b / (4 q2 w)
-    space = dn_s.ctx.space
-    ky = dn_sigma.boundary_metric.ky
-    cand_metric = _embed_metric_upper(space, [g0], 3, ky)
-    cand_weight = space.zero(3, ky)
-    probe = dn_symbol_gauge(cand_metric, cand_weight, 2, "sigma")
-    kvals = {}
-    for xi in samples:
-        ev_d, od_d = dn_sigma.grade_ratio_eval(0, xi)
-        ev_p, od_p = probe.grade_ratio_eval(0, xi)
-        odd_diff = (od_d - od_p).re  # k-term is real and lands on the odd part
-        q2v = dn_sigma.ctx.q2_value(xi)
-        kvals[xi] = odd_diff.scale(4) * q2v * q2v
-    k = _fit_quadratic_form(kvals, nxi)
-    # invert k = h^{ab} - h g^{ab}: trace gives (2-n) h
-    g_lower0 = _lower_from_upper(g0)
-    ktrace = _trace(g_lower0, k)
-    h_trace = ktrace.scale(backend.one() / backend.coerce(2 - n))
-    h_mat = [
-        [k[a][b] + h_trace * g0[a][b] for b in range(nxi)] for a in range(nxi)
-    ]
+    rho = dn_s.density_ratio_sq(dn_sigma, _samples(nxi)[0])
+    v0 = _weight_from_density(rho, True)
+    # first radial derivative: against a radially constant probe the
+    # difference is -k^{ab} xi_a xi_b / (4 q2 w); invert k = h^{ab} - h g^{ab}
+    # through its trace (2-n) h
+    k, ktrace = _grade0_shape(dn_sigma, g0, [])
+    h_trace = ktrace.scale(mpq(1, 2 - n))
+    h_mat = [[k[a][b] + h_trace * g0[a][b] for b in range(nxi)] for a in range(nxi)]
     return g0, h_mat, v0, delta0
 
 
-def _lower_from_upper(g_upper):
-    nxi = len(g_upper)
-    det_up = _det([row[:] for row in g_upper])
-    inv = det_up.reciprocal()
-    adj = _adjugate([row[:] for row in g_upper])
-    return [[adj[a][b] * inv for b in range(nxi)] for a in range(nxi)]
+# ---------------------------------------------------------------------------
+# the recovery methods
 
 
-def _trace(g_lower, m_upper):
-    nxi = len(g_lower)
-    acc = None
-    for a in range(nxi):
-        for b in range(nxi):
-            t = g_lower[a][b] * m_upper[a][b]
-            acc = t if acc is None else acc + t
-    return acc
-
-
-def recover_first_order(dn_s: DNSymbolData, dn_sigma: DNSymbolData) -> ReconstructionReport:
+def recover_first_order(
+    dn_s: DNSymbolData, dn_sigma: DNSymbolData
+) -> ReconstructionReport:
     """Boundary values g^{ab}|0, d_r g^{ab}|0 and the weight modulo an
     additive constant, from the two gauge presentations of the DN symbol."""
     g0, h_mat, v0, _delta0 = _boundary_stage(dn_s, dn_sigma)
@@ -295,78 +413,27 @@ def recover_first_order(dn_s: DNSymbolData, dn_sigma: DNSymbolData) -> Reconstru
         weight_orders=[v0],
         weight_normalization="modulo_constant",
     )
-    # re-synthesise the consumed grades from the recovered data
-    space = dn_s.ctx.space
-    ky = dn_sigma.boundary_metric.ky
-    cand_metric = _embed_metric_upper(space, [g0, h_mat], 3, ky)
-    cand_weight = _embed_weight(space, [v0], 3, ky)
-    samples = _samples(dn_s.n - 1)
-    resn_pair = {}
-    for tag, data in (("s", dn_s), ("sigma", dn_sigma)):
-        resn = dn_symbol_gauge(cand_metric, cand_weight, 2, tag)
-        resn_pair[tag] = resn
-        for grade in (1, 0):
-            diff = [
-                a - b
-                for a, b in zip(
-                    _ratio_vector(data, grade, samples),
-                    _ratio_vector(resn, grade, samples),
-                )
-            ]
-            key = "grade_%d_%s" % (grade, tag)
-            report.residuals[key] = _magnitude(diff)
-    # the flat-gauge principal square carries no weight and must match as is
-    report.residuals["principal_sigma"] = _magnitude(
-        [
-            dn_sigma.principal_square_eval(samples[0])
-            - resn_pair["sigma"].principal_square_eval(samples[0])
-        ]
+    # re-synthesise the consumed grades from the recovered data; the
+    # flat-gauge principal square carries no weight and must match as is
+    res = report.residuals
+    space, ky = dn_s.ctx.space, dn_s.boundary_metric.ky
+    metric = BoundaryMetricJet.from_upper(_collar_matrix(space, [g0, h_mat], 3, ky))
+    resn_s = _resynthesise(dn_s, metric, [v0], 1, res, "_s")
+    resn_sigma = _resynthesise(
+        dn_sigma, metric, [v0], 1, res, "_sigma", "principal_sigma"
     )
     # the density ratio between the gauges matches modulo the unrecoverable
     # additive constant of the weight, so compare it normalised
-    def _normalised_ratio(a, b):
-        ratio = a.density_ratio_sq(b, samples[0])
-        backend = ratio.space.backend
-        return ratio.scale(backend.one() / ratio.constant_term())
+    xi0 = _samples(dn_s.n - 1)[0]
 
-    report.residuals["density_pair"] = _magnitude(
-        [
-            _normalised_ratio(dn_s, dn_sigma)
-            - _normalised_ratio(resn_pair["s"], resn_pair["sigma"])
-        ]
+    def _normalised_ratio(a, b):
+        ratio = a.density_ratio_sq(b, xi0)
+        return ratio.scale(1 / ratio.constant_term())
+
+    res["density_pair"] = _magnitude(
+        [_normalised_ratio(dn_s, dn_sigma) - _normalised_ratio(resn_s, resn_sigma)]
     )
     return report
-
-
-# ---------------------------------------------------------------------------
-# probe-based affine solves
-
-
-def _forward_for(dn: DNSymbolData, metric: BoundaryMetricJet, weight: Jet, depth: int):
-    if dn.map_kind == "lambda0":
-        return dn_symbol_scalar(metric, weight, depth)
-    return dn_symbol_gauge(metric, weight, depth, dn.gauge_tag)
-
-
-def _affine_probe_solve(build, dn: DNSymbolData, grade: int, samples, nparams: int,
-                        extra_rows=None):
-    """Solve data = F(x) for F affine in x, by probing F at 0 and the unit
-    settings.  ``build(params)`` runs the forward model and returns a
-    DNSymbolData; extra_rows supplies additional exact linear constraints."""
-    base = _ratio_vector(build([0] * nparams), grade, samples)
-    dirs = []
-    for i in range(nparams):
-        setting = [0] * nparams
-        setting[i] = 1
-        vec = _ratio_vector(build(setting), grade, samples)
-        dirs.append([a - b for a, b in zip(vec, base)])
-    data_vec = _ratio_vector(dn, grade, samples)
-    rows = []
-    for t in range(len(base)):
-        rows.append(([dirs[i][t] for i in range(nparams)], data_vec[t] - base[t]))
-    if extra_rows:
-        rows.extend(extra_rows)
-    return solve_linear_jets(rows, nparams)
 
 
 def recover_metric_known_weight(
@@ -374,64 +441,18 @@ def recover_metric_known_weight(
 ) -> ReconstructionReport:
     """Radial Taylor coefficients of the inverse metric when the weight is
     fully known; works on any of the three data kinds."""
-    n = dn.n
-    if n < 3:
+    if dn.n < 3:
         raise DataError("metric recovery needs ambient dimension >= 3")
-    if order > dn.depth - 1:
-        raise DepthError(
-            "order %d needs depth %d data, got %d" % (order, order + 1, dn.depth)
-        )
-    nxi = n - 1
-    samples = _samples(nxi)
-    space = dn.ctx.space
-    backend = space.backend
-    ky = dn.boundary_metric.ky
-
+    _check_depth(dn, order)
     # order 0: from the squared principal observable, after removing the
     # weight factor where the density carries it
-    vals = {}
-    for xi in samples:
-        psq = dn.principal_square_eval(xi)
-        if dn.map_kind == "lambda0" or dn.gauge_tag == "s":
-            psq = psq * weight.scale(2).exp().restricted_to_boundary()
-        vals[xi] = psq
-    big_g = _fit_quadratic_form(vals, nxi)
-    det_form = _det([row[:] for row in big_g])
-    if det_form.constant_term() <= 0:
-        raise DataError("squared principal form has non-positive determinant")
-    delta0 = det_form.nth_root(n - 2)
-    delta0_inv = delta0.reciprocal()
-    orders = [[[big_g[a][b] * delta0_inv for b in range(nxi)] for a in range(nxi)]]
-
-    entries = _sym_entries(nxi)
-    for m in range(1, order + 1):
-        kr_c = m + 2
-
-        def build(setting, m=m, kr_c=kr_c):
-            trial = _zero_matrix(space, ky)
-            for (a, b), x in zip(entries, setting):
-                if x:
-                    one = space.constant(x, 0, ky)
-                    trial[a][b] = one
-                    trial[b][a] = one
-            cand = _embed_metric_upper(space, orders + [trial], kr_c, ky)
-            wcand = weight.truncated(kr_c, ky)
-            return _forward_for(dn, cand, wcand, m + 1)
-
-        sol = _affine_probe_solve(build, dn, 1 - m, samples, len(entries))
-        orders.append(_matrix_from_entries(entries, sol, nxi))
-
+    factor = None
+    if dn.map_kind == "lambda0" or dn.gauge_tag == "s":
+        factor = weight.scale(2).exp().restricted_to_boundary()
+    orders = [_boundary_metric(dn, factor)[0]]
+    _drive("metric_known_weight", dn, orders, weight, 1, order)
     report = ReconstructionReport(method="metric_known_weight", metric_orders=orders)
-    cand = _embed_metric_upper(space, orders, order + 2, ky)
-    resn = _forward_for(dn, cand, weight.truncated(order + 2, ky), order + 1)
-    for grade in range(1, -order, -1):
-        diff = [
-            a - b
-            for a, b in zip(
-                _ratio_vector(dn, grade, samples), _ratio_vector(resn, grade, samples)
-            )
-        ]
-        report.residuals["grade_%d" % grade] = _magnitude(diff)
+    _resynthesise(dn, orders, weight, order, report.residuals)
     return report
 
 
@@ -443,110 +464,82 @@ def recover_weight_scalar(
     absolute because the density determines it once delta is known."""
     if dn.map_kind != "lambda0":
         raise DataError("weight recovery from the scalar DN map needs lambda0 data")
-    if order > dn.depth - 1:
-        raise DepthError(
-            "order %d needs depth %d data, got %d" % (order, order + 1, dn.depth)
-        )
-    nxi = dn.n - 1
-    samples = _samples(nxi)
-    space = dn.ctx.space
-    backend = space.backend
-    ky = dn.boundary_metric.ky
-    bmetric = metric.restricted_to_boundary()
-
-    # boundary value from the squared principal observable
-    xi0 = samples[0]
-    psq = dn.principal_square_eval(xi0)
-    e_m2v = psq * (bmetric.ctx.q2_value(xi0) * bmetric.delta).reciprocal()
-    if e_m2v.constant_term() <= 0:
-        raise DataError("density data is not positive")
-    v0 = e_m2v.log().scale(-(backend.one() / backend.coerce(2)))
-    orders = [v0]
-
-    for m in range(1, order + 1):
-        kr_c = m + 2
-        cand_m = metric.truncated(kr_c, ky)
-
-        def build(setting, m=m, kr_c=kr_c, cand_m=cand_m):
-            trial = space.constant(setting[0], 0, ky)
-            cand_w = _embed_weight(space, orders + [trial], kr_c, ky)
-            return dn_symbol_scalar(cand_m, cand_w, m + 1)
-
-        sol = _affine_probe_solve(build, dn, 1 - m, samples, 1)
-        orders.append(sol[0])
-
+    _check_depth(dn, order)
+    orders = [_weight_from_density(_density(dn, metric), False)]
+    _drive("weight_scalar", dn, metric, orders, 1, order)
     report = ReconstructionReport(
         method="weight_scalar",
         weight_orders=orders,
         weight_normalization="absolute",
     )
-    cand_w = _embed_weight(space, orders, order + 2, ky)
-    resn = dn_symbol_scalar(metric, cand_w, order + 1)
-    for grade in range(1, -order, -1):
-        diff = [
-            a - b
-            for a, b in zip(
-                _ratio_vector(dn, grade, samples), _ratio_vector(resn, grade, samples)
-            )
-        ]
-        report.residuals["grade_%d" % grade] = _magnitude(diff)
-    report.residuals["principal_sq"] = _magnitude(
-        [dn.principal_square_eval(xi0) - resn.principal_square_eval(xi0)]
+    _resynthesise(
+        dn, metric, orders, order, report.residuals, principal_key="principal_sq"
     )
     return report
 
 
-# ---------------------------------------------------------------------------
-# gauge-side weight recovery: the two-root dichotomy
+def _sorted_roots(center: Jet, disc: Jet) -> list:
+    """Roots center -+ sqrt(disc) of a jet quadratic, ascending by constant
+    term: two for a positive discriminant, one for a zero one, none for a
+    negative one."""
+    if disc.is_zero:
+        return [center]
+    c0 = disc.constant_term()
+    if c0 == 0:
+        raise ReconstructionError(
+            "degenerate discriminant: vanishing constant term with nonzero jet"
+        )
+    if c0 < 0:
+        return []
+    s = disc.sqrt()
+    return sorted([center - s, center + s], key=Jet.constant_term)
 
 
 def _quadratic_roots(alpha, beta, gamma, data_vec):
     """Solve gamma v^2 + beta v + (alpha - data) = 0 over jets, componentwise:
     returns the list of real jet roots (0, 1 or 2) and the discriminant of the
     pivot component."""
-    pivot = None
-    for t in range(len(data_vec)):
-        g = gamma[t]
-        if not g.is_zero and g.constant_term() != 0:
-            pivot = t
-            break
+    pivot = next((t for t, g in enumerate(gamma) if g.constant_term() != 0), None)
     if pivot is None:
         raise ReconstructionError("quadratic coefficient vanished at every component")
-    g = gamma[pivot]
-    b = beta[pivot]
-    rhs = data_vec[pivot] - alpha[pivot]
-    ginv = g.reciprocal()
-    backend = g.space.backend
-    half = backend.one() / backend.coerce(2)
-    center = b * ginv
-    center = center.scale(-half)  # -b/(2g)
-    disc = center * center + rhs * ginv
-    roots = []
-    c0 = disc.constant_term()
-    if disc.is_zero:
-        roots = [center]
-    elif c0 > 0:
-        s = disc.sqrt()
-        roots = [center - s, center + s]
-    elif c0 == 0:
-        raise ReconstructionError(
-            "degenerate discriminant: vanishing constant term with nonzero jet"
-        )
+    ginv = gamma[pivot].reciprocal()
+    center = (beta[pivot] * ginv).scale(-HALF)  # -b/(2g)
+    disc = center * center + (data_vec[pivot] - alpha[pivot]) * ginv
+    roots = _sorted_roots(center, disc)
     # verify candidate roots against every component
-    verified = []
-    for r in roots:
-        ok = True
-        for t in range(len(data_vec)):
-            res = gamma[t] * r * r + beta[t] * r + alpha[t] - data_vec[t]
-            if not res.is_zero:
-                ok = False
-                break
-        if ok:
-            verified.append(r)
+    verified = [
+        r
+        for r in roots
+        if all(
+            (gamma[t] * r * r + beta[t] * r + alpha[t] - data_vec[t]).is_zero
+            for t in range(len(data_vec))
+        )
+    ]
     if roots and not verified:
         raise DataError("no quadratic root satisfies all data components")
-    verified.sort(key=lambda r: r.constant_term())
     return verified, disc
+
+
+def _extend_branches(report, dn, metric, starts, order, delta_known=None):
+    """Continue each start of the weight orders (through d_r V, d_r^2 V) to a
+    branch through ``order`` with the driver, and re-synthesise it.  When the
+    metric orders are recovered too, every branch must give the same ones."""
+    for worders in starts:
+        morders = list(metric) if isinstance(metric, list) else metric
+        _drive(report.method, dn, morders, worders, len(worders), order, delta_known)
+        worders = worders[: order + 1]
+        branch = Branch(worders[1].constant_term(), worders[1], worders)
+        _resynthesise(dn, morders, worders, order, branch.residuals)
+        if isinstance(metric, list):
+            if not report.branches:
+                report.metric_orders = morders[: order + 1]
+            elif morders != report.metric_orders:
+                raise ReconstructionError(
+                    "metric orders differ between weight branches"
+                )
+        report.branches.append(branch)
+    if len(report.branches) == 1:
+        report.weight_orders = report.branches[0].weight_orders
 
 
 def recover_weight_gauge(
@@ -565,115 +558,35 @@ def recover_weight_gauge(
     """
     if dn.map_kind != "lambda1" or dn.gauge_tag != "s":
         raise DataError("gauge weight recovery needs lambda1 data in gauge 's'")
-    if order > dn.depth - 1:
-        raise DepthError(
-            "order %d needs depth %d data, got %d" % (order, order + 1, dn.depth)
-        )
-    kind, value = prescription
-    if kind not in ("d1V", "d2V"):
-        raise DataError("prescription must fix d1V or d2V, got %r" % kind)
+    _check_depth(dn, order)
+    kind, value = _prescribed(prescription, dn)
     if order < 2:
         raise DepthError("gauge weight recovery starts at order 2")
-    nxi = dn.n - 1
-    samples = _samples(nxi)
-    space = dn.ctx.space
-    backend = space.backend
-    ky = dn.boundary_metric.ky
-    bmetric = metric.restricted_to_boundary()
-
-    def as_yjet(v):
-        if isinstance(v, Jet):
-            return v.restricted_to_boundary()
-        return space.constant(v, 0, ky)
-
     # boundary value modulo a constant (normalised to zero constant term)
-    xi0 = samples[0]
-    psq = dn.principal_square_eval(xi0)
-    ratio = psq * (bmetric.ctx.q2_value(xi0) * bmetric.delta).reciprocal()
-    if ratio.constant_term() <= 0:
-        raise DataError("density data is not positive")
-    ratio_hat = ratio.scale(backend.one() / ratio.constant_term())
-    v0 = ratio_hat.log().scale(-(backend.one() / backend.coerce(2)))
-
-    def build_weight_probe(head_orders, m, setting):
-        trial = space.constant(setting, 0, ky) if not isinstance(setting, Jet) else setting
-        cand_w = _embed_weight(space, list(head_orders) + [trial], m + 2, ky)
-        return dn_symbol_gauge(metric.truncated(m + 2, ky), cand_w, m + 1, "s")
-
-    extras = {}
+    v0 = _weight_from_density(_density(dn, metric), True)
+    report = ReconstructionReport(
+        method="weight_gauge", weight_normalization="modulo_constant", branches=[]
+    )
     if kind == "d1V":
-        v1 = as_yjet(value)
-        starts = [[v0, v1]]
-        first_linear_order = 2
+        starts = [[v0, value]]
     else:
-        v2 = as_yjet(value)
-        # quadratic probe at the grade joining d_r V and d_r^2 V
-        metric3 = metric.truncated(4, ky)
+        # quadratic probe at the grade joining d_r V and d_r^2 V: the data
+        # is alpha + beta t + gamma t^2 in t = d_r V
+        samples = _samples(dn.n - 1)
+        space, ky = dn.ctx.space, dn.boundary_metric.ky
 
         def fprobe(t):
-            cand_w = _embed_weight(
-                space, [v0, space.constant(t, 0, ky), v2], 4, ky
-            )
-            return dn_symbol_gauge(metric3, cand_w, 3, "s")
+            cand_w = [v0, space.constant(t, 0, ky), value]
+            return _ratio_vector(_forward(dn, metric, cand_w, 3), -1, samples)
 
-        f0 = _ratio_vector(fprobe(0), -1, samples)
-        f1 = _ratio_vector(fprobe(1), -1, samples)
-        f2 = _ratio_vector(fprobe(2), -1, samples)
-        half = backend.one() / backend.coerce(2)
-        gamma = [(a - b.scale(2) + c).scale(half) for a, b, c in zip(f2, f1, f0)]
+        f0, f1, f2 = fprobe(0), fprobe(1), fprobe(2)
+        gamma = [(a - b.scale(2) + c).scale(HALF) for a, b, c in zip(f2, f1, f0)]
         beta = [a - b - g for a, b, g in zip(f1, f0, gamma)]
-        alpha = f0
-        data_vec = _ratio_vector(dn, -1, samples)
-        roots, disc = _quadratic_roots(alpha, beta, gamma, data_vec)
-        extras["discriminant_constant"] = disc.space.backend.to_float(
-            disc.constant_term()
-        )
-        if not roots:
-            return ReconstructionReport(
-                method="weight_gauge",
-                weight_normalization="modulo_constant",
-                branches=[],
-                extras=extras,
-            )
-        starts = [[v0, r, v2] for r in roots]
-        first_linear_order = 3
+        roots, disc = _quadratic_roots(f0, beta, gamma, _ratio_vector(dn, -1, samples))
+        report.extras["discriminant_constant"] = float(disc.constant_term())
+        starts = [[v0, r, value] for r in roots]
 
-    branches = []
-    for head in starts:
-        orders = list(head)
-        for m in range(first_linear_order, order + 1):
-            def build(setting, orders=orders, m=m):
-                return build_weight_probe(orders, m, setting[0])
-
-            sol = _affine_probe_solve(build, dn, 1 - m, samples, 1)
-            orders.append(sol[0])
-        orders = orders[: order + 1]
-        branch = Branch(
-            root_constant=orders[1].constant_term(),
-            root=orders[1],
-            weight_orders=orders,
-        )
-        cand_w = _embed_weight(space, orders, order + 2, ky)
-        resn = dn_symbol_gauge(metric.truncated(order + 2, ky), cand_w, order + 1, "s")
-        for grade in range(1, -order, -1):
-            diff = [
-                a - b
-                for a, b in zip(
-                    _ratio_vector(dn, grade, samples),
-                    _ratio_vector(resn, grade, samples),
-                )
-            ]
-            branch.residuals["grade_%d" % grade] = _magnitude(diff)
-        branches.append(branch)
-
-    report = ReconstructionReport(
-        method="weight_gauge",
-        weight_normalization="modulo_constant",
-        branches=branches,
-        extras=extras,
-    )
-    if len(branches) == 1:
-        report.weight_orders = branches[0].weight_orders
+    _extend_branches(report, dn, metric, starts, order)
     return report
 
 
@@ -697,25 +610,21 @@ def construct_indistinguishable_weight(
     v1_true = weight.radial_derivative_at_zero(1)
     v2_true = weight.radial_derivative_at_zero(2)
     rec = recover_weight_gauge(dn_true, metric, ("d2V", v2_true), depth - 1)
-    if rec.branches is None or not rec.branches:
+    if not rec.branches:
         raise ReconstructionError(
             "no real roots: discriminant %r" % rec.extras.get("discriminant_constant")
         )
-    alt = None
-    for branch in rec.branches:
-        if branch.root != v1_true:
-            alt = branch
-            break
+    alt = next((b for b in rec.branches if b.root != v1_true), None)
     if alt is None:
         raise ReconstructionError("double root: the weight is rigid at this metric")
-    space = metric.space
-    weight_alt = _embed_weight(space, alt.weight_orders, metric.kr, metric.ky)
+    weight_alt = collar_from_radial_orders(
+        metric.space, alt.weight_orders, metric.kr, metric.ky
+    )
     dn_alt = dn_symbol_gauge(metric, weight_alt, depth, "s")
-    matches = dn_alt.agrees_with(dn_true)
     return IndistinguishableWeight(
         weight=weight_alt,
         alternate_root=alt.root,
-        dn_matches=matches,
+        dn_matches=dn_alt.agrees_with(dn_true),
         grades_checked=(1, 2 - depth),
     )
 
@@ -730,42 +639,7 @@ def _delta_boundary_data(delta_known: Jet):
     d0 = delta_known.restricted_to_boundary()
     d1 = delta_known.partial(0).restricted_to_boundary()
     h = -(d1 * d0.reciprocal())
-    backend = d0.space.backend
-    e0 = h.scale(backend.one() / backend.coerce(2))
-    return d0, h, e0
-
-
-def _det_constraint_rows(space, order_mats, m, entries, delta_known, ky, extra_cols=0):
-    """Rows expressing that det(g^{ab}) * delta has vanishing r^m coefficient.
-
-    Affine in the order-m matrix; appended to probe systems to pin the trace
-    direction that the symbol data cannot see once the volume is known.
-    """
-    dtrunc = delta_known.truncated(m, ky)
-
-    def phi(trial):
-        cand = []
-        nxi = space.n - 1
-        for a in range(nxi):
-            row = []
-            for b in range(nxi):
-                orders = [mat[a][b] for mat in order_mats] + [trial[a][b]]
-                row.append(collar_from_radial_orders(space, orders, m, ky))
-            cand.append(row)
-        det = _det(cand)
-        prod = det * dtrunc
-        target = prod.radial_coefficient(m)
-        if m == 0:
-            target = target - space.one(0, ky)
-        return target
-
-    base = phi(_zero_matrix(space, ky))
-    coeffs = []
-    for (a, b) in entries:
-        val = phi(_unit_matrix_entry(space, ky, a, b))
-        coeffs.append(val - base)
-    row = (coeffs + [space.zero(0, ky)] * extra_cols, -base)
-    return [row]
+    return d0, h, h.scale(HALF)
 
 
 def recover_with_known_volume_gauge(
@@ -780,159 +654,42 @@ def recover_with_known_volume_gauge(
     and the weight inherits the two-root dichotomy resolved by the
     prescription ("d1V" or "d2V", value)."""
     _check_pair(dn_s, dn_sigma)
-    if order > dn_s.depth - 1:
-        raise DepthError(
-            "order %d needs depth %d data, got %d" % (order, order + 1, dn_s.depth)
-        )
+    _check_depth(dn_s, order)
     if order < 2:
         raise DepthError("joint recovery starts at order 2")
-    kind, value = prescription
-    if kind not in ("d1V", "d2V"):
-        raise DataError("prescription must fix d1V or d2V, got %r" % kind)
-
-    n = dn_s.n
-    nxi = n - 1
-    samples = _samples(nxi)
-    space = dn_s.ctx.space
-    backend = space.backend
-    ky = dn_sigma.boundary_metric.ky
-    entries = _sym_entries(nxi)
+    kind, value = _prescribed(prescription, dn_sigma)
 
     g0, h_mat, v0, delta0_data = _boundary_stage(dn_s, dn_sigma)
     d0, h, e0 = _delta_boundary_data(delta_known)
     if delta0_data != d0:
         raise DataError("known volume disagrees with the determinant in the data")
 
-    def as_yjet(v):
-        if isinstance(v, Jet):
-            return v.restricted_to_boundary()
-        return space.constant(v, 0, ky)
-
+    # order 2: solve (M2, w) jointly in the flat gauge, w the second radial
+    # derivative of a probe weight with d_r V = 0; it carries the zeroth-order
+    # potential theta = -w/2
     metric_orders = [g0, h_mat]
-
-    # order 2: solve (M2, theta) jointly in the flat gauge; theta parametrises
-    # the zeroth-order potential through a probe weight with d2V = -2 theta
-    def build_m2(setting):
-        trial = _zero_matrix(space, ky)
-        for (a, b), x in zip(entries, setting[:-1]):
-            if x:
-                one = space.constant(x, 0, ky)
-                trial[a][b] = one
-                trial[b][a] = one
-        theta = setting[-1]
-        cand_m = _embed_metric_upper(space, metric_orders + [trial], 4, ky)
-        wjets = [v0, space.zero(0, ky), space.constant(-2 * theta, 0, ky)]
-        cand_w = _embed_weight(space, wjets, 4, ky)
-        return dn_symbol_gauge(cand_m, cand_w, 3, "sigma")
-
-    det_rows = _det_constraint_rows(
-        space, metric_orders, 2, entries, delta_known, ky, extra_cols=1
-    )
-    sol = _affine_probe_solve(build_m2, dn_sigma, -1, samples, len(entries) + 1,
-                              extra_rows=det_rows)
-    m2 = _matrix_from_entries(entries, sol[:-1], nxi)
-    theta = sol[-1]
-    metric_orders.append(m2)
+    probe_weight = [v0, dn_s.ctx.space.zero(0, dn_sigma.boundary_metric.ky)]
+    _drive("volume_gauge", dn_sigma, metric_orders, probe_weight, 2, 2, delta_known)
+    theta = probe_weight[2].scale(-HALF)
 
     # resolve the (v1, v2) pair: theta = v1^2/4 + E0 v1 / 2 - v2/2
-    extras = {}
-    half = backend.one() / backend.coerce(2)
-    quarter = backend.one() / backend.coerce(4)
-    if kind == "d1V":
-        v1 = as_yjet(value)
-        v2 = (v1 * v1).scale(half) + (e0 * v1) - theta.scale(2)
-        weight_starts = [[v0, v1, v2]]
-    else:
-        v2 = as_yjet(value)
-        # (v1 + E0)^2 = E0^2 + 4 theta + 2 v2
-        disc = e0 * e0 + theta.scale(4) + v2.scale(2)
-        extras["discriminant_constant"] = backend.to_float(disc.constant_term())
-        c0 = disc.constant_term()
-        if disc.is_zero:
-            roots = [-e0]
-        elif c0 > 0:
-            s = disc.sqrt()
-            roots = [-e0 - s, -e0 + s]
-        elif c0 == 0:
-            raise ReconstructionError("degenerate discriminant in weight recovery")
-        else:
-            roots = []
-        roots.sort(key=lambda r: r.constant_term())
-        weight_starts = [[v0, r, v2] for r in roots]
-        if not weight_starts:
-            return ReconstructionReport(
-                method="volume_gauge",
-                metric_orders=metric_orders,
-                weight_normalization="modulo_constant",
-                branches=[],
-                extras=extras,
-            )
-
-    # deeper orders: per branch, solve (M_m, v_m) jointly in the flat gauge
-    branch_metric_orders = None
-    branches = []
-    for head in weight_starts:
-        worders = list(head)
-        morders = [mat for mat in metric_orders]
-        for m in range(3, order + 1):
-            def build(setting, worders=worders, morders=morders, m=m):
-                trial = _zero_matrix(space, ky)
-                for (a, b), x in zip(entries, setting[:-1]):
-                    if x:
-                        one = space.constant(x, 0, ky)
-                        trial[a][b] = one
-                        trial[b][a] = one
-                cand_m = _embed_metric_upper(space, morders + [trial], m + 2, ky)
-                wjets = worders + [space.constant(setting[-1], 0, ky)]
-                cand_w = _embed_weight(space, wjets, m + 2, ky)
-                return dn_symbol_gauge(cand_m, cand_w, m + 1, "sigma")
-
-            det_rows = _det_constraint_rows(
-                space, morders, m, entries, delta_known, ky, extra_cols=1
-            )
-            sol = _affine_probe_solve(
-                build, dn_sigma, 1 - m, samples, len(entries) + 1, extra_rows=det_rows
-            )
-            morders.append(_matrix_from_entries(entries, sol[:-1], nxi))
-            worders.append(sol[-1])
-        branch = Branch(
-            root_constant=worders[1].constant_term(),
-            root=worders[1],
-            weight_orders=worders[: order + 1],
-        )
-        cand_m = _embed_metric_upper(space, morders, order + 2, ky)
-        cand_w = _embed_weight(space, branch.weight_orders, order + 2, ky)
-        resn = dn_symbol_gauge(cand_m, cand_w, order + 1, "sigma")
-        for grade in range(1, -order, -1):
-            diff = [
-                a - b
-                for a, b in zip(
-                    _ratio_vector(dn_sigma, grade, samples),
-                    _ratio_vector(resn, grade, samples),
-                )
-            ]
-            branch.residuals["grade_%d" % grade] = _magnitude(diff)
-        branches.append(branch)
-        if branch_metric_orders is None:
-            branch_metric_orders = morders
-        else:
-            for ma, mb in zip(branch_metric_orders, morders):
-                for a in range(nxi):
-                    for b in range(nxi):
-                        if ma[a][b] != mb[a][b]:
-                            raise ReconstructionError(
-                                "metric orders differ between weight branches"
-                            )
-
     report = ReconstructionReport(
         method="volume_gauge",
-        metric_orders=branch_metric_orders[: order + 1],
+        metric_orders=metric_orders,
         weight_normalization="modulo_constant",
-        branches=branches,
-        extras=extras,
+        branches=[],
     )
-    if len(branches) == 1:
-        report.weight_orders = branches[0].weight_orders
+    if kind == "d1V":
+        v2 = (value * value).scale(HALF) + (e0 * value) - theta.scale(2)
+        starts = [[v0, value, v2]]
+    else:
+        # (v1 + E0)^2 = E0^2 + 4 theta + 2 v2
+        disc = e0 * e0 + theta.scale(4) + value.scale(2)
+        report.extras["discriminant_constant"] = float(disc.constant_term())
+        starts = [[v0, r, value] for r in _sorted_roots(-e0, disc)]
+
+    # deeper orders: per branch, solve (M_m, v_m) jointly in the flat gauge
+    _extend_branches(report, dn_sigma, metric_orders, starts, order, delta_known)
     return report
 
 
@@ -946,105 +703,44 @@ def recover_with_known_volume_scalar(
     n = dn.n
     if n < 3:
         raise DataError("joint recovery needs ambient dimension >= 3")
-    if order > dn.depth - 1:
-        raise DepthError(
-            "order %d needs depth %d data, got %d" % (order, order + 1, dn.depth)
-        )
+    _check_depth(dn, order)
     nxi = n - 1
-    samples = _samples(nxi)
-    space = dn.ctx.space
-    backend = space.backend
-    ky = dn.boundary_metric.ky
-    entries = _sym_entries(nxi)
-
     d0, h, e0 = _delta_boundary_data(delta_known)
 
     # order 0: the squared principal form is delta e^{-2V} g^{ab}; its
     # determinant with delta known isolates the weight factor
-    vals = {xi: dn.principal_square_eval(xi) for xi in samples}
-    nform = _fit_quadratic_form(vals, nxi)
-    det_form = _det([row[:] for row in nform])
-    if det_form.constant_term() <= 0:
-        raise DataError("squared principal form has non-positive determinant")
+    nform, det_form = _principal_form(dn)
     dpow = d0
     for _ in range(n - 3):
         dpow = dpow * d0
     e_weight = det_form * dpow.reciprocal()  # e^{-2(n-1)V}|0
     e_m2v = e_weight.nth_root(n - 1)
-    v0 = e_m2v.log().scale(-(backend.one() / backend.coerce(2)))
-    factor_inv = (d0 * e_m2v).reciprocal()
-    g0 = [[nform[a][b] * factor_inv for b in range(nxi)] for a in range(nxi)]
-    metric_orders = [g0]
-    weight_orders = [v0]
+    v0 = _weight_from_density(e_m2v, False)
+    g0 = _divided(nform, d0 * e_m2v)
 
     # order 1: shape route via the grade-0 difference against a radially
     # constant probe; the difference is -(h^{ab} - (h + 2 d_rV) g^{ab})
     # xi xi / (4 q2 w), whose trace the known volume unlocks
-    cand_m = _embed_metric_upper(space, [g0], 3, ky)
-    cand_w = _embed_weight(space, [v0], 3, ky)
-    probe = dn_symbol_scalar(cand_m, cand_w, 2)
-    kvals = {}
-    for xi in samples:
-        ev_d, od_d = dn.grade_ratio_eval(0, xi)
-        ev_p, od_p = probe.grade_ratio_eval(0, xi)
-        odd_diff = (od_d - od_p).re
-        q2v = dn.ctx.q2_value(xi)
-        kvals[xi] = odd_diff.scale(4) * q2v * q2v
-    ktilde = _fit_quadratic_form(kvals, nxi)
-    g_lower0 = _lower_from_upper(g0)
-    kt_trace = _trace(g_lower0, ktilde)
+    ktilde, kt_trace = _grade0_shape(dn, g0, [v0])
     # d_r V = -(ktilde_trace + (n-2) h) / (2(n-1))
-    v1 = (kt_trace + h.scale(n - 2)).scale(
-        -(backend.one() / backend.coerce(2 * (n - 1)))
-    )
+    v1 = (kt_trace + h.scale(n - 2)).scale(mpq(-1, 2 * (n - 1)))
     h_mat = [
         [ktilde[a][b] + (h + v1.scale(2)) * g0[a][b] for b in range(nxi)]
         for a in range(nxi)
     ]
-    metric_orders.append(h_mat)
-    weight_orders.append(v1)
+    metric_orders = [g0, h_mat]
+    weight_orders = [v0, v1]
 
     # deeper orders: joint linear solves with the determinant constraint
-    for m in range(2, order + 1):
-        def build(setting, m=m):
-            trial = _zero_matrix(space, ky)
-            for (a, b), x in zip(entries, setting[:-1]):
-                if x:
-                    one = space.constant(x, 0, ky)
-                    trial[a][b] = one
-                    trial[b][a] = one
-            cand_m = _embed_metric_upper(space, metric_orders + [trial], m + 2, ky)
-            wjets = weight_orders + [space.constant(setting[-1], 0, ky)]
-            cand_w = _embed_weight(space, wjets, m + 2, ky)
-            return dn_symbol_scalar(cand_m, cand_w, m + 1)
-
-        det_rows = _det_constraint_rows(
-            space, metric_orders, m, entries, delta_known, ky, extra_cols=1
-        )
-        sol = _affine_probe_solve(
-            build, dn, 1 - m, samples, len(entries) + 1, extra_rows=det_rows
-        )
-        metric_orders.append(_matrix_from_entries(entries, sol[:-1], nxi))
-        weight_orders.append(sol[-1])
-
+    _drive("volume_scalar", dn, metric_orders, weight_orders, 2, order, delta_known)
     report = ReconstructionReport(
         method="volume_scalar",
         metric_orders=metric_orders,
         weight_orders=weight_orders,
         weight_normalization="absolute",
     )
-    cand_m = _embed_metric_upper(space, metric_orders, order + 2, ky)
-    cand_w = _embed_weight(space, weight_orders, order + 2, ky)
-    resn = dn_symbol_scalar(cand_m, cand_w, order + 1)
-    for grade in range(1, -order, -1):
-        diff = [
-            a - b
-            for a, b in zip(
-                _ratio_vector(dn, grade, samples), _ratio_vector(resn, grade, samples)
-            )
-        ]
-        report.residuals["grade_%d" % grade] = _magnitude(diff)
-    report.residuals["principal_sq"] = _magnitude(
-        [dn.principal_square_eval(samples[0]) - resn.principal_square_eval(samples[0])]
+    _resynthesise(
+        dn, metric_orders, weight_orders, order, report.residuals,
+        principal_key="principal_sq",
     )
     return report

@@ -11,6 +11,7 @@ and compared against the truth.
 from __future__ import annotations
 
 import time
+from typing import Callable, NamedTuple
 from concurrent.futures import ProcessPoolExecutor
 
 from . import __version__
@@ -19,7 +20,6 @@ from .dn import dn_symbol_gauge, dn_symbol_scalar
 from .errors import DnCalcError, ScenarioError
 from .factorization import factorize_gauge, factorize_scalar, verify_residual
 from .geometry import gauge_s, gauge_sigma
-from .jets import Jet
 from .reconstruction import (
     construct_indistinguishable_weight,
     recover_first_order,
@@ -39,22 +39,12 @@ from .serialize import (
 )
 
 
-def _jets_equal(a: Jet, b: Jet) -> bool:
-    return a == b
-
-
-def _matrix_equal(a, b) -> bool:
-    return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
-
-
-def _true_metric_orders(metric, upto):
+def true_metric_order(metric, m):
+    """d_r^m g^{ab}|0: what a metric recovery must return at order m."""
     nt = metric.n - 1
     return [
-        [
-            [metric.g_upper[x][y].radial_derivative_at_zero(m) for y in range(nt)]
-            for x in range(nt)
-        ]
-        for m in range(upto + 1)
+        [metric.g_upper[a][b].radial_derivative_at_zero(m) for b in range(nt)]
+        for a in range(nt)
     ]
 
 
@@ -120,140 +110,149 @@ def _task_factorize(scenario: Scenario, task: dict) -> dict:
     return out
 
 
+def _dn_data(scenario: Scenario, kind: str):
+    """The scenario's DN data: "lambda0", or lambda1 in the gauge ``kind``."""
+    metric, weight, depth = scenario.metric, scenario.weight, scenario.depth
+    if kind == "lambda0":
+        return dn_symbol_scalar(metric, weight, depth)
+    return dn_symbol_gauge(metric, weight, depth, kind)
+
+
 def _task_dn(scenario: Scenario, task: dict) -> dict:
-    metric, weight = scenario.metric, scenario.weight
-    if task["map"] == "lambda0":
-        dn = dn_symbol_scalar(metric, weight, scenario.depth)
-    else:
-        dn = dn_symbol_gauge(metric, weight, scenario.depth, task["gauge"])
-    return {"status": "pass", "data": dn_to_json(dn)}
+    kind = "lambda0" if task["map"] == "lambda0" else task["gauge"]
+    return {"status": "pass", "data": dn_to_json(_dn_data(scenario, kind))}
 
 
-def _resolve_prescription(scenario: Scenario, presc: dict):
-    key, value = next(iter(presc.items()))
-    order = 1 if key == "d1V" else 2
+def _prescription(scenario: Scenario, task: dict):
+    key, value = next(iter(task["prescribe"].items()))
     if value == "true":
-        jet = scenario.weight.radial_derivative_at_zero(order)
-    else:
-        jet = scenario.space.constant(
-            scenario.space.backend.from_str(str(value)), 0, scenario.ky
+        return key, scenario.weight.radial_derivative_at_zero(1 if key == "d1V" else 2)
+    return key, scenario.space.constant(mpq(str(value)), 0, scenario.ky)
+
+
+def _order_checks(name, orders, truth) -> dict:
+    return {"%s_order_%d" % (name, m): got == truth(m) for m, got in enumerate(orders)}
+
+
+def _is_true_weight(orders, weight) -> bool:
+    return all(v == weight.radial_derivative_at_zero(m) for m, v in enumerate(orders))
+
+
+#: task-record field -> its JSON form, from a ReconstructionReport
+_FIELDS = {
+    "recovered_metric": lambda rep: _metric_orders_json(rep.metric_orders),
+    "recovered_weight": lambda rep: _weight_orders_json(rep.weight_orders),
+    "residuals": lambda rep: rep.residuals,
+    "normalization": lambda rep: rep.weight_normalization,
+    "extras": lambda rep: rep.extras,
+    "branches": lambda rep: [
+        {
+            "root": jet_to_json(b.root),
+            "weight_orders": _weight_orders_json(b.weight_orders),
+            "residuals": b.residuals,
+        }
+        for b in rep.branches
+    ],
+}
+
+#: truth check -> {check name: passed}, from a report and its scenario
+_CHECKS = {
+    "metric_orders": lambda rep, sc: _order_checks(
+        "metric", rep.metric_orders, lambda m: true_metric_order(sc.metric, m)
+    ),
+    "weight_orders": lambda rep, sc: _order_checks(
+        "weight", rep.weight_orders, sc.weight.radial_derivative_at_zero
+    ),
+    "weight_mod_constant": lambda rep, sc: {
+        "weight_mod_constant": (
+            rep.weight_orders[0] == sc.weight.restricted_to_boundary()
         )
-    return key, jet
+    },
+    "branches": lambda rep, sc: {
+        "has_branches": bool(rep.branches),
+        "branches_sound": all(
+            v == 0.0 for b in rep.branches for v in b.residuals.values()
+        ),
+    },
+    "truth_among_branches": lambda rep, sc: {
+        "truth_among_branches": any(
+            _is_true_weight(b.weight_orders, sc.weight) for b in rep.branches
+        )
+    },
+}
+
+
+class _Method(NamedTuple):
+    data: tuple  # DN data to generate: "lambda0", or the gauge tag of lambda1
+    recover: Callable  # (data list, scenario, task, order) -> ReconstructionReport
+    fields: tuple  # keys of _FIELDS
+    checks: tuple  # keys of _CHECKS
+
+
+#: every method of serialize.RECONSTRUCTION_METHODS.  The recover calls look
+#: the recover_* functions up when they run, so a wrapper installed on this
+#: module's names (as benchmark/tracing.py installs) sees every call.
+RECONSTRUCT = {
+    "first-order": _Method(
+        ("s", "sigma"),
+        lambda data, sc, task, order: recover_first_order(*data),
+        ("recovered_metric", "recovered_weight", "residuals", "normalization"),
+        ("metric_orders", "weight_mod_constant"),
+    ),
+    "metric-known-weight": _Method(
+        ("sigma",),
+        lambda data, sc, task, order: recover_metric_known_weight(
+            data[0], sc.weight, order
+        ),
+        ("recovered_metric", "residuals"),
+        ("metric_orders",),
+    ),
+    "weight-scalar": _Method(
+        ("lambda0",),
+        lambda data, sc, task, order: recover_weight_scalar(data[0], sc.metric, order),
+        ("recovered_weight", "residuals", "normalization"),
+        ("weight_orders",),
+    ),
+    "weight-gauge": _Method(
+        ("s",),
+        lambda data, sc, task, order: recover_weight_gauge(
+            data[0], sc.metric, _prescription(sc, task), order
+        ),
+        ("branches", "extras"),
+        ("branches", "truth_among_branches"),
+    ),
+    "volume-gauge": _Method(
+        ("s", "sigma"),
+        lambda data, sc, task, order: recover_with_known_volume_gauge(
+            *data, sc.metric.delta, _prescription(sc, task), order
+        ),
+        ("recovered_metric", "branches"),
+        ("metric_orders", "truth_among_branches"),
+    ),
+    "volume-scalar": _Method(
+        ("lambda0",),
+        lambda data, sc, task, order: recover_with_known_volume_scalar(
+            data[0], sc.metric.delta, order
+        ),
+        ("recovered_metric", "recovered_weight", "residuals"),
+        ("metric_orders", "weight_orders"),
+    ),
+}
 
 
 def _task_reconstruct(scenario: Scenario, task: dict) -> dict:
-    metric, weight = scenario.metric, scenario.weight
-    method = task["method"]
+    method = RECONSTRUCT.get(task["method"])
+    if method is None:
+        raise ScenarioError("unknown reconstruction method %r" % task["method"])
+    data = [_dn_data(scenario, kind) for kind in method.data]
     order = int(task["order"])
-    depth = scenario.depth
-    out = {"method": method, "order": order, "status": "pass"}
-    checks = {}
-
-    if method == "first-order":
-        dn_s = dn_symbol_gauge(metric, weight, depth, "s")
-        dn_sig = dn_symbol_gauge(metric, weight, depth, "sigma")
-        rep = recover_first_order(dn_s, dn_sig)
-        truth = _true_metric_orders(metric, 1)
-        checks["metric_order_0"] = _matrix_equal(rep.metric_orders[0], truth[0])
-        checks["metric_order_1"] = _matrix_equal(rep.metric_orders[1], truth[1])
-        checks["weight_mod_constant"] = _jets_equal(
-            rep.weight_orders[0], weight.restricted_to_boundary()
-        )
-        out["recovered_metric"] = _metric_orders_json(rep.metric_orders)
-        out["recovered_weight"] = _weight_orders_json(rep.weight_orders)
-        out["residuals"] = rep.residuals
-        out["normalization"] = rep.weight_normalization
-
-    elif method == "metric-known-weight":
-        dn = dn_symbol_gauge(metric, weight, depth, "sigma")
-        rep = recover_metric_known_weight(dn, weight, order)
-        truth = _true_metric_orders(metric, order)
-        for m in range(order + 1):
-            checks["metric_order_%d" % m] = _matrix_equal(rep.metric_orders[m], truth[m])
-        out["recovered_metric"] = _metric_orders_json(rep.metric_orders)
-        out["residuals"] = rep.residuals
-
-    elif method == "weight-scalar":
-        dn = dn_symbol_scalar(metric, weight, depth)
-        rep = recover_weight_scalar(dn, metric, order)
-        for m in range(order + 1):
-            checks["weight_order_%d" % m] = _jets_equal(
-                rep.weight_orders[m], weight.radial_derivative_at_zero(m)
-            )
-        out["recovered_weight"] = _weight_orders_json(rep.weight_orders)
-        out["residuals"] = rep.residuals
-        out["normalization"] = rep.weight_normalization
-
-    elif method == "weight-gauge":
-        dn = dn_symbol_gauge(metric, weight, depth, "s")
-        key, jet = _resolve_prescription(scenario, task["prescribe"])
-        rep = recover_weight_gauge(dn, metric, (key, jet), order)
-        out["branches"] = [
-            {
-                "root": jet_to_json(b.root),
-                "weight_orders": _weight_orders_json(b.weight_orders),
-                "residuals": b.residuals,
-            }
-            for b in rep.branches
-        ]
-        out["extras"] = rep.extras
-        checks["has_branches"] = bool(rep.branches)
-        checks["branches_sound"] = all(
-            v == 0.0 for b in rep.branches for v in b.residuals.values()
-        )
-        truth_found = any(
-            all(
-                _jets_equal(b.weight_orders[m], weight.radial_derivative_at_zero(m))
-                for m in range(order + 1)
-            )
-            for b in rep.branches
-        )
-        checks["truth_among_branches"] = truth_found
-
-    elif method == "volume-gauge":
-        dn_s = dn_symbol_gauge(metric, weight, depth, "s")
-        dn_sig = dn_symbol_gauge(metric, weight, depth, "sigma")
-        key, jet = _resolve_prescription(scenario, task["prescribe"])
-        rep = recover_with_known_volume_gauge(dn_s, dn_sig, metric.delta, (key, jet), order)
-        truth = _true_metric_orders(metric, order)
-        for m in range(order + 1):
-            checks["metric_order_%d" % m] = _matrix_equal(rep.metric_orders[m], truth[m])
-        checks["truth_among_branches"] = any(
-            all(
-                _jets_equal(b.weight_orders[m], weight.radial_derivative_at_zero(m))
-                for m in range(order + 1)
-            )
-            for b in rep.branches
-        )
-        out["recovered_metric"] = _metric_orders_json(rep.metric_orders)
-        out["branches"] = [
-            {
-                "root": jet_to_json(b.root),
-                "weight_orders": _weight_orders_json(b.weight_orders),
-                "residuals": b.residuals,
-            }
-            for b in rep.branches
-        ]
-
-    elif method == "volume-scalar":
-        dn = dn_symbol_scalar(metric, weight, depth)
-        rep = recover_with_known_volume_scalar(dn, metric.delta, order)
-        truth = _true_metric_orders(metric, order)
-        for m in range(order + 1):
-            checks["metric_order_%d" % m] = _matrix_equal(rep.metric_orders[m], truth[m])
-            checks["weight_order_%d" % m] = _jets_equal(
-                rep.weight_orders[m], weight.radial_derivative_at_zero(m)
-            )
-        out["recovered_metric"] = _metric_orders_json(rep.metric_orders)
-        out["recovered_weight"] = _weight_orders_json(rep.weight_orders)
-        out["residuals"] = rep.residuals
-
-    else:
-        raise ScenarioError("unknown reconstruction method %r" % method)
-
-    out["checks"] = checks
-    if not all(checks.values()):
-        out["status"] = "fail"
+    rep = method.recover(data, scenario, task, order)
+    out = {"method": task["method"], "order": order}
+    out.update((name, _FIELDS[name](rep)) for name in method.fields)
+    out["checks"] = {}
+    for name in method.checks:
+        out["checks"].update(_CHECKS[name](rep, scenario))
+    out["status"] = "pass" if all(out["checks"].values()) else "fail"
     return out
 
 

@@ -1,11 +1,20 @@
 import json
+import os
 
 import pytest
 
 from dncalc.cli import main
 from dncalc.dn import dn_symbol_gauge, dn_symbol_scalar
 from dncalc.randomgen import random_instance
-from dncalc.serialize import Scenario, dn_from_json, dn_to_json, jet_from_json, jet_to_json
+from dncalc.runner import RECONSTRUCT
+from dncalc.serialize import (
+    RECONSTRUCTION_METHODS,
+    Scenario,
+    dn_from_json,
+    dn_to_json,
+    jet_from_json,
+    jet_to_json,
+)
 from dncalc.errors import ScenarioError
 from dncalc.jets import JetSpace
 
@@ -250,3 +259,85 @@ def test_float_backend_scenario_exits_two(tmp_path, capsys):
     path = write_scenario(tmp_path, raw)
     assert main(["run", path]) == 2
     assert "field 'backend'" in capsys.readouterr().err
+
+
+DATA = os.path.join(os.path.dirname(__file__), "data")
+
+
+def test_reconstruct_report_matches_golden(tmp_path):
+    """All six reconstruct methods, both prescriptions of the two gauge
+    methods, and a counterexample, on a random (4,3) scenario at depth 3:
+    the report must stay byte-identical apart from generated_at.  To renew
+    the golden report after an intended change, run
+    ``dncalc run tests/data/golden-reconstruct.json
+    -o tests/data/golden-reconstruct.report.json`` and review the diff."""
+    out = tmp_path / "report.json"
+    assert main(["run", os.path.join(DATA, "golden-reconstruct.json"), "-o", str(out)]) == 0
+
+    def lines(path):
+        with open(path) as fh:
+            return [line for line in fh if '"generated_at"' not in line]
+
+    assert lines(out) == lines(os.path.join(DATA, "golden-reconstruct.report.json"))
+
+
+def test_runner_table_covers_every_reconstruct_method():
+    assert tuple(RECONSTRUCT) == RECONSTRUCTION_METHODS
+
+
+def test_volume_gauge_without_real_roots_fails_its_task(tmp_path):
+    # flat metric, zero weight, d2V = -1: the discriminant is -2, so no
+    # branch exists; the record keeps the three metric orders it recovered
+    raw = flat_scenario(
+        [
+            {
+                "kind": "reconstruct",
+                "method": "volume-gauge",
+                "order": 3,
+                "prescribe": {"d2V": "-1"},
+            }
+        ]
+    )
+    path = write_scenario(tmp_path, raw)
+    out = str(tmp_path / "report.json")
+    assert main(["run", path, "-o", out]) == 1
+    task = read_report(out)["tasks"][0]
+    assert task["status"] == "fail"
+    assert task["branches"] == []
+    assert task["checks"] == {
+        "metric_order_0": True,
+        "metric_order_1": True,
+        "metric_order_2": True,
+        "truth_among_branches": False,
+    }
+
+
+def test_reconstruct_checks_compare_against_the_truth(monkeypatch, tmp_path):
+    # the method table calls the recovery through the runner's module name,
+    # so a replaced one is the one that runs; its wrong order fails the check
+    import dncalc.runner as runner
+
+    recover = runner.recover_weight_scalar
+
+    def off_at_order_one(dn, metric, order):
+        rep = recover(dn, metric, order)
+        rep.weight_orders[1] = rep.weight_orders[1] + dn.ctx.space.one(0, 3)
+        return rep
+
+    monkeypatch.setattr(runner, "recover_weight_scalar", off_at_order_one)
+    raw = flat_scenario(
+        [{"kind": "reconstruct", "method": "weight-scalar", "order": 2}],
+        depth=3,
+        kr=4,
+        ky=3,
+    )
+    path = write_scenario(tmp_path, raw)
+    out = str(tmp_path / "report.json")
+    assert main(["run", path, "-o", out]) == 1
+    task = read_report(out)["tasks"][0]
+    assert task["status"] == "fail"
+    assert task["checks"] == {
+        "weight_order_0": True,
+        "weight_order_1": False,
+        "weight_order_2": True,
+    }

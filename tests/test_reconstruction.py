@@ -325,3 +325,22 @@ def test_gauge_pair_validation():
     dn_s = dn_symbol_gauge(metric, weight, 4, "s")
     with pytest.raises(DataError):
         recover_first_order(dn_s, dn_s)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_failed_solve_names_method_order_and_grade(m):
+    # the known metric is wrong in its r^m coefficient only, so the weight
+    # recovery solves orders below m and first turns inconsistent at order m
+    metric, weight = random_instance(212)
+    dn = dn_symbol_scalar(metric, weight, 4)
+    r = metric.space.coordinate(0, KR, KY)
+    bump = r
+    for _ in range(m - 1):
+        bump = bump * r
+    rows = [list(row) for row in metric.g_lower]
+    rows[0][0] = rows[0][0] + bump
+    with pytest.raises(ReconstructionError) as info:
+        recover_weight_scalar(dn, BoundaryMetricJet(rows), 3)
+    message = str(info.value)
+    assert message.startswith("weight_scalar: order %d (grade %d): " % (m, 1 - m))
+    assert "inconsistent linear system" in message
