@@ -15,7 +15,7 @@ from .errors import (
     ScenarioError,
 )
 from .jets import Jet, JetSpace, collar_from_radial_orders
-from .symbols import CJet, FormalSymbol, HomSymbol, SymbolContext, XiPoly, compose
+from .symbols import FormalSymbol, HomSymbol, SymbolContext, XiPoly, compose
 from .geometry import (
     BoundaryMetricJet,
     GaugeData,

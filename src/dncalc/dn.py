@@ -28,7 +28,7 @@ from .errors import DataError, DepthError
 from .factorization import factorize_gauge, factorize_scalar
 from .geometry import BoundaryMetricJet, gauge_s, gauge_sigma
 from .jets import Jet
-from .symbols import CJet, FormalSymbol, SymbolContext
+from .symbols import FormalSymbol, SymbolContext
 
 
 @dataclass(frozen=True)
@@ -47,6 +47,8 @@ class DNSymbolData:
         principal = self.symbol.grade(1)
         if not principal.a.is_zero or principal.p != 0:
             raise DataError("principal symbol must be an odd multiple of ||xi'||")
+        if principal.b.imag and not principal.b.is_zero:
+            raise DataError("principal symbol has an imaginary part")
 
     @property
     def ctx(self) -> SymbolContext:
@@ -54,30 +56,29 @@ class DNSymbolData:
 
     # -- honest accessors ---------------------------------------------------
 
-    def _principal_odd(self, xi) -> CJet:
-        _, odd = self.symbol.grade(1).eval_pair(xi)
-        return odd
+    def _principal_odd(self, xi) -> Jet:
+        """The real odd part of s_1 at a fibre point."""
+        return self.symbol.grade(1).eval_jets(xi)[1]
 
     def principal_square_eval(self, xi) -> Jet:
         """Square of the principal observable at a fibre point: a real y-jet
         equal to q2(xi) * delta * (gauge density factors)."""
         odd = self._principal_odd(xi)
-        if not odd.im.is_zero:
-            raise DataError("principal symbol has an imaginary part")
         q2v = self.ctx.q2_value(xi)
-        return odd.re * odd.re * q2v * self.density_sq
+        return odd * odd * q2v * self.density_sq
 
-    def grade_ratio_eval(self, j: int, xi) -> tuple[CJet, CJet]:
-        """(even, odd) parts of s_j / s_1 at a fibre point; density-free and
-        invariant under the representation rescaling."""
+    def grade_ratio_eval(self, j: int, xi) -> tuple[tuple[Jet, Jet], tuple[Jet, Jet]]:
+        """(even, odd) parts of s_j / s_1 at a fibre point, each as its (real,
+        imaginary) jets; density-free and invariant under the representation
+        rescaling."""
         if j > 1 or j < self.symbol.lo:
             raise DepthError("grade %d not retained (lo=%d)" % (j, self.symbol.lo))
-        ev_j, od_j = self.symbol.grade(j).eval_pair(xi)
-        od_1 = self._principal_odd(xi)
-        inv1 = od_1.reciprocal()
+        sym = self.symbol.grade(j)
+        ev_j, od_j = sym.eval_jets(xi)
+        inv1 = self._principal_odd(xi).reciprocal()
         even = od_j * inv1
         odd = ev_j * inv1 * self.ctx.q2_value(xi).reciprocal()
-        return even, odd
+        return _real_imag(even, sym.b.imag), _real_imag(odd, sym.a.imag)
 
     def density_ratio_sq(self, other: "DNSymbolData", xi) -> Jet:
         """(O_1 / O_1')^2 for two data sets over the same boundary metric:
@@ -116,6 +117,11 @@ class DNSymbolData:
         return all(
             self.symbol.grade(j) == other.symbol.grade(j) for j in self.symbol.grades()
         )
+
+
+def _real_imag(jet: Jet, imag: bool) -> tuple[Jet, Jet]:
+    zero = jet.space.zero(jet.kr, jet.ky)
+    return (zero, jet) if imag else (jet, zero)
 
 
 def _restrict(symbol: FormalSymbol, metric: BoundaryMetricJet) -> tuple:

@@ -6,7 +6,8 @@ class DnCalcError(Exception):
 
 
 class IncompatibleJetsError(DnCalcError):
-    """Jets from different ambient spaces (dimension, base point, backend)."""
+    """Values that cannot combine: jets from different ambient spaces
+    (dimension, base point), or a real and an imaginary symbol part."""
 
 
 class BudgetExhaustedError(DnCalcError):

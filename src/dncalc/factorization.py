@@ -24,12 +24,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations_with_replacement
 
 from .errors import BudgetExhaustedError, DepthError
 from .geometry import BoundaryMetricJet, GaugeData, compute_q_symbols, radial_drift
 from .jets import Jet
-from .symbols import CJet, FormalSymbol, HomSymbol, SymbolContext, XiPoly, compose
+from .symbols import FormalSymbol, HomSymbol, SymbolContext, XiPoly, compose
 
 
 @dataclass(frozen=True)
@@ -67,22 +68,26 @@ class _Recursion:
             self._dy[(j, key)] = sym
         return sym
 
-    def ar_deriv(self, key: tuple) -> CJet:
+    def ar_deriv(self, key: tuple) -> tuple[Jet, bool]:
+        """D_y^K a_r as a real jet and whether it is times i."""
         val = self._ar_dy.get(key)
         if val is None:
             if not key:
-                val = CJet(self.a_r)
+                val = (self.a_r, False)
             else:
-                val = self.ar_deriv(key[:-1]).partial(key[-1] + 1).times_minus_i()
+                jet, imag = self.ar_deriv(key[:-1])
+                jet = jet.partial(key[-1] + 1)
+                # D_y = -i d_y: -i * (i * jet) = jet and -i * jet = i * (-jet)
+                val = (jet, False) if imag else (-jet, True)
             self._ar_dy[key] = val
         return val
 
-    def _inv_factorial(self, key: tuple):
-        backend = self.ctx.space.backend
+    @staticmethod
+    def _inv_factorial(key: tuple) -> Fraction:
         mult = 1
         for a in set(key):
             mult *= math.factorial(key.count(a))
-        return backend.one() / backend.coerce(mult)
+        return Fraction(1, mult)
 
     def known_grade(self, gamma: int) -> HomSymbol:
         """Grade-gamma component of the defining identity over the components
@@ -107,10 +112,11 @@ class _Recursion:
                     left = self.xi_deriv(m, key)
                     if left.is_zero:
                         continue
-                    right = self.ar_deriv(key)
+                    right, imag = self.ar_deriv(key)
                     if right.is_zero:
                         continue
-                    terms.append((left.scale(right)).scale(self._inv_factorial(key)))
+                    term = left.scale(right).scale(self._inv_factorial(key))
+                    terms.append(term.times_i() if imag else term)
         for m in self.comps:
             for l in self.comps:
                 k = m + l - gamma
@@ -237,7 +243,9 @@ def perturb_component(result: FactorizationResult, grade: int) -> FactorizationR
         p = -grade
         e = [0] * nxi
         e[0] = p - 1
-        odd = XiPoly(nxi, p - 1, {tuple(e): ctx.one_cjet()})
+        # solved components have type 0: a degree-d coefficient is real
+        # exactly when d is even, so the bump takes that phase
+        odd = XiPoly(nxi, p - 1, {tuple(e): ctx.space.one(ctx.kr, ctx.ky)}, (p - 1) % 2 == 1)
         bump = HomSymbol(ctx, grade, XiPoly(nxi, 2 * p + grade, {}), odd, p)
     comps = dict(result.symbol.comps)
     comps[grade] = comps[grade] + bump

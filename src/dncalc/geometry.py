@@ -15,10 +15,13 @@ their squares, which keeps the exact rational backend closed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from .errors import MetricError
 from .jets import Jet, JetSpace
-from .symbols import CJet, HomSymbol, SymbolContext, XiPoly
+from .symbols import HomSymbol, SymbolContext
+
+HALF = Fraction(1, 2)
 
 
 def _det(mat):
@@ -180,20 +183,10 @@ class BoundaryMetricJet:
             for a in range(nt):
                 term = self.g_upper[a][b].partial(a + 1) + (
                     self.g_upper[a][b] * self.dlog_delta(a + 1)
-                ).scale(_half(self.space))
+                ).scale(HALF)
                 acc = term if acc is None else acc + term
             out.append(acc)
         return out
-
-
-def _half(space: JetSpace):
-    backend = space.backend
-    return backend.one() / backend.coerce(2)
-
-
-def _quarter(space: JetSpace):
-    backend = space.backend
-    return backend.one() / backend.coerce(4)
 
 
 def radial_drift(metric: BoundaryMetricJet, weight: Jet | None = None) -> Jet:
@@ -202,7 +195,7 @@ def radial_drift(metric: BoundaryMetricJet, weight: Jet | None = None) -> Jet:
     Without a weight this is -d_r log(delta)/2; with a weight the scalar-mode
     variant -d_r log(delta)/2 + d_r V.
     """
-    e = metric.dlog_delta(0).scale(-_half(metric.space))
+    e = metric.dlog_delta(0).scale(-HALF)
     if weight is not None:
         e = e + weight.partial(0)
     return e
@@ -210,9 +203,7 @@ def radial_drift(metric: BoundaryMetricJet, weight: Jet | None = None) -> Jet:
 
 def laplace_beltrami(metric: BoundaryMetricJet, f: Jet) -> Jet:
     """Laplace-Beltrami operator of dr^2 + g applied to a collar jet."""
-    sp = metric.space
-    half = _half(sp)
-    acc = f.partial(0).partial(0) + (metric.dlog_delta(0) * f.partial(0)).scale(half)
+    acc = f.partial(0).partial(0) + (metric.dlog_delta(0) * f.partial(0)).scale(HALF)
     nt = metric.n - 1
     div = metric.divergence_upper()
     for b in range(nt):
@@ -236,10 +227,9 @@ def gradient_square(metric: BoundaryMetricJet, f: Jet) -> Jet:
 def schroedinger_potential(metric: BoundaryMetricJet, weight: Jet) -> Jet:
     """Zeroth-order potential of the flat-gauge Schroedinger form:
     -Lap(V)/2 + g(dV,dV)/4."""
-    sp = metric.space
-    return laplace_beltrami(metric, weight).scale(-_half(sp)) + gradient_square(
+    return laplace_beltrami(metric, weight).scale(-HALF) + gradient_square(
         metric, weight
-    ).scale(_quarter(sp))
+    ).scale(Fraction(1, 4))
 
 
 @dataclass(frozen=True)
@@ -262,10 +252,8 @@ class GaugeData:
 def gauge_s(metric: BoundaryMetricJet, weight: Jet) -> GaugeData:
     """Trivialisation in which the operator keeps its weighted-Laplacian form:
     potential components A_i = d_i V / 2, density e^{-V} sqrt(delta)."""
-    sp = metric.space
-    half = _half(sp)
-    a_r = weight.partial(0).scale(half)
-    a_tan = tuple(weight.partial(a + 1).scale(half) for a in range(metric.n - 1))
+    a_r = weight.partial(0).scale(HALF)
+    a_tan = tuple(weight.partial(a + 1).scale(HALF) for a in range(metric.n - 1))
     u = schroedinger_potential(metric, weight)
     density_sq = (weight.scale(-2)).exp() * metric.delta
     return GaugeData("s", a_r, a_tan, u, density_sq)
@@ -306,9 +294,7 @@ def compute_q_symbols(
     q1 = i(-delta^{-1/2} d_a(g^{ab} delta^{1/2}) + g^{ab} d_a V) xi_b, q0 = 0.
     """
     ctx = metric.ctx
-    sp = metric.space
     nt = metric.n - 1
-    half = _half(sp)
     q2 = HomSymbol.q2_symbol(ctx)
     div = metric.divergence_upper()
 
@@ -320,8 +306,8 @@ def compute_q_symbols(
             acc = -div[b]
             for a in range(nt):
                 acc = acc + metric.g_upper[a][b] * weight.partial(a + 1)
-            drift.append(CJet(sp.zero(metric.kr, metric.ky), acc))
-        q1 = HomSymbol.linear_form(ctx, drift)
+            drift.append(acc)
+        q1 = HomSymbol.linear_form(ctx, drift, imag=True)
         q0 = HomSymbol.zero(ctx, 0)
         return q2, q1, q0
 
@@ -334,15 +320,14 @@ def compute_q_symbols(
         a_up.append(acc)
     drift = []
     for b in range(nt):
-        val = -div[b] + a_up[b].scale(2)
-        drift.append(CJet(sp.zero(metric.kr, metric.ky), val))
-    q1 = HomSymbol.linear_form(ctx, drift)
+        drift.append(-div[b] + a_up[b].scale(2))
+    q1 = HomSymbol.linear_form(ctx, drift, imag=True)
 
     q0_jet = gauge.potential
     for a in range(nt):
         q0_jet = q0_jet + a_up[a].partial(a + 1) + (
             a_up[a] * metric.dlog_delta(a + 1)
-        ).scale(half)
+        ).scale(HALF)
         q0_jet = q0_jet - gauge.a_tan[a] * a_up[a]
     q0 = HomSymbol.from_jet(ctx, q0_jet)
     return q2, q1, q0

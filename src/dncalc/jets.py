@@ -32,7 +32,7 @@ from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .errors import BudgetExhaustedError, IncompatibleJetsError, NotInvertibleError
-from .scalars import get_backend
+from . import scalars
 
 #: width of one field of a packed monomial key
 KEY_BITS = 8
@@ -53,14 +53,13 @@ class JetSpace:
     """Ambient data shared by compatible jets: dimension and base point, plus
     the monomial key layout for that dimension."""
 
-    __slots__ = ("n", "base_point", "backend", "_tshift", "_mshift", "_guard", "_keys", "_indices")
+    __slots__ = ("n", "base_point", "_tshift", "_mshift", "_guard", "_keys", "_indices")
 
-    def __init__(self, n: int, base_point: str = "p0", backend="rational"):
+    def __init__(self, n: int, base_point: str = "p0"):
         if n < 2:
             raise IncompatibleJetsError("ambient dimension must be at least 2")
         self.n = n
         self.base_point = base_point
-        self.backend = get_backend(backend) if isinstance(backend, str) else backend
         self._tshift = KEY_BITS * (n - 1)
         self._mshift = self._tshift + KEY_BITS
         self._guard = (_GUARD << self._mshift) | (_GUARD << self._tshift)
@@ -72,18 +71,13 @@ class JetSpace:
             isinstance(other, JetSpace)
             and self.n == other.n
             and self.base_point == other.base_point
-            and self.backend is other.backend
         )
 
     def __hash__(self):
-        return hash((self.n, self.base_point, self.backend.name))
+        return hash((self.n, self.base_point))
 
     def __repr__(self):
-        return "JetSpace(n=%d, base_point=%r, backend=%s)" % (
-            self.n,
-            self.base_point,
-            self.backend.name,
-        )
+        return "JetSpace(n=%d, base_point=%r)" % (self.n, self.base_point)
 
     # -- monomial keys ------------------------------------------------------
 
@@ -121,7 +115,7 @@ class JetSpace:
 
     def constant(self, value, kr: int, ky: int) -> "Jet":
         _check_orders(kr, ky)
-        v = self.backend.coerce(value)
+        v = scalars.rational(value)
         if not v:
             return Jet._make(self, kr, ky, 1, {})
         return Jet._make(self, kr, ky, v.denominator, {0: v.numerator})
@@ -145,7 +139,7 @@ class JetSpace:
                 raise IncompatibleJetsError(
                     "index %r exceeds truncation orders (%d, %d)" % (idx, kr, ky)
                 )
-            v = self.backend.coerce(val)
+            v = scalars.rational(val)
             if v:
                 values[self._key(idx)] = v
         # over the lcm of the reduced denominators the numerators are coprime
@@ -391,7 +385,7 @@ class Jet:
     __rmul__ = __mul__
 
     def scale(self, value) -> "Jet":
-        v = self.space.backend.coerce(value)
+        v = scalars.rational(value)
         p, q = v.numerator, v.denominator
         if not p or not self.num:
             return Jet._make(self.space, self.kr, self.ky, 1, {})
@@ -483,7 +477,7 @@ class Jet:
         c0 = self.constant_term()
         if c0 <= 0:
             raise NotInvertibleError("sqrt of a jet with non-positive constant term")
-        s0 = self.space.backend.sqrt(c0)
+        s0 = scalars.sqrt(c0)
         return self._binomial_series(s0, c0, 2)
 
     def nth_root(self, k: int) -> "Jet":
@@ -491,7 +485,7 @@ class Jet:
         c0 = self.constant_term()
         if c0 <= 0:
             raise NotInvertibleError("root of a jet with non-positive constant term")
-        s0 = self.space.backend.nth_root(c0, k)
+        s0 = scalars.nth_root(c0, k)
         return self._binomial_series(s0, c0, k)
 
     def _binomial_series(self, s0, c0, k: int) -> "Jet":
@@ -508,7 +502,7 @@ class Jet:
     def exp(self) -> "Jet":
         """Truncated exponential; needs a zero constant term so the result
         stays in the rational field."""
-        acc = self.space.backend.exp(self.constant_term())
+        acc = scalars.exp(self.constant_term())
         coeffs = []
         for j in range(self._series_order()):
             coeffs.append(acc)
@@ -520,7 +514,7 @@ class Jet:
         c0 = self.constant_term()
         if not c0:
             raise NotInvertibleError("log of a jet with non-positive constant term")
-        l0 = self.space.backend.log(c0)
+        l0 = scalars.log(c0)
         inv0 = 1 / c0
         coeffs = [l0]
         for j in range(1, self._series_order()):

@@ -105,7 +105,7 @@ def _ratio_vector(dn: DNSymbolData, grade: int, samples) -> list:
     out = []
     for xi in samples:
         ev, od = dn.grade_ratio_eval(grade, xi)
-        out.extend((ev.re, ev.im, od.re, od.im))
+        out.extend((*ev, *od))
     return out
 
 
@@ -357,11 +357,11 @@ def _grade0_shape(dn: DNSymbolData, g0, weight_orders):
     probe = _forward(dn, [g0], weight_orders, 2)
     vals = []
     for xi in _samples(nxi):
-        _, od_d = dn.grade_ratio_eval(0, xi)
-        _, od_p = probe.grade_ratio_eval(0, xi)
+        _, (od_d, _) = dn.grade_ratio_eval(0, xi)
+        _, (od_p, _) = probe.grade_ratio_eval(0, xi)
         q2v = dn.ctx.q2_value(xi)
         # the shape term is real and lands on the odd part
-        vals.append((od_d - od_p).re.scale(4) * q2v * q2v)
+        vals.append((od_d - od_p).scale(4) * q2v * q2v)
     form = _fit_quadratic_form(vals, nxi)
     return form, _trace(_inverse(g0), form)
 

@@ -14,11 +14,12 @@ import json
 from typing import Any
 
 from .dn import DNSymbolData
-from .errors import ScenarioError
+from .errors import BackendError, DataError, ScenarioError
 from .geometry import BoundaryMetricJet
 from .jets import Jet, JetSpace
 from .randomgen import random_metric, random_weight
-from .symbols import CJet, FormalSymbol, HomSymbol, SymbolContext, XiPoly
+from .scalars import mpq, rational
+from .symbols import FormalSymbol, HomSymbol, SymbolContext, XiPoly
 
 SCHEMA_VERSION = 1
 
@@ -28,13 +29,13 @@ SCHEMA_VERSION = 1
 
 
 def scalar_to_json(space: JetSpace, value) -> Any:
-    return space.backend.to_str(value)
+    return str(value)
 
 
 def scalar_from_json(space: JetSpace, data) -> Any:
     if isinstance(data, str):
-        return space.backend.from_str(data)
-    return space.backend.coerce(data)
+        return mpq(data)
+    return rational(data)
 
 
 def jet_to_json(jet: Jet) -> dict:
@@ -53,7 +54,7 @@ def jet_from_json(space: JetSpace, data: dict) -> Jet:
         kr = int(data["radial_order"])
         ky = int(data["tangential_order"])
         coeffs = {
-            tuple(term["index"]): space.backend.from_str(str(term["value"]))
+            tuple(term["index"]): mpq(str(term["value"]))
             for term in data.get("terms", [])
         }
     except (KeyError, TypeError, ValueError) as exc:
@@ -61,17 +62,25 @@ def jet_from_json(space: JetSpace, data: dict) -> Jet:
     return space.jet(coeffs, kr, ky)
 
 
-def cjet_to_json(v: CJet) -> dict:
-    out = {"re": jet_to_json(v.re)}
-    if not v.im.is_zero:
-        out["im"] = jet_to_json(v.im)
-    return out
+def coeff_to_json(jet: Jet, imag: bool) -> dict:
+    """A polynomial coefficient as its real part and, when nonzero, its
+    imaginary part."""
+    if imag:
+        return {"re": jet_to_json(jet.space.zero(jet.kr, jet.ky)), "im": jet_to_json(jet)}
+    return {"re": jet_to_json(jet)}
 
 
-def cjet_from_json(space: JetSpace, data: dict) -> CJet:
+def coeff_from_json(space: JetSpace, data: dict) -> tuple[Jet, bool]:
+    """The real jet of a coefficient and whether it is imaginary; one part
+    must vanish, since every symbol here is real or imaginary coefficient by
+    coefficient."""
     re = jet_from_json(space, data["re"])
     im = jet_from_json(space, data["im"]) if "im" in data else None
-    return CJet(re, im)
+    if im is None or im.is_zero:
+        return re, False
+    if not re.is_zero:
+        raise DataError("coefficient has nonzero real and imaginary parts")
+    return im, True
 
 
 # ---------------------------------------------------------------------------
@@ -82,17 +91,22 @@ def _poly_to_json(poly: XiPoly) -> dict:
     return {
         "degree": poly.deg,
         "terms": [
-            {"xi": list(e), "coeff": cjet_to_json(poly.c[e])} for e in sorted(poly.c)
+            {"xi": list(e), "coeff": coeff_to_json(poly.c[e], poly.imag)}
+            for e in sorted(poly.c)
         ],
     }
 
 
 def _poly_from_json(space: JetSpace, nxi: int, data: dict) -> XiPoly:
-    coeffs = {
-        tuple(term["xi"]): cjet_from_json(space, term["coeff"])
-        for term in data.get("terms", [])
-    }
-    return XiPoly(nxi, int(data["degree"]), coeffs)
+    coeffs, phases = {}, set()
+    for term in data.get("terms", []):
+        jet, imag = coeff_from_json(space, term["coeff"])
+        if not jet.is_zero:
+            coeffs[tuple(term["xi"])] = jet
+            phases.add(imag)
+    if len(phases) > 1:
+        raise DataError("polynomial mixes real and imaginary coefficients")
+    return XiPoly(nxi, int(data["degree"]), coeffs, True in phases)
 
 
 def homsymbol_to_json(sym: HomSymbol) -> dict:
@@ -126,7 +140,7 @@ def dn_to_json(dn: DNSymbolData) -> dict:
         "gauge": dn.gauge_tag,
         "dimension": dn.n,
         "depth": dn.depth,
-        "backend": dn.ctx.space.backend.name,
+        "backend": "rational",
         "base_point": dn.ctx.space.base_point,
         "boundary_metric_upper": metric_upper_to_json(dn.boundary_metric),
         "density_sq": jet_to_json(dn.density_sq),
@@ -138,7 +152,10 @@ def dn_to_json(dn: DNSymbolData) -> dict:
 
 def dn_from_json(data: dict) -> DNSymbolData:
     n = int(data["dimension"])
-    space = JetSpace(n, data.get("base_point", "p0"), data.get("backend", "rational"))
+    backend = data.get("backend", "rational")
+    if backend != "rational":
+        raise BackendError("unknown scalar backend %r" % (backend,))
+    space = JetSpace(n, data.get("base_point", "p0"))
     upper = [
         [jet_from_json(space, cell) for cell in row]
         for row in data["boundary_metric_upper"]
@@ -205,7 +222,7 @@ class Scenario:
         self.backend = backend
         self.base_point = str(raw.get("base_point", "p0"))
         self.seed = int(raw.get("seed", 0))
-        self.space = JetSpace(self.n, self.base_point, backend)
+        self.space = JetSpace(self.n, self.base_point)
         self.metric = self._parse_metric(raw.get("metric", "flat"))
         self.weight = self._parse_weight(raw.get("weight", "zero"))
         tasks = raw.get("tasks")

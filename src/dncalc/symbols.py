@@ -6,7 +6,7 @@ A homogeneous symbol of degree j is stored in the canonical form
 
 where q2 = g^{ab} xi_a xi_b is the principal quadratic form of the tangential
 part of the operator, w = sqrt(q2) = ||xi'|| is its square root, A and B are
-polynomials in the fibre variable xi' with complex jet coefficients, A is
+polynomials in the fibre variable xi' with jet coefficients, A is
 xi'-homogeneous of degree j + 2p and B of degree j + 2p - 1.  The form is
 closed under the operations the factorisation recursions need: products
 (w^2 rewrites to q2), xi'-derivatives (d w/d xi_a = g^{ab} xi_b w / q2),
@@ -22,9 +22,17 @@ base point to the same (r, y) order k as P does (q2's leading coefficient is
 a unit), and the order-k part of P is q2(0) times that of Q.  So the rational
 xi-polynomial at each order-k monomial of P must be a multiple of q2(0).
 
-Complex scalars never appear inside a single jet; instead every polynomial
-coefficient is a pair of real jets (CJet), which keeps the frequent
-all-real products cheap.
+Reality.  The weighted Laplacian and its DN maps send real functions to real
+functions, so every symbol here satisfies s(x, -xi) = conj s(x, xi)
+(Hoermander, The Analysis of Linear Partial Differential Operators III,
+section 18.1).  With w and q2 even in xi and A, B homogeneous, each
+coefficient of A (or of B) is a real jet times one common power of i, fixed
+by the degree: every symbol has a type bit t such that a coefficient of a
+degree-d part is real exactly when d + t is even.  So an XiPoly holds real
+Jet coefficients and one flag, ``imag``, meaning the polynomial is i times
+its coefficients.  Products XOR the flags, i * i negates, D_y = -i d_y flips
+the flag, and a sum of two nonzero polynomials with unlike flags raises
+IncompatibleJetsError: the operators' reality is a checked invariant.
 
 A FormalSymbol is a graded family of homogeneous symbols on a contiguous
 range of degrees; the asymptotic composition
@@ -42,98 +50,21 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 from operator import add
 
-from .errors import (
-    BudgetExhaustedError,
-    DepthError,
-    IncompatibleJetsError,
-    NotInvertibleError,
-)
+from .errors import BudgetExhaustedError, DepthError, IncompatibleJetsError
 from .jets import Jet, JetSpace
-
-
-class CJet:
-    """A complex jet as a pair of real jets."""
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re: Jet, im: Jet | None = None):
-        self.re = re
-        self.im = re.space.zero(re.kr, re.ky) if im is None else im
-
-    @property
-    def is_zero(self):
-        return self.re.is_zero and self.im.is_zero
-
-    def __add__(self, other: "CJet") -> "CJet":
-        return CJet(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other: "CJet") -> "CJet":
-        return CJet(self.re - other.re, self.im - other.im)
-
-    def __neg__(self):
-        return CJet(-self.re, -self.im)
-
-    def __mul__(self, other):
-        if isinstance(other, Jet):
-            return CJet(self.re * other, self.im * other)
-        if not isinstance(other, CJet):
-            return self.scale(other)
-        a, b, c, d = self.re, self.im, other.re, other.im
-        if b.is_zero and d.is_zero:
-            return CJet(a * c)
-        return CJet(a * c - b * d, a * d + b * c)
-
-    __rmul__ = __mul__
-
-    def scale(self, value) -> "CJet":
-        return CJet(self.re.scale(value), self.im.scale(value))
-
-    def times_i(self) -> "CJet":
-        return CJet(-self.im, self.re)
-
-    def times_minus_i(self) -> "CJet":
-        return CJet(self.im, -self.re)
-
-    def partial(self, direction: int) -> "CJet":
-        return CJet(self.re.partial(direction), self.im.partial(direction))
-
-    def restricted_to_boundary(self) -> "CJet":
-        return CJet(self.re.restricted_to_boundary(), self.im.restricted_to_boundary())
-
-    def reciprocal(self) -> "CJet":
-        if not self.im.is_zero:
-            raise NotInvertibleError("reciprocal implemented for real jets only")
-        return CJet(self.re.reciprocal())
-
-    def __eq__(self, other):
-        if not isinstance(other, CJet):
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
-
-    def __hash__(self):
-        return hash((self.re, self.im))
-
-    def constant_complex(self) -> complex:
-        backend = self.re.space.backend
-        return complex(
-            backend.to_float(self.re.constant_term()),
-            backend.to_float(self.im.constant_term()),
-        )
-
-    def __repr__(self):
-        if self.im.is_zero:
-            return "CJet(%r)" % self.re
-        return "CJet(%r + i*%r)" % (self.re, self.im)
+from .scalars import rational
 
 
 class XiPoly:
-    """Homogeneous polynomial in xi' with CJet coefficients."""
+    """Homogeneous polynomial in xi' with real Jet coefficients, times i
+    when ``imag`` is set."""
 
-    __slots__ = ("nxi", "deg", "c")
+    __slots__ = ("nxi", "deg", "c", "imag")
 
-    def __init__(self, nxi: int, deg: int, coeffs: dict | None = None):
+    def __init__(self, nxi: int, deg: int, coeffs: dict | None = None, imag: bool = False):
         self.nxi = nxi
         self.deg = deg
+        self.imag = imag
         self.c = {}
         if coeffs:
             for e, v in coeffs.items():
@@ -145,16 +76,21 @@ class XiPoly:
                     self.c[e] = v
 
     @classmethod
-    def _make(cls, nxi, deg, coeffs):
+    def _make(cls, nxi, deg, coeffs, imag):
         self = object.__new__(cls)
         self.nxi = nxi
         self.deg = deg
         self.c = coeffs
+        self.imag = imag
         return self
 
     @property
     def is_zero(self):
         return not self.c
+
+    def _phase_clash(self, other: "XiPoly") -> bool:
+        """True when both are nonzero and one is real, the other imaginary."""
+        return self.imag != other.imag and bool(self.c) and bool(other.c)
 
     def __add__(self, other: "XiPoly") -> "XiPoly":
         if self.is_zero:
@@ -165,6 +101,8 @@ class XiPoly:
             raise IncompatibleJetsError(
                 "cannot add polynomials of degrees %d and %d" % (self.deg, other.deg)
             )
+        if self.imag != other.imag:
+            raise IncompatibleJetsError("cannot add a real and an imaginary polynomial")
         out = dict(self.c)
         for e, v in other.c.items():
             s = out.get(e)
@@ -173,22 +111,31 @@ class XiPoly:
                 out.pop(e, None)
             else:
                 out[e] = s
-        return XiPoly._make(self.nxi, self.deg, out)
+        return XiPoly._make(self.nxi, self.deg, out, self.imag)
 
     def __neg__(self):
-        return XiPoly._make(self.nxi, self.deg, {e: -v for e, v in self.c.items()})
+        return XiPoly._make(self.nxi, self.deg, {e: -v for e, v in self.c.items()}, self.imag)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other: "XiPoly") -> "XiPoly":
+        if not isinstance(other, XiPoly):
+            return self.scale(other)
         deg = self.deg + other.deg
-        if self.is_zero or other.is_zero:
-            return XiPoly._make(self.nxi, deg, {})
+        imag = self.imag != other.imag
+        c1, c2 = self.c, other.c
+        if not c1 or not c2:
+            return XiPoly._make(self.nxi, deg, {}, imag)
+        if self.imag and other.imag:  # i * i = -1: negate the shorter factor
+            if len(c2) < len(c1):
+                c2 = {e: -v for e, v in c2.items()}
+            else:
+                c1 = {e: -v for e, v in c1.items()}
         out: dict = {}
-        for e1, v1 in self.c.items():
-            for e2, v2 in other.c.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
+        for e1, v1 in c1.items():
+            for e2, v2 in c2.items():
+                e = tuple(map(add, e1, e2))
                 p = v1 * v2
                 s = out.get(e)
                 s = p if s is None else s + p
@@ -196,34 +143,34 @@ class XiPoly:
                     out.pop(e, None)
                 else:
                     out[e] = s
-        return XiPoly._make(self.nxi, deg, out)
+        return XiPoly._make(self.nxi, deg, out, imag)
 
     def scale(self, factor) -> "XiPoly":
-        """Multiply every coefficient by a CJet, Jet or scalar."""
-        if isinstance(factor, (CJet, Jet)):
+        """Multiply every coefficient by a real Jet or scalar."""
+        if isinstance(factor, Jet):
             out = {e: v * factor for e, v in self.c.items()}
         else:
             out = {e: v.scale(factor) for e, v in self.c.items()}
-        return XiPoly._make(self.nxi, self.deg, {e: v for e, v in out.items() if not v.is_zero})
+        return XiPoly._make(
+            self.nxi, self.deg, {e: v for e, v in out.items() if not v.is_zero}, self.imag
+        )
+
+    def times_i(self) -> "XiPoly":
+        c = {e: -v for e, v in self.c.items()} if self.imag else self.c
+        return XiPoly._make(self.nxi, self.deg, c, not self.imag)
+
+    def times_minus_i(self) -> "XiPoly":
+        c = self.c if self.imag else {e: -v for e, v in self.c.items()}
+        return XiPoly._make(self.nxi, self.deg, c, not self.imag)
 
     def map_coeffs(self, fn) -> "XiPoly":
+        """Apply a real-linear map to every coefficient, keeping the phase."""
         out = {}
         for e, v in self.c.items():
             w = fn(v)
             if not w.is_zero:
                 out[e] = w
-        return XiPoly._make(self.nxi, self.deg, out)
-
-    def _backend(self):
-        for v in self.c.values():
-            return v.re.space.backend
-        return None
-
-    def scale_minus_half(self) -> "XiPoly":
-        backend = self._backend()
-        if backend is None:
-            return self
-        return self.scale(-(backend.one() / backend.coerce(2)))
+        return XiPoly._make(self.nxi, self.deg, out, self.imag)
 
     def xi_partial(self, a: int) -> "XiPoly":
         out = {}
@@ -235,27 +182,27 @@ class XiPoly:
             w = v.scale(k)
             s = out.get(ne)
             out[ne] = w if s is None else s + w
-        return XiPoly._make(self.nxi, self.deg - 1, out)
+        return XiPoly._make(self.nxi, self.deg - 1, out, self.imag)
 
     def base_partial(self, direction: int) -> "XiPoly":
         return self.map_coeffs(lambda v: v.partial(direction))
 
-    def evaluate(self, xi, space: JetSpace, kr: int, ky: int) -> CJet:
-        """Value at a numeric fibre point (a CJet in the base variables)."""
-        backend = space.backend
-        acc = CJet(space.zero(kr, ky))
+    def evaluate(self, xi, space: JetSpace, kr: int, ky: int) -> Jet:
+        """The real coefficients summed at a rational fibre point: the
+        polynomial's value there, divided by i when ``imag`` is set."""
+        acc = space.zero(kr, ky)
         for e, v in self.c.items():
-            s = backend.one()
+            s = Fraction(1)
             for val, k in zip(xi, e):
                 if k:
-                    s = s * backend.coerce(val) ** k
+                    s = s * rational(val) ** k
             acc = acc + v.scale(s)
         return acc
 
     def __eq__(self, other):
         if not isinstance(other, XiPoly):
             return NotImplemented
-        return (self - other).is_zero
+        return not self._phase_clash(other) and (self - other).is_zero
 
     def __repr__(self):
         if not self.c:
@@ -268,7 +215,7 @@ class XiPoly:
                 if k
             )
             terms.append("(%r)%s" % (self.c[e], "*" + mono if mono else ""))
-        return "XiPoly(%s)" % " + ".join(terms)
+        return "XiPoly(%s%s)" % ("i*" if self.imag else "", " + ".join(terms))
 
 
 class SymbolContext:
@@ -312,7 +259,7 @@ class SymbolContext:
                 val = self.g_upper[a][b]
                 if a != b:
                     val = val.scale(2)
-                coeffs[tuple(e)] = CJet(val)
+                coeffs[tuple(e)] = val
         self.q2 = XiPoly(self.nxi, 2, coeffs)
         self.q2_xi = tuple(self.q2.xi_partial(a) for a in range(self.nxi))
         self._q2_base = {}
@@ -338,8 +285,7 @@ class SymbolContext:
         key = tuple(xi)
         val = self._q2_values.get(key)
         if val is None:
-            cval = self.q2.evaluate(xi, self.space, self.kr, self.ky)
-            val = cval.re
+            val = self.q2.evaluate(xi, self.space, self.kr, self.ky)
             self._q2_values[key] = val
         return val
 
@@ -361,12 +307,6 @@ class SymbolContext:
             for b in range(self.nxi)
         )
 
-    def zero_cjet(self) -> CJet:
-        return CJet(self.space.zero(self.kr, self.ky))
-
-    def one_cjet(self) -> CJet:
-        return CJet(self.space.one(self.kr, self.ky))
-
     # exact polynomial division by q2 (or None if not divisible) -----------
 
     def divide_by_q2(self, poly: XiPoly) -> XiPoly | None:
@@ -380,7 +320,7 @@ class SymbolContext:
         a rational xi-polynomial divisible by q2 at the base point.
         """
         if poly.is_zero:
-            return XiPoly._make(poly.nxi, poly.deg - 2, {})
+            return XiPoly._make(poly.nxi, poly.deg - 2, {}, poly.imag)
         if poly.deg < 2:
             return None
         # necessary conditions from the extreme monomials of a product with
@@ -412,7 +352,7 @@ class SymbolContext:
                     rem.pop(te, None)
                 else:
                     rem[te] = s
-        return XiPoly._make(poly.nxi, poly.deg - 2, {e: v for e, v in quot.items() if not v.is_zero})
+        return XiPoly._make(poly.nxi, poly.deg - 2, {e: v for e, v in quot.items() if not v.is_zero}, poly.imag)
 
     def _lowest_order_divisible(self, poly: XiPoly) -> bool:
         """Necessary condition for q2 | poly, read at the lowest (r, y) order.
@@ -425,29 +365,28 @@ class SymbolContext:
         g^{11} is a unit, and the division builds Q's coefficients from
         poly's by ring operations, so they vanish to order k too.  Hence the
         order-k part of poly is q2(0) times the order-k part of Q, monomial
-        by monomial: for each (r, y) monomial of order k, the real and the
-        imaginary rational xi-polynomials of its coefficients are multiples
-        of q2(0).  Each is tested by long division over the integers: with
+        by monomial: for each (r, y) monomial of order k, the rational
+        xi-polynomial of its coefficients is a multiple of q2(0) (the phase
+        of poly is common to all of them).  Each is tested by long division over the integers: with
         the polynomial scaled to integers and q2(0) to coprime integers,
         Gauss's lemma makes the quotient of an exact division integral, so
         a leading coefficient that q2(0)'s own does not divide refuses too.
         """
         kr, ky = self.kr, self.ky
         for v in poly.c.values():
-            kr = min(kr, v.re.kr, v.im.kr)
-            ky = min(ky, v.re.ky, v.im.ky)
+            kr = min(kr, v.kr)
+            ky = min(ky, v.ky)
         low = None
-        # (monomial key, 0 for re / 1 for im) -> {xi exponent: (numerator, den)}
+        # monomial key -> {xi exponent: (numerator, den)}
         parts: dict = {}
         for e, v in poly.c.items():
-            for part, jet in enumerate((v.re, v.im)):
-                order, terms = jet.lowest_order_terms(kr, ky)
-                if order is None or (low is not None and order > low):
-                    continue
-                if low is None or order < low:
-                    low, parts = order, {}
-                for key, c in terms.items():
-                    parts.setdefault((key, part), {})[e] = (c, jet.den)
+            order, terms = v.lowest_order_terms(kr, ky)
+            if order is None or (low is not None and order > low):
+                continue
+            if low is None or order < low:
+                low, parts = order, {}
+            for key, c in terms.items():
+                parts.setdefault(key, {})[e] = (c, v.den)
         lead, rest = self._q2_at_base()
         for values in parts.values():
             den = math.lcm(*(d for _, d in values.values()))
@@ -477,12 +416,17 @@ class SymbolContext:
         prime, so the integers are coprime."""
         if self._q2_base_point is None:
             lead0 = self.lead_inv.constant_term()  # 1 / g^{11}(0)
-            values = {e: v.re.constant_term() * lead0 for e, v in self.q2.c.items()}
+            values = {e: v.constant_term() * lead0 for e, v in self.q2.c.items()}
             den = math.lcm(*(x.denominator for x in values.values()))
             lead = (2,) + (0,) * (self.nxi - 1)
             rest = [(e, int(x * den)) for e, x in values.items() if x and e != lead]
             self._q2_base_point = (den, rest)
         return self._q2_base_point
+
+
+def _base_value(jet: Jet, imag: bool) -> complex:
+    v = float(jet.constant_term())
+    return complex(0.0, v) if imag else complex(v, 0.0)
 
 
 #: budget value meaning "no truncation restriction" (exact zero tails)
@@ -523,18 +467,16 @@ class HomSymbol:
             )
         if kr is None:
             kr = min(
-                [v.re.kr for poly in (a, b) for v in poly.c.values()],
+                [v.kr for poly in (a, b) for v in poly.c.values()],
                 default=UNRESTRICTED,
             )
         if ky is None:
             ky = min(
-                [v.re.ky for poly in (a, b) for v in poly.c.values()],
+                [v.ky for poly in (a, b) for v in poly.c.values()],
                 default=UNRESTRICTED,
             )
         if kr < UNRESTRICTED or ky < UNRESTRICTED:
-            trunc = lambda v: CJet(
-                v.re.truncated(kr, ky), v.im.truncated(kr, ky)
-            )
+            trunc = lambda v: v.truncated(kr, ky)
             a = a.map_coeffs(trunc)
             b = b.map_coeffs(trunc)
         self.ctx = ctx
@@ -556,19 +498,17 @@ class HomSymbol:
         return cls(ctx, degree, XiPoly(nxi, degree, {}), XiPoly(nxi, degree - 1, {}), 0)
 
     @classmethod
-    def from_jet(cls, ctx: SymbolContext, value) -> "HomSymbol":
-        """Degree-0 symbol given by a Jet or CJet multiplier."""
-        if isinstance(value, Jet):
-            value = CJet(value)
+    def from_jet(cls, ctx: SymbolContext, value: Jet) -> "HomSymbol":
+        """Degree-0 symbol given by a real Jet multiplier."""
         nxi = ctx.nxi
         a = XiPoly(nxi, 0, {(0,) * nxi: value})
-        return cls(ctx, 0, a, XiPoly(nxi, -1, {}), 0, value.re.kr, value.re.ky)
+        return cls(ctx, 0, a, XiPoly(nxi, -1, {}), 0, value.kr, value.ky)
 
     @classmethod
     def xi_norm(cls, ctx: SymbolContext) -> "HomSymbol":
         """w = ||xi'|| as a symbol of degree 1."""
         nxi = ctx.nxi
-        b = XiPoly(nxi, 0, {(0,) * nxi: ctx.one_cjet()})
+        b = XiPoly(nxi, 0, {(0,) * nxi: ctx.space.one(ctx.kr, ctx.ky)})
         return cls(ctx, 1, XiPoly(nxi, 1, {}), b, 0, ctx.kr, ctx.ky)
 
     @classmethod
@@ -576,8 +516,9 @@ class HomSymbol:
         return cls(ctx, 2, ctx.q2, XiPoly(ctx.nxi, 1, {}), 0, ctx.kr, ctx.ky)
 
     @classmethod
-    def linear_form(cls, ctx: SymbolContext, coefficients) -> "HomSymbol":
-        """Degree-1 symbol sum_a c_a xi_a from CJet coefficients."""
+    def linear_form(cls, ctx: SymbolContext, coefficients, imag: bool = False) -> "HomSymbol":
+        """Degree-1 symbol sum_a c_a xi_a from real Jet coefficients, times i
+        when ``imag`` is set."""
         nxi = ctx.nxi
         coeffs = {}
         kr = ky = UNRESTRICTED
@@ -585,9 +526,9 @@ class HomSymbol:
             e = [0] * nxi
             e[a] = 1
             coeffs[tuple(e)] = v
-            kr = min(kr, v.re.kr)
-            ky = min(ky, v.re.ky)
-        return cls(ctx, 1, XiPoly(nxi, 1, coeffs), XiPoly(nxi, 0, {}), 0, kr, ky)
+            kr = min(kr, v.kr)
+            ky = min(ky, v.ky)
+        return cls(ctx, 1, XiPoly(nxi, 1, coeffs, imag), XiPoly(nxi, 0, {}), 0, kr, ky)
 
     # -- canonical form -------------------------------------------------------
 
@@ -680,9 +621,7 @@ class HomSymbol:
 
     def scale(self, factor) -> "HomSymbol":
         kr, ky = self.kr, self.ky
-        if isinstance(factor, CJet):
-            kr, ky = min(kr, factor.re.kr), min(ky, factor.re.ky)
-        elif isinstance(factor, Jet):
+        if isinstance(factor, Jet):
             kr, ky = min(kr, factor.kr), min(ky, factor.ky)
         return HomSymbol(
             self.ctx, self.degree, self.a.scale(factor), self.b.scale(factor), self.p, kr, ky
@@ -692,8 +631,8 @@ class HomSymbol:
         return HomSymbol(
             self.ctx,
             self.degree,
-            self.a.map_coeffs(lambda v: v.times_i()),
-            self.b.map_coeffs(lambda v: v.times_i()),
+            self.a.times_i(),
+            self.b.times_i(),
             self.p,
             self.kr,
             self.ky,
@@ -703,8 +642,8 @@ class HomSymbol:
         return HomSymbol(
             self.ctx,
             self.degree,
-            self.a.map_coeffs(lambda v: v.times_minus_i()),
-            self.b.map_coeffs(lambda v: v.times_minus_i()),
+            self.a.times_minus_i(),
+            self.b.times_minus_i(),
             self.p,
             self.kr,
             self.ky,
@@ -751,8 +690,8 @@ class HomSymbol:
     def div_2b1(self) -> "HomSymbol":
         """Division by twice the principal factor b1 = -w, i.e. multiplication
         by -w/(2 q2)."""
-        na = (self.b * self.ctx.q2).scale_minus_half()
-        nb = self.a.scale_minus_half()
+        na = (self.b * self.ctx.q2).scale(Fraction(-1, 2))
+        nb = self.a.scale(Fraction(-1, 2))
         kr, ky = min(self.kr, self.ctx.kr), min(self.ky, self.ctx.ky)
         return HomSymbol(self.ctx, self.degree - 1, na, nb, self.p + 1, kr, ky).normalized()
 
@@ -776,9 +715,10 @@ class HomSymbol:
 
     # -- evaluation ------------------------------------------------------------
 
-    def eval_pair(self, xi) -> tuple[CJet, CJet]:
-        """(even, odd) parts at a rational fibre point: the symbol value is
-        even + odd * w(xi) with both parts exact jets."""
+    def eval_jets(self, xi) -> tuple[Jet, Jet]:
+        """Real jets (E, O) at a rational fibre point: the symbol value is
+        E + O * w(xi), where E is times i when ``a.imag`` is set and O when
+        ``b.imag`` is."""
         ctx = self.ctx
         kr, ky = min(self.kr, ctx.kr), min(self.ky, ctx.ky)
         av = self.a.evaluate(xi, ctx.space, kr, ky)
@@ -788,22 +728,30 @@ class HomSymbol:
             for _ in range(self.p):
                 av = av * inv
                 bv = bv * inv
-        trunc = lambda v: CJet(v.re.truncated(kr, ky), v.im.truncated(kr, ky))
-        return trunc(av), trunc(bv)
+        return av.truncated(kr, ky), bv.truncated(kr, ky)
+
+    def eval_pair(self, xi) -> tuple[XiPoly, XiPoly]:
+        """(even, odd) parts at a rational fibre point as degree-0
+        polynomials, which carry the phase: the symbol value is
+        even + odd * w(xi)."""
+        ev, od = self.eval_jets(xi)
+        nxi = self.ctx.nxi
+        e0 = (0,) * nxi
+        return XiPoly(nxi, 0, {e0: ev}, self.a.imag), XiPoly(nxi, 0, {e0: od}, self.b.imag)
 
     def eval_at_base(self, xi) -> complex:
         """Numeric value at the base point (r=0, y=0) of the fibre point xi."""
-        av, bv = self.eval_pair(xi)
-        backend = self.ctx.space.backend
-        q2c = backend.to_float(self.ctx.q2_value(xi).constant_term())
-        w = math.sqrt(q2c)
-        return av.constant_complex() + bv.constant_complex() * w
+        ev, od = self.eval_jets(xi)
+        w = math.sqrt(float(self.ctx.q2_value(xi).constant_term()))
+        return _base_value(ev, self.a.imag) + _base_value(od, self.b.imag) * w
 
     def __eq__(self, other):
         if not isinstance(other, HomSymbol):
             return NotImplemented
         self._check(other)
         if self.degree != other.degree:
+            return False
+        if self.a._phase_clash(other.a) or self.b._phase_clash(other.b):
             return False
         return (self - other).is_zero
 
@@ -971,7 +919,6 @@ def compose(f: FormalSymbol, g: FormalSymbol, lowest: int | None = None) -> Form
             g_y[(j2, key)] = sym
         return sym
 
-    backend = ctx.space.backend
     for j1 in f.grades():
         s1 = f.comps[j1]
         if s1.is_zero:
@@ -997,7 +944,7 @@ def compose(f: FormalSymbol, g: FormalSymbol, lowest: int | None = None) -> Form
                         mult = 1
                         for a in set(key):
                             mult *= math.factorial(key.count(a))
-                        term = term.scale(backend.one() / backend.coerce(mult))
+                        term = term.scale(Fraction(1, mult))
                     out[grade].append(term)
     comps = {j: HomSymbol.sum(terms, ctx, j) for j, terms in out.items()}
     return FormalSymbol(ctx, comps, hi, lo, tail_exact)

@@ -12,11 +12,14 @@ from dncalc.serialize import (
     Scenario,
     dn_from_json,
     dn_to_json,
+    homsymbol_from_json,
+    homsymbol_to_json,
     jet_from_json,
     jet_to_json,
 )
-from dncalc.errors import ScenarioError
+from dncalc.errors import DataError, ScenarioError
 from dncalc.jets import JetSpace
+from dncalc.symbols import HomSymbol, XiPoly
 
 
 def write_scenario(tmp_path, raw, name="scenario.json"):
@@ -67,6 +70,35 @@ def test_dn_serialization_roundtrip():
     ):
         back = dn_from_json(dn_to_json(dn))
         assert back.agrees_with(dn)
+
+
+def test_imaginary_polynomial_serialization_roundtrip():
+    metric, _ = random_instance(303)
+    ctx = metric.ctx
+    # i * g^{1b} xi_b over q2, whose even part is imaginary
+    drift = HomSymbol.linear_form(ctx, metric.g_upper[0], imag=True)
+    sym = HomSymbol(ctx, -1, drift.a, XiPoly(ctx.nxi, 0, {}), 1)
+    data = homsymbol_to_json(sym)
+    for term in data["even"]["terms"]:
+        assert term["coeff"]["re"]["terms"] == [] and term["coeff"]["im"]["terms"]
+    back = homsymbol_from_json(ctx, data)
+    assert back.a.imag and back == sym
+
+
+def test_coefficient_with_real_and_imaginary_parts_is_refused():
+    metric, _ = random_instance(304)
+    ctx = metric.ctx
+    one = ctx.space.one(ctx.kr, ctx.ky)
+    data = homsymbol_to_json(HomSymbol.linear_form(ctx, [one] * ctx.nxi))
+    data["even"]["terms"][0]["coeff"]["im"] = jet_to_json(one)
+    with pytest.raises(DataError):
+        homsymbol_from_json(ctx, data)
+    # one real and one imaginary coefficient in one polynomial
+    data = homsymbol_to_json(HomSymbol.linear_form(ctx, [one] * ctx.nxi))
+    coeff = data["even"]["terms"][0]["coeff"]
+    coeff["re"], coeff["im"] = jet_to_json(ctx.space.zero(ctx.kr, ctx.ky)), coeff["re"]
+    with pytest.raises(DataError):
+        homsymbol_from_json(ctx, data)
 
 
 def test_flat_verify_scenario_exits_zero(tmp_path, capsys):

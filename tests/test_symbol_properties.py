@@ -17,7 +17,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dncalc.jets import JetSpace
-from dncalc.symbols import CJet, SymbolContext, XiPoly
+from dncalc.symbols import SymbolContext, XiPoly
 
 SPACES = {n: JetSpace(n) for n in (2, 3, 4)}
 
@@ -64,15 +64,13 @@ SHAPES = {
 
 
 @st.composite
-def cjets(draw, ctx, shape, where=lambda i: True):
+def jets(draw, ctx, shape, where=lambda i: True):
     n, kr, ky = ctx.space.n, ctx.kr, ctx.ky
     allowed = [i for i in slots(n, kr, ky) if SHAPES[shape](i, kr, ky) and where(i)]
     if not allowed:
         allowed = slots(n, kr, ky)
-    indices = st.sampled_from(allowed)
-    re = draw(st.dictionaries(indices, NONZERO, min_size=1, max_size=4))
-    im = draw(st.dictionaries(indices, NONZERO, max_size=2))
-    return CJet(ctx.space.jet(re, kr, ky), ctx.space.jet(im, kr, ky))
+    coeffs = draw(st.dictionaries(st.sampled_from(allowed), NONZERO, min_size=1, max_size=4))
+    return ctx.space.jet(coeffs, kr, ky)
 
 
 def monomials(nxi, deg):
@@ -80,10 +78,14 @@ def monomials(nxi, deg):
 
 
 @st.composite
-def polys(draw, ctx, deg, shape, where=lambda e: True, terms=lambda i: True):
+def polys(draw, ctx, deg, shape, where=lambda e: True, terms=lambda i: True, imag=None):
+    """A polynomial of one phase: real, or i times real coefficients; the
+    phase is drawn unless given."""
     exps = [e for e in monomials(ctx.nxi, deg) if where(e)]
     chosen = draw(st.lists(st.sampled_from(exps), min_size=1, max_size=4, unique=True))
-    return XiPoly(ctx.nxi, deg, {e: draw(cjets(ctx, shape, terms)) for e in chosen})
+    if imag is None:
+        imag = draw(st.booleans())
+    return XiPoly(ctx.nxi, deg, {e: draw(jets(ctx, shape, terms)) for e in chosen}, imag)
 
 
 @given(st.data())
@@ -104,7 +106,8 @@ def test_a_nonzero_remainder_is_refused(data):
     ctx = data.draw(contexts(dimensions=(3, 4)))
     deg = data.draw(st.integers(0, 3))
     q = data.draw(polys(ctx, deg, data.draw(st.sampled_from(sorted(SHAPES)))))
-    r = data.draw(polys(ctx, deg + 2, data.draw(st.sampled_from(sorted(SHAPES))), lambda e: e[0] < 2))
+    shape = data.draw(st.sampled_from(sorted(SHAPES)))
+    r = data.draw(polys(ctx, deg + 2, shape, lambda e: e[0] < 2, imag=q.imag))
     assert ctx.divide_by_q2(q * ctx.q2 + r) is None
 
 
@@ -116,19 +119,23 @@ def test_coefficients_beyond_the_common_orders_change_no_outcome(data):
     hi = data.draw(contexts(min_order=1))
     kr, ky = data.draw(st.integers(0, hi.kr - 1)), data.draw(st.integers(0, hi.ky))
 
-    def truncated(v):
-        return CJet(v.re.truncated(kr, ky), v.im.truncated(kr, ky))
-
     deg = data.draw(st.integers(0, 3))
     q = data.draw(polys(hi, deg, data.draw(st.sampled_from(sorted(SHAPES)))))
-    beyond = data.draw(polys(hi, deg + 2, "any", terms=lambda i: i[0] > kr or sum(i[1:]) > ky))
+    beyond = data.draw(
+        polys(hi, deg + 2, "any", terms=lambda i: i[0] > kr or sum(i[1:]) > ky, imag=q.imag)
+    )
     p = q * hi.q2 + beyond
     if data.draw(st.booleans()):  # lower orders on q2
         ctx = SymbolContext([[g.truncated(kr, ky) for g in row] for row in hi.g_upper])
     else:  # lower orders on some coefficients
         ctx = hi
         low = data.draw(st.sets(st.sampled_from(sorted(p.c)), min_size=1))
-        p = XiPoly(p.nxi, p.deg, {e: truncated(v) if e in low else v for e, v in p.c.items()})
+        p = XiPoly(
+            p.nxi,
+            p.deg,
+            {e: v.truncated(kr, ky) if e in low else v for e, v in p.c.items()},
+            p.imag,
+        )
     with mock.patch.object(SymbolContext, "_lowest_order_divisible", lambda self, poly: True):
         unchecked = ctx.divide_by_q2(p)
     checked = ctx.divide_by_q2(p)

@@ -5,7 +5,7 @@ import pytest
 from dncalc.errors import IncompatibleJetsError
 from dncalc.jets import JetSpace
 from dncalc.scalars import mpq
-from dncalc.symbols import CJet, FormalSymbol, HomSymbol, SymbolContext, XiPoly, compose
+from dncalc.symbols import FormalSymbol, HomSymbol, SymbolContext, XiPoly, compose
 
 
 def euclidean_ctx(n=3, kr=4, ky=3):
@@ -48,31 +48,35 @@ def random_ctx(rng, n=3, kr=4, ky=3):
     return SymbolContext(gu)
 
 
-def random_symbol(rng, ctx, degree, p=1, terms=3):
+def random_symbol(rng, ctx, degree, p=1, terms=3, kind=None):
+    """A random symbol of type ``kind`` (drawn when not given): a coefficient
+    of a degree-d part is real exactly when d + kind is even, as for every
+    symbol of a real operator."""
     sp = ctx.space
     nxi = ctx.nxi
+    if kind is None:
+        kind = rng.randint(0, 1)
 
-    def rand_cjet():
+    def rand_jet():
         coeffs = {}
         for _ in range(2):
             m = rng.randint(0, 2)
             rest = [0] * nxi
             rest[rng.randrange(nxi)] = rng.randint(0, 1)
             coeffs[(m, *rest)] = mpq(rng.randint(-2, 2), rng.randint(1, 2))
-        re = sp.jet(coeffs, ctx.kr, ctx.ky)
-        im = sp.jet({(0,) * sp.n: mpq(rng.randint(-1, 1))}, ctx.kr, ctx.ky)
-        return CJet(re, im)
+        return sp.jet(coeffs, ctx.kr, ctx.ky)
 
     def rand_poly(deg):
+        imag = (deg + kind) % 2 == 1
         if deg < 0:
-            return XiPoly(nxi, deg, {})
+            return XiPoly(nxi, deg, {}, imag)
         coeffs = {}
         for _ in range(terms):
             e = [0] * nxi
             for _ in range(deg):
                 e[rng.randrange(nxi)] += 1
-            coeffs[tuple(e)] = rand_cjet()
-        return XiPoly(nxi, deg, coeffs)
+            coeffs[tuple(e)] = rand_jet()
+        return XiPoly(nxi, deg, coeffs, imag)
 
     return HomSymbol(ctx, degree, rand_poly(degree + 2 * p), rand_poly(degree + 2 * p - 1), p).normalized()
 
@@ -82,8 +86,8 @@ def rand_xi(rng, nxi):
 
 
 def eval_state(sym, xi):
-    ev, od = sym.eval_pair(xi)
-    return (ev.re, ev.im, od.re, od.im)
+    # degree-0 polynomials compare their phases too
+    return sym.eval_pair(xi)
 
 
 def test_normalize_cancels_q2():
@@ -105,8 +109,9 @@ def test_equality_iff_evaluations_agree():
     rng = random.Random(11)
     ctx = random_ctx(rng)
     for _ in range(6):
-        a = random_symbol(rng, ctx, degree=rng.choice([0, 1, -1]))
-        b = random_symbol(rng, ctx, degree=a.degree)
+        kind = rng.randint(0, 1)  # a difference needs one type
+        a = random_symbol(rng, ctx, degree=rng.choice([0, 1, -1]), kind=kind)
+        b = random_symbol(rng, ctx, degree=a.degree, kind=kind)
         samples = [rand_xi(rng, ctx.nxi) for _ in range(20)]
         agree = all(eval_state(a, xi) == eval_state(b, xi) for xi in samples)
         assert agree == ((a - b).is_zero)
@@ -143,7 +148,7 @@ def test_xi_partial_of_norm_euclidean():
         ctx,
         0,
         XiPoly(ctx.nxi, 2, {}),
-        XiPoly(ctx.nxi, 1, {tuple(e1): CJet(-ctx.space.one(ctx.kr, ctx.ky))}),
+        XiPoly(ctx.nxi, 1, {tuple(e1): -ctx.space.one(ctx.kr, ctx.ky)}),
         1,
     )
     assert d == expected
@@ -158,7 +163,7 @@ def test_xi_partial_of_q2():
         # 2 g^{ab} xi_b
         coeffs = []
         for b in range(ctx.nxi):
-            coeffs.append(CJet(ctx.g_upper[a][b].scale(2)))
+            coeffs.append(ctx.g_upper[a][b].scale(2))
         assert d == HomSymbol.linear_form(ctx, coeffs)
 
 
@@ -169,8 +174,8 @@ def test_euler_homogeneity_identity():
         s = random_symbol(rng, ctx, degree)
         acc = HomSymbol.zero(ctx, degree)
         for a in range(ctx.nxi):
-            xi_a = [CJet(ctx.space.zero(ctx.kr, ctx.ky))] * ctx.nxi
-            xi_a[a] = ctx.one_cjet()
+            xi_a = [ctx.space.zero(ctx.kr, ctx.ky)] * ctx.nxi
+            xi_a[a] = ctx.space.one(ctx.kr, ctx.ky)
             acc = acc + HomSymbol.linear_form(ctx, xi_a) * s.xi_partial(a)
         assert acc == s.scale(degree)
 
@@ -185,7 +190,7 @@ def test_base_partial_radial_metric():
     for a in range(nxi):
         e = [0] * nxi
         e[a] = 2
-        coeffs[tuple(e)] = CJet(ctx.space.constant(mpq(-1, 2), ctx.kr, ctx.ky))
+        coeffs[tuple(e)] = ctx.space.constant(mpq(-1, 2), ctx.kr, ctx.ky)
     expected = HomSymbol(ctx, 1, XiPoly(nxi, 3, {}), XiPoly(nxi, 2, coeffs), 1)
     assert d == expected
 
@@ -284,7 +289,8 @@ def test_compose_associativity_to_depth():
     ctx = random_ctx(rng)
     fs = []
     for _ in range(3):
-        comps = {j: random_symbol(rng, ctx, j, p=1, terms=2) for j in (1, 0)}
+        kind = rng.randint(0, 1)  # one type for all grades, as a real operator has
+        comps = {j: random_symbol(rng, ctx, j, p=1, terms=2, kind=kind) for j in (1, 0)}
         fs.append(FormalSymbol(ctx, comps, 1, 0))
     f, g, h = fs
     lhs = compose(compose(f, g), h)
@@ -310,12 +316,12 @@ def test_q2_factor_above_the_base_order_still_normalises():
     # test of the q2 division reads the order-1 terms, q2(0) times those of r X
     rng = random.Random(23)
     ctx = random_ctx(rng)
-    r = CJet(ctx.space.coordinate(0, ctx.kr, ctx.ky))
+    r = ctx.space.coordinate(0, ctx.kr, ctx.ky)
     for _ in range(4):
         x = random_symbol(rng, ctx, degree=rng.choice([0, 1, -1]))
         rx = x.scale(r)
         raw = HomSymbol(ctx, x.degree, ctx.q2 * rx.a, ctx.q2 * rx.b, rx.p + 1)
-        assert all(not v.re.constant_term() for v in raw.a.c.values())
+        assert all(not v.constant_term() for v in raw.a.c.values())
         norm = raw.normalized()
         assert norm.p == raw.p - 1
         assert norm == rx
@@ -323,8 +329,8 @@ def test_q2_factor_above_the_base_order_still_normalises():
 
 def test_divisible_base_point_part_with_indivisible_order_one_part_keeps_p():
     ctx = random_ctx(random.Random(29))
-    nxi, one = ctx.nxi, ctx.one_cjet()
-    r = CJet(ctx.space.coordinate(0, ctx.kr, ctx.ky))
+    nxi, one = ctx.nxi, ctx.space.one(ctx.kr, ctx.ky)
+    r = ctx.space.coordinate(0, ctx.kr, ctx.ky)
     x = XiPoly(nxi, 2, {(2, 0): one})
     y = XiPoly(nxi, 1, {(0, 1): one})
     # q2 * x passes the early test at order 0, and r * xi_2^4 is no multiple
@@ -336,3 +342,36 @@ def test_divisible_base_point_part_with_indivisible_order_one_part_keeps_p():
     # the same remainder at order 0 is refused by the early test itself
     assert not ctx._lowest_order_divisible(ctx.q2 * x + XiPoly(nxi, 4, {(0, 4): one}))
     assert ctx.divide_by_q2(ctx.q2 * y) == y
+
+
+def test_sum_of_unlike_phases_raises():
+    ctx = random_ctx(random.Random(31))
+    nxi, one = ctx.nxi, ctx.space.one(ctx.kr, ctx.ky)
+    real = XiPoly(nxi, 1, {(1, 0): one})
+    imag = XiPoly(nxi, 1, {(0, 1): one}, imag=True)
+    with pytest.raises(IncompatibleJetsError):
+        real + imag
+    with pytest.raises(IncompatibleJetsError):
+        imag - real
+    # zero takes either phase, and unlike phases never compare equal
+    assert real + XiPoly(nxi, 1, {}, imag=True) == real
+    assert real != real.times_i()
+    w = HomSymbol.xi_norm(ctx)
+    with pytest.raises(IncompatibleJetsError):
+        w + w.times_i()
+    assert w != w.times_i()
+
+
+def test_i_times_i_negates():
+    ctx = random_ctx(random.Random(32))
+    x = random_symbol(random.Random(33), ctx, 0).a
+    ix = x.times_i()
+    assert ix.imag != x.imag
+    assert ix * ix == -(x * x) and (ix * ix).imag == (x * x).imag
+    assert ix.times_i() == -x and ix.times_minus_i() == x
+    w = HomSymbol.xi_norm(ctx)
+    assert w.times_i() * w.times_i() == -HomSymbol.q2_symbol(ctx)
+    assert w.times_i() * w.times_minus_i() == HomSymbol.q2_symbol(ctx)
+    # D_y flips the phase: the drift of q1 is i times a real linear form
+    s = random_symbol(random.Random(34), ctx, 1, kind=0)
+    assert s.d_y(0).a.imag != s.a.imag or s.d_y(0).a.is_zero
