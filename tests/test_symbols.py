@@ -375,3 +375,17 @@ def test_i_times_i_negates():
     # D_y flips the phase: the drift of q1 is i times a real linear form
     s = random_symbol(random.Random(34), ctx, 1, kind=0)
     assert s.d_y(0).a.imag != s.a.imag or s.d_y(0).a.is_zero
+
+
+def test_terms_beyond_the_common_orders_do_not_block_a_q2_division():
+    # R's only term, r^(kr+1), lies beyond q2's orders, so Q * q2 + R is Q * q2
+    # in the jets truncated at the common orders; R's monomial xi_2 xi_3^2 is
+    # no monomial of Q * q2, so the long division never touches it
+    ctx = euclidean_ctx(n=4, kr=2, ky=2)
+    sp, nxi, kr, ky = ctx.space, ctx.nxi, ctx.kr, ctx.ky
+    q = XiPoly(nxi, 1, {(1, 0, 0): sp.one(kr, ky), (0, 0, 1): sp.coordinate(1, kr, ky)})
+    r = XiPoly(nxi, 3, {(0, 1, 2): sp.jet({(kr + 1, 0, 0, 0): 1}, kr + 1, ky)})
+    assert ctx.divide_by_q2(q * ctx.q2 + r) == q
+    # the same through normalisation, with budgets above q2's orders
+    raw = HomSymbol(ctx, 1, q * ctx.q2 + r, XiPoly(nxi, 2, {}), 1, kr + 1, ky)
+    assert raw.normalized().p == 0
