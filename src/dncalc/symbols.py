@@ -318,7 +318,17 @@ class SymbolContext:
         the order-k part of poly, for k its lowest (r, y) order, is q2(0)
         times the order-k part of Q, so each of its (r, y) monomials holds
         a rational xi-polynomial divisible by q2 at the base point.
+
+        The division holds in the jets truncated at the common orders of q2
+        and poly's coefficients, so every coefficient is truncated to them
+        first: one the division never touches must not keep terms beyond.
         """
+        kr, ky = self.kr, self.ky
+        for v in poly.c.values():
+            kr = min(kr, v.kr)
+            ky = min(ky, v.ky)
+        if any(v.kr != kr or v.ky != ky for v in poly.c.values()):
+            poly = poly.map_coeffs(lambda v: v.truncated(kr, ky))
         if poly.is_zero:
             return XiPoly._make(poly.nxi, poly.deg - 2, {}, poly.imag)
         if poly.deg < 2:

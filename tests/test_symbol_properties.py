@@ -113,8 +113,8 @@ def test_a_nonzero_remainder_is_refused(data):
 
 @given(st.data())
 def test_coefficients_beyond_the_common_orders_change_no_outcome(data):
-    # the long division truncates what it touches to the lowest orders among
-    # q2 and the coefficients; the early refusal must accept every division
+    # the division truncates every coefficient to the lowest orders among q2
+    # and the coefficients; the early refusal must accept every division
     # that the long division alone completes
     hi = data.draw(contexts(min_order=1))
     kr, ky = data.draw(st.integers(0, hi.kr - 1)), data.draw(st.integers(0, hi.ky))
