@@ -165,3 +165,22 @@ def test_equal_jets_from_different_routes_hash_equal(pair, data):
         assert x == y and y == x
         assert hash(x) == hash(y)
         assert len({x, y}) == 1
+
+
+@settings(max_examples=60)
+@given(singles(), st.fractions(min_value=-3, max_value=3, max_denominator=5).filter(bool))
+def test_series_functions_invert_each_other(single, c):
+    # a jet u vanishing at the base point, and a = c + u with constant term c
+    a0, _, kr, ky = single
+    u = a0 - a0.constant_term()
+    a = u + c
+    assert a * a.reciprocal() == 1 and a.reciprocal().reciprocal() == a
+    assert (a * a).sqrt() == (a if c > 0 else -a)
+    if c > 0:
+        assert (a * a * a).nth_root(3) == a
+    assert u.exp().log() == u
+    one_u = u + 1
+    assert one_u.log().exp() == one_u
+    assert (u.scale(2)).exp() == u.exp() * u.exp()
+    assert (one_u * one_u).log() == one_u.log().scale(2)
+    assert all(x.kr == kr and x.ky == ky for x in (a.reciprocal(), u.exp(), one_u.log()))

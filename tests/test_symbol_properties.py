@@ -11,13 +11,14 @@ loads.
 """
 
 import itertools
+from fractions import Fraction
 from unittest import mock
 
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dncalc.jets import JetSpace
-from dncalc.symbols import SymbolContext, XiPoly
+from dncalc.symbols import HomSymbol, SymbolContext, XiPoly
 
 SPACES = {n: JetSpace(n) for n in (2, 3, 4)}
 
@@ -141,3 +142,132 @@ def test_coefficients_beyond_the_common_orders_change_no_outcome(data):
     checked = ctx.divide_by_q2(p)
     assert (checked is None) == (unchecked is None)
     assert checked is None or checked == unchecked
+
+
+# ---------------------------------------------------------------------------
+# symbol operations against an independent evaluation at the base point
+#
+# A symbol's value at r = 0, y = 0 and a rational fibre point xi is
+# even + odd * w with w = sqrt(q2(0, xi)).  The reference below reads the
+# coefficient jets' constant terms (and, for D_y, their linear y terms) as
+# Fractions, and carries the phases as exact Gaussian rationals (re, im);
+# it shares no code with the symbol arithmetic.
+
+
+def g_add(*zs):
+    return (sum(z[0] for z in zs), sum(z[1] for z in zs))
+
+
+def g_mul(z, u):
+    return (z[0] * u[0] - z[1] * u[1], z[0] * u[1] + z[1] * u[0])
+
+
+def g_scale(z, q):
+    return (z[0] * q, z[1] * q)
+
+
+def read(jet, idx):
+    return jet.c.get(idx, Fraction(0))
+
+
+def poly_value(poly, xi, idx, partial=None):
+    """The polynomial (or its d/d xi_partial) at xi, from the coefficients'
+    terms at the multi-index idx."""
+    total = Fraction(0)
+    for e, jet in poly.c.items():
+        mono = Fraction(read(jet, idx))
+        for a, (x, k) in enumerate(zip(xi, e)):
+            if a == partial:
+                mono *= k * x ** (k - 1) if k else 0
+            else:
+                mono *= x**k
+        total += mono
+    return (Fraction(0), total) if poly.imag else (total, Fraction(0))
+
+
+def q2_value(ctx, xi, idx, partial=None):
+    """q2 = g^{ab} xi_a xi_b (or its d/d xi_partial) from the metric's terms
+    at idx, without the context's own q2 polynomial."""
+    total = Fraction(0)
+    for a in range(ctx.nxi):
+        for b in range(ctx.nxi):
+            g = read(ctx.g_upper[a][b], idx)
+            if partial is None:
+                total += g * xi[a] * xi[b]
+            else:
+                total += g * ((a == partial) * xi[b] + (b == partial) * xi[a])
+    return total
+
+
+def value(sym, xi):
+    """(even, odd) at the base point."""
+    zero = (0,) * sym.ctx.space.n
+    den = q2_value(sym.ctx, xi, zero) ** sym.p
+    return tuple(g_scale(poly_value(part, xi, zero), 1 / den) for part in (sym.a, sym.b))
+
+
+def derivative_value(sym, xi, idx=None, xi_partial=None):
+    """(even, odd) of a first derivative of sym at the base point: by the
+    base variable whose unit multi-index is idx, or by xi_{xi_partial}.
+    From (A + B w) / q2^p and dw = dq2 / (2 w):
+    even' = A' / q2^p - p A dq2 / q2^(p+1) and
+    odd' = B' / q2^p + (1/2 - p) B dq2 / q2^(p+1)."""
+    ctx, p = sym.ctx, sym.p
+    zero = (0,) * ctx.space.n
+    q2 = q2_value(ctx, xi, zero)
+    if xi_partial is None:
+        da, db = (poly_value(part, xi, idx) for part in (sym.a, sym.b))
+        dq2 = q2_value(ctx, xi, idx)
+    else:
+        da, db = (poly_value(part, xi, zero, xi_partial) for part in (sym.a, sym.b))
+        dq2 = q2_value(ctx, xi, zero, xi_partial)
+    a, b = (poly_value(part, xi, zero) for part in (sym.a, sym.b))
+    even = g_add(g_scale(da, 1 / q2**p), g_scale(a, -p * dq2 / q2 ** (p + 1)))
+    odd = g_add(g_scale(db, 1 / q2**p), g_scale(b, (Fraction(1, 2) - p) * dq2 / q2 ** (p + 1)))
+    return even, odd
+
+
+@st.composite
+def symbols(draw, ctx, kind=None):
+    """A homogeneous symbol of type ``kind`` (drawn when not given): a
+    coefficient of a degree-d part is real exactly when d + kind is even."""
+    if kind is None:
+        kind = draw(st.integers(0, 1))
+    degree, p = draw(st.integers(-2, 1)), draw(st.integers(0, 2))
+
+    def part(deg):
+        imag = (deg + kind) % 2 == 1
+        if deg < 0:
+            return XiPoly(ctx.nxi, deg, {}, imag)
+        return draw(polys(ctx, deg, "any", imag=imag))
+
+    return HomSymbol(ctx, degree, part(degree + 2 * p), part(degree + 2 * p - 1), p)
+
+
+FIBRE = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+def fibre_point(data, ctx):
+    return tuple(data.draw(st.lists(FIBRE, min_size=ctx.nxi, max_size=ctx.nxi)))
+
+
+@settings(max_examples=60)
+@given(st.data())
+def test_products_and_derivatives_match_the_evaluation(data):
+    ctx = data.draw(contexts(min_order=1))
+    s, t = data.draw(symbols(ctx)), data.draw(symbols(ctx))
+    xi = fibre_point(data, ctx)
+    q2 = q2_value(ctx, xi, (0,) * ctx.space.n)
+    assume(q2)
+    (se, so), (te, to) = value(s, xi), value(t, xi)
+    # (se + so w)(te + to w) = se te + so to q2 + (se to + so te) w
+    expected = (g_add(g_mul(se, te), g_scale(g_mul(so, to), q2)), g_add(g_mul(se, to), g_mul(so, te)))
+    assert value(s * t, xi) == expected
+    # times -w / (2 q2): (se + so w)(-w / (2 q2)) = -so / 2 - se / (2 q2) w
+    assert value(s.div_2b1(), xi) == (g_scale(so, Fraction(-1, 2)), g_scale(se, -1 / (2 * q2)))
+    for a in range(ctx.nxi):
+        assert value(s.xi_partial(a), xi) == derivative_value(s, xi, xi_partial=a)
+        # D_y = -i d_y, with d_y read from the linear y-terms
+        idx = tuple(int(i == a + 1) for i in range(ctx.space.n))
+        even, odd = derivative_value(s, xi, idx=idx)
+        assert value(s.d_y(a), xi) == (g_mul(even, (0, -1)), g_mul(odd, (0, -1)))
