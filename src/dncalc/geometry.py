@@ -307,7 +307,7 @@ def compute_q_symbols(
             for a in range(nt):
                 acc = acc + metric.g_upper[a][b] * weight.partial(a + 1)
             drift.append(acc)
-        q1 = HomSymbol.linear_form(ctx, drift, imag=True)
+        q1 = HomSymbol.linear_form(ctx, drift).times_i()
         q0 = HomSymbol.zero(ctx, 0)
         return q2, q1, q0
 
@@ -321,7 +321,7 @@ def compute_q_symbols(
     drift = []
     for b in range(nt):
         drift.append(-div[b] + a_up[b].scale(2))
-    q1 = HomSymbol.linear_form(ctx, drift, imag=True)
+    q1 = HomSymbol.linear_form(ctx, drift).times_i()
 
     q0_jet = gauge.potential
     for a in range(nt):

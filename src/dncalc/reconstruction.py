@@ -35,11 +35,9 @@ from dataclasses import dataclass, field
 
 from .dn import DNSymbolData, dn_symbol_gauge, dn_symbol_scalar
 from .errors import DataError, DepthError, ReconstructionError
-from .geometry import BoundaryMetricJet, _det, _inverse
+from .geometry import HALF, BoundaryMetricJet, _det, _inverse
 from .jets import Jet, collar_from_radial_orders
 from .scalars import mpq
-
-HALF = mpq(1, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any
 
 from .dn import DNSymbolData
 from .errors import BackendError, DataError, ScenarioError
 from .geometry import BoundaryMetricJet
 from .jets import Jet, JetSpace
 from .randomgen import random_metric, random_weight
-from .scalars import mpq, rational
+from .scalars import mpq
 from .symbols import FormalSymbol, HomSymbol, SymbolContext, XiPoly
 
 SCHEMA_VERSION = 1
@@ -26,16 +25,6 @@ SCHEMA_VERSION = 1
 
 # ---------------------------------------------------------------------------
 # scalars and jets
-
-
-def scalar_to_json(space: JetSpace, value) -> Any:
-    return str(value)
-
-
-def scalar_from_json(space: JetSpace, data) -> Any:
-    if isinstance(data, str):
-        return mpq(data)
-    return rational(data)
 
 
 def jet_to_json(jet: Jet) -> dict:

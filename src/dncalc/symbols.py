@@ -362,7 +362,8 @@ class SymbolContext:
                     rem.pop(te, None)
                 else:
                     rem[te] = s
-        return XiPoly._make(poly.nxi, poly.deg - 2, {e: v for e, v in quot.items() if not v.is_zero}, poly.imag)
+        quot = {e: v for e, v in quot.items() if not v.is_zero}
+        return XiPoly._make(poly.nxi, poly.deg - 2, quot, poly.imag)
 
     def _lowest_order_divisible(self, poly: XiPoly) -> bool:
         """Necessary condition for q2 | poly, read at the lowest (r, y) order.
@@ -376,8 +377,8 @@ class SymbolContext:
         poly's by ring operations, so they vanish to order k too.  Hence the
         order-k part of poly is q2(0) times the order-k part of Q, monomial
         by monomial: for each (r, y) monomial of order k, the rational
-        xi-polynomial of its coefficients is a multiple of q2(0) (the phase
-        of poly is common to all of them).  Each is tested by long division over the integers: with
+        xi-polynomial of its coefficients (all of one phase) is a multiple
+        of q2(0).  Each is tested by long division over the integers: with
         the polynomial scaled to integers and q2(0) to coprime integers,
         Gauss's lemma makes the quotient of an exact division integral, so
         a leading coefficient that q2(0)'s own does not divide refuses too.
@@ -526,9 +527,8 @@ class HomSymbol:
         return cls(ctx, 2, ctx.q2, XiPoly(ctx.nxi, 1, {}), 0, ctx.kr, ctx.ky)
 
     @classmethod
-    def linear_form(cls, ctx: SymbolContext, coefficients, imag: bool = False) -> "HomSymbol":
-        """Degree-1 symbol sum_a c_a xi_a from real Jet coefficients, times i
-        when ``imag`` is set."""
+    def linear_form(cls, ctx: SymbolContext, coefficients) -> "HomSymbol":
+        """Degree-1 symbol sum_a c_a xi_a from real Jet coefficients."""
         nxi = ctx.nxi
         coeffs = {}
         kr = ky = UNRESTRICTED
@@ -538,7 +538,7 @@ class HomSymbol:
             coeffs[tuple(e)] = v
             kr = min(kr, v.kr)
             ky = min(ky, v.ky)
-        return cls(ctx, 1, XiPoly(nxi, 1, coeffs, imag), XiPoly(nxi, 0, {}), 0, kr, ky)
+        return cls(ctx, 1, XiPoly(nxi, 1, coeffs), XiPoly(nxi, 0, {}), 0, kr, ky)
 
     # -- canonical form -------------------------------------------------------
 

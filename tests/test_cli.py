@@ -76,7 +76,7 @@ def test_imaginary_polynomial_serialization_roundtrip():
     metric, _ = random_instance(303)
     ctx = metric.ctx
     # i * g^{1b} xi_b over q2, whose even part is imaginary
-    drift = HomSymbol.linear_form(ctx, metric.g_upper[0], imag=True)
+    drift = HomSymbol.linear_form(ctx, metric.g_upper[0]).times_i()
     sym = HomSymbol(ctx, -1, drift.a, XiPoly(ctx.nxi, 0, {}), 1)
     data = homsymbol_to_json(sym)
     for term in data["even"]["terms"]:
