@@ -245,7 +245,8 @@ def perturb_component(result: FactorizationResult, grade: int) -> FactorizationR
         e[0] = p - 1
         # solved components have type 0: a degree-d coefficient is real
         # exactly when d is even, so the bump takes that phase
-        odd = XiPoly(nxi, p - 1, {tuple(e): ctx.space.one(ctx.kr, ctx.ky)}, (p - 1) % 2 == 1)
+        imag = (p - 1) % 2 == 1
+        odd = XiPoly(nxi, p - 1, {tuple(e): ctx.space.one(ctx.kr, ctx.ky)}, imag)
         bump = HomSymbol(ctx, grade, XiPoly(nxi, 2 * p + grade, {}), odd, p)
     comps = dict(result.symbol.comps)
     comps[grade] = comps[grade] + bump
