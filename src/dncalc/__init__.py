@@ -19,9 +19,7 @@ from .symbols import FormalSymbol, HomSymbol, SymbolContext, XiPoly, compose
 from .geometry import (
     BoundaryMetricJet,
     GaugeData,
-    ShapeData,
     compute_q_symbols,
-    compute_shape,
     custom_gauge,
     gauge_s,
     gauge_sigma,

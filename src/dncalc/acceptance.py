@@ -45,16 +45,6 @@ class CriterionResult:
     elapsed_seconds: float
 
 
-def _flat_metric(n=3, kr=5, ky=4):
-    sp = JetSpace(n)
-    nt = n - 1
-    rows = [
-        [sp.one(kr, ky) if a == b else sp.zero(kr, ky) for b in range(nt)]
-        for a in range(nt)
-    ]
-    return BoundaryMetricJet(rows)
-
-
 def criterion_1_exact_residuals() -> CriterionResult:
     """25 random rational instances (n=3, orders (5,4), depth 4): the defining
     identity of both factorisations vanishes on every reliable grade."""
@@ -82,7 +72,7 @@ def criterion_2_flat_baseline() -> CriterionResult:
     """Flat metric with zero weight: every subprincipal component vanishes and
     the principal DN observable is -||xi'|| with unit density."""
     start = time.perf_counter()
-    g = _flat_metric()
+    g = BoundaryMetricJet.flat(JetSpace(3), 5, 4)
     v = g.space.zero(5, 4)
     ok = True
     notes = []
@@ -167,7 +157,7 @@ def criterion_5_dichotomy_and_counterexample() -> CriterionResult:
     derivative returns exactly the roots {1, -1}, and the alternate root
     produces a distinct weight with identical gauge DN data on all grades."""
     start = time.perf_counter()
-    g = _flat_metric()
+    g = BoundaryMetricJet.flat(JetSpace(3), 5, 4)
     sp = g.space
     r = sp.coordinate(0, 5, 4)
     v = r + (r * r * r).scale(mpq(1, 6))
@@ -197,8 +187,8 @@ def criterion_5_dichotomy_and_counterexample() -> CriterionResult:
 def criterion_6_known_volume_roundtrips() -> CriterionResult:
     """With the volume known: gauge-pair recovery returns the metric to order
     3 (10 instances, prescribed true d_r V), the scalar recovery returns both
-    jets to order 4 (10 instances), and the weighted-shape trace formula gives
-    d_r V = a on the flat example with V = a r."""
+    jets to order 4 (10 instances), and on the flat example with V = a r it
+    returns d_r V = a."""
     start = time.perf_counter()
     bad = []
     for i in range(10):
@@ -225,14 +215,14 @@ def criterion_6_known_volume_roundtrips() -> CriterionResult:
                 bad.append(("scalar", i, "g", m))
             if rep.weight_orders[m] != weight.radial_derivative_at_zero(m):
                 bad.append(("scalar", i, "V", m))
-    # trace-formula hand example: flat metric, V = a r, n = 3
-    g = _flat_metric()
+    # hand example: flat metric, V = a r, n = 3
+    g = BoundaryMetricJet.flat(JetSpace(3), 5, 4)
     a = mpq(3, 4)
     v = g.space.coordinate(0, 5, 4).scale(a)
     dn = dn_symbol_scalar(g, v, 4)
     rep = recover_with_known_volume_scalar(dn, g.delta, 1)
     if rep.weight_orders[1].constant_term() != a:
-        bad.append(("trace-formula", str(rep.weight_orders[1].constant_term())))
+        bad.append(("flat-example", str(rep.weight_orders[1].constant_term())))
     elapsed = time.perf_counter() - start
     return CriterionResult(
         6,

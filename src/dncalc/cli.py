@@ -129,10 +129,6 @@ def _parse_prescription(text):
 
 def _cmd_reconstruct(args):
     prescribe = _parse_prescription(args.prescribe)
-    if args.prescribe2 is not None:
-        other = _parse_prescription(args.prescribe2)
-        if prescribe and other and set(prescribe) | set(other) == {"d1V", "d2V"}:
-            raise ScenarioError("conflicting prescriptions: give only one of d1V, d2V")
     task = {"kind": "reconstruct", "method": args.method, "order": args.order}
     if prescribe:
         task["prescribe"] = prescribe
@@ -226,7 +222,6 @@ def build_parser():
     )
     p.add_argument("--order", type=int, default=3)
     p.add_argument("--prescribe", help="d1V=<value|true> or d2V=<value|true>")
-    p.add_argument("--prescribe2", help=argparse.SUPPRESS)
     p.set_defaults(fn=_cmd_reconstruct)
 
     p = sub.add_parser(

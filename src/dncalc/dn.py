@@ -47,8 +47,13 @@ class DNSymbolData:
         principal = self.symbol.grade(1)
         if not principal.a.is_zero or principal.p != 0:
             raise DataError("principal symbol must be an odd multiple of ||xi'||")
-        if principal.b.imag and not principal.b.is_zero:
-            raise DataError("principal symbol has an imaginary part")
+        # the phases are fixed by the grade j: the even part A is imaginary
+        # exactly when j is odd, the odd part B exactly when j is even
+        for j in self.symbol.grades():
+            sym = self.symbol.grade(j)
+            for part, imag in ((sym.a, j % 2 == 1), (sym.b, j % 2 == 0)):
+                if part.imag != imag and not part.is_zero:
+                    raise DataError("grade %d of the symbol has the wrong phase" % j)
 
     @property
     def ctx(self) -> SymbolContext:
@@ -67,18 +72,15 @@ class DNSymbolData:
         q2v = self.ctx.q2_value(xi)
         return odd * odd * q2v * self.density_sq
 
-    def grade_ratio_eval(self, j: int, xi) -> tuple[tuple[Jet, Jet], tuple[Jet, Jet]]:
-        """(even, odd) parts of s_j / s_1 at a fibre point, each as its (real,
-        imaginary) jets; density-free and invariant under the representation
-        rescaling."""
+    def grade_ratio_eval(self, j: int, xi) -> tuple[Jet, Jet]:
+        """(even, odd) parts of s_j / s_1 at a fibre point as real jets: the
+        even part is times i when j is even, the odd part when j is odd.
+        Density-free and invariant under the representation rescaling."""
         if j > 1 or j < self.symbol.lo:
             raise DepthError("grade %d not retained (lo=%d)" % (j, self.symbol.lo))
-        sym = self.symbol.grade(j)
-        ev_j, od_j = sym.eval_jets(xi)
+        ev_j, od_j = self.symbol.grade(j).eval_jets(xi)
         inv1 = self._principal_odd(xi).reciprocal()
-        even = od_j * inv1
-        odd = ev_j * inv1 * self.ctx.q2_value(xi).reciprocal()
-        return _real_imag(even, sym.b.imag), _real_imag(odd, sym.a.imag)
+        return od_j * inv1, ev_j * inv1 * self.ctx.q2_value(xi).reciprocal()
 
     def density_ratio_sq(self, other: "DNSymbolData", xi) -> Jet:
         """(O_1 / O_1')^2 for two data sets over the same boundary metric:
@@ -117,11 +119,6 @@ class DNSymbolData:
         return all(
             self.symbol.grade(j) == other.symbol.grade(j) for j in self.symbol.grades()
         )
-
-
-def _real_imag(jet: Jet, imag: bool) -> tuple[Jet, Jet]:
-    zero = jet.space.zero(jet.kr, jet.ky)
-    return (zero, jet) if imag else (jet, zero)
 
 
 def _restrict(symbol: FormalSymbol, metric: BoundaryMetricJet) -> tuple:

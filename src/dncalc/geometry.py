@@ -4,8 +4,8 @@ The metric has the block form dr^2 + g_{ab}(r,y) dy^a dy^b, so only the
 tangential block is stored.  Everything the factorisations consume is
 derived here: the inverse metric, the determinant delta and its logarithmic
 derivatives, the first-order drift coefficients, the zeroth-order potential
-of the Schroedinger form, the gauge potentials of the two distinguished
-trivialisations, and the shape quantities built from d_r g^{ab}.
+of the Schroedinger form, and the gauge potentials of the two distinguished
+trivialisations.
 
 Square roots of delta never appear explicitly: the recursions only need
 logarithmic derivatives of delta, and boundary densities are carried as
@@ -14,7 +14,7 @@ their squares, which keeps the exact rational backend closed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import MetricError
@@ -78,7 +78,6 @@ class BoundaryMetricJet:
         "ky",
         "ctx",
         "_dlog_delta",
-        "_sqrt_delta",
         "_boundary",
     )
 
@@ -107,8 +106,18 @@ class BoundaryMetricJet:
         )
         self.ctx = SymbolContext(self.g_upper)
         self._dlog_delta = {}
-        self._sqrt_delta = None
         self._boundary = None
+
+    @classmethod
+    def flat(cls, space: JetSpace, kr: int, ky: int) -> "BoundaryMetricJet":
+        """The identity block at truncation orders (kr, ky)."""
+        nt = space.n - 1
+        return cls(
+            [
+                [space.one(kr, ky) if a == b else space.zero(kr, ky) for b in range(nt)]
+                for a in range(nt)
+            ]
+        )
 
     @classmethod
     def from_upper(cls, g_upper) -> "BoundaryMetricJet":
@@ -137,15 +146,6 @@ class BoundaryMetricJet:
             self._dlog_delta[direction] = jet
         return jet
 
-    @property
-    def sqrt_delta(self) -> Jet:
-        """Square root of the determinant; in the rational backend this exists
-        only when the constant term is a perfect square (densities are stored
-        squared elsewhere for that reason)."""
-        if self._sqrt_delta is None:
-            self._sqrt_delta = self.delta.sqrt()
-        return self._sqrt_delta
-
     def restricted_to_boundary(self) -> "BoundaryMetricJet":
         if self._boundary is None:
             self._boundary = BoundaryMetricJet(
@@ -162,15 +162,6 @@ class BoundaryMetricJet:
         return BoundaryMetricJet(
             tuple(tuple(j.truncated(kr, ky) for j in row) for row in self.g_lower)
         )
-
-    def trace_upper(self, m_upper) -> Jet:
-        """g_{ab} M^{ab} for a symmetric matrix of jets."""
-        nt = self.n - 1
-        acc = self.space.zero(self.kr, self.ky)
-        for a in range(nt):
-            for b in range(nt):
-                acc = acc + self.g_lower[a][b] * m_upper[a][b]
-        return acc
 
     def divergence_upper(self) -> list:
         """delta^{-1/2} d_a (delta^{1/2} g^{ab}) = d_a g^{ab} + g^{ab} d_a log(delta)/2
@@ -243,10 +234,6 @@ class GaugeData:
     a_tan: tuple
     potential: Jet
     density_sq: Jet
-
-    @property
-    def is_weight_gauge(self) -> bool:
-        return self.tag == "s"
 
 
 def gauge_s(metric: BoundaryMetricJet, weight: Jet) -> GaugeData:
@@ -331,33 +318,3 @@ def compute_q_symbols(
         q0_jet = q0_jet - gauge.a_tan[a] * a_up[a]
     q0 = HomSymbol.from_jet(ctx, q0_jet)
     return q2, q1, q0
-
-
-@dataclass(frozen=True)
-class ShapeData:
-    """First radial derivative of the inverse metric and its trace-adjusted
-    combinations: h^{ab} = d_r g^{ab}, h = g_{ab} h^{ab}, k^{ab} = h^{ab} - h g^{ab},
-    and the weighted variant k~^{ab} = h^{ab} - (h + 2 d_r V) g^{ab}."""
-
-    h_upper: tuple
-    h_trace: Jet
-    k_upper: tuple
-    k_tilde_upper: tuple
-
-
-def compute_shape(metric: BoundaryMetricJet, weight: Jet) -> ShapeData:
-    nt = metric.n - 1
-    h_upper = tuple(
-        tuple(metric.g_upper[a][b].partial(0) for b in range(nt)) for a in range(nt)
-    )
-    h = metric.trace_upper(h_upper)
-    two_dv = weight.partial(0).scale(2)
-    k = tuple(
-        tuple(h_upper[a][b] - h * metric.g_upper[a][b] for b in range(nt))
-        for a in range(nt)
-    )
-    kt = tuple(
-        tuple(h_upper[a][b] - (h + two_dv) * metric.g_upper[a][b] for b in range(nt))
-        for a in range(nt)
-    )
-    return ShapeData(h_upper, h, k, kt)

@@ -2,10 +2,9 @@
 
 Every recovery below consumes only rescale-invariant functions of the data
 (squares of principal observables, ratios of symbol components) and works
-order by order in the radial direction.  A method's boundary stage reads the
-lowest orders off the principal form, the density and the grade-0 shape.
-Then one driver, ``_drive``, takes each further order m: the data grade
-1 - m is affine in the order-m unknowns (the symmetric entries of
+order by order in the radial direction.  A method's boundary stage reads
+order 0 off the principal form and the density.  Then one driver,
+``_drive``, takes each further order m >= 1: the data grade 1 - m is affine in the order-m unknowns (the symmetric entries of
 d_r^m g^{ab}, the scalar d_r^m V, or both), plus one affine row for
 det(g^{ab}) delta = 1 when the volume is known.  The driver solves it by
 forward probes (run the forward model at unit parameter settings and
@@ -35,9 +34,8 @@ from dataclasses import dataclass, field
 
 from .dn import DNSymbolData, dn_symbol_gauge, dn_symbol_scalar
 from .errors import DataError, DepthError, ReconstructionError
-from .geometry import HALF, BoundaryMetricJet, _det, _inverse
+from .geometry import HALF, BoundaryMetricJet, _det
 from .jets import Jet, collar_from_radial_orders
-from .scalars import mpq
 
 
 # ---------------------------------------------------------------------------
@@ -100,11 +98,7 @@ def _fit_quadratic_form(values, nxi: int):
 
 
 def _ratio_vector(dn: DNSymbolData, grade: int, samples) -> list:
-    out = []
-    for xi in samples:
-        ev, od = dn.grade_ratio_eval(grade, xi)
-        out.extend((*ev, *od))
-    return out
+    return [part for xi in samples for part in dn.grade_ratio_eval(grade, xi)]
 
 
 def _magnitude(jets) -> float:
@@ -129,12 +123,6 @@ def _collar_matrix(space, order_mats, kr: int, ky: int):
         ]
         for a in range(nxi)
     ]
-
-
-def _trace(g_lower, m_upper):
-    nxi = len(g_lower)
-    terms = [g_lower[a][b] * m_upper[a][b] for a in range(nxi) for b in range(nxi)]
-    return sum(terms[1:], terms[0])
 
 
 def _check_depth(dn: DNSymbolData, order: int):
@@ -346,24 +334,6 @@ def _density(dn: DNSymbolData, metric: BoundaryMetricJet) -> Jet:
     return psq * (bmetric.ctx.q2_value(xi0) * bmetric.delta).reciprocal()
 
 
-def _grade0_shape(dn: DNSymbolData, g0, weight_orders):
-    """Quadratic form of the grade-0 odd ratio of the data minus that of a
-    radially constant probe (metric g0, the given weight orders), scaled by
-    4 q2^2, and its trace against g_{ab}|0.  The form is -(d_r g^{ab} minus
-    a multiple of g^{ab}), the multiple depending on the data kind."""
-    nxi = dn.n - 1
-    probe = _forward(dn, [g0], weight_orders, 2)
-    vals = []
-    for xi in _samples(nxi):
-        _, (od_d, _) = dn.grade_ratio_eval(0, xi)
-        _, (od_p, _) = probe.grade_ratio_eval(0, xi)
-        q2v = dn.ctx.q2_value(xi)
-        # the shape term is real and lands on the odd part
-        vals.append((od_d - od_p).scale(4) * q2v * q2v)
-    form = _fit_quadratic_form(vals, nxi)
-    return form, _trace(_inverse(g0), form)
-
-
 def _check_pair(dn_s: DNSymbolData, dn_sigma: DNSymbolData):
     if dn_s.map_kind != "lambda1" or dn_s.gauge_tag != "s":
         raise DataError("first data set must be the gauge DN symbol in gauge 's'")
@@ -375,24 +345,22 @@ def _check_pair(dn_s: DNSymbolData, dn_sigma: DNSymbolData):
         raise DataError("boundary recovery needs ambient dimension >= 3")
 
 
-def _boundary_stage(dn_s: DNSymbolData, dn_sigma: DNSymbolData):
-    """Boundary metric, its first radial derivative, and the weight modulo an
-    additive constant, from the two gauge presentations."""
+def _boundary_stage(method: str, dn_s: DNSymbolData, dn_sigma: DNSymbolData):
+    """Metric orders g^{ab}|0 and d_r g^{ab}|0, the weight modulo an additive
+    constant, and delta|0, from the two gauge presentations."""
     _check_pair(dn_s, dn_sigma)
-    n = dn_s.n
-    nxi = n - 1
+    _check_depth(dn_sigma, 1)
     # squared principal observable in the flat gauge is the form delta*g^{ab}
     g0, delta0 = _boundary_metric(dn_sigma)
     # weight modulo constant from the ratio of principal squares
-    rho = dn_s.density_ratio_sq(dn_sigma, _samples(nxi)[0])
+    rho = dn_s.density_ratio_sq(dn_sigma, _samples(dn_s.n - 1)[0])
     v0 = _weight_from_density(rho, True)
-    # first radial derivative: against a radially constant probe the
-    # difference is -k^{ab} xi_a xi_b / (4 q2 w); invert k = h^{ab} - h g^{ab}
-    # through its trace (2-n) h
-    k, ktrace = _grade0_shape(dn_sigma, g0, [])
-    h_trace = ktrace.scale(mpq(1, 2 - n))
-    h_mat = [[k[a][b] + h_trace * g0[a][b] for b in range(nxi)] for a in range(nxi)]
-    return g0, h_mat, v0, delta0
+    # order 1 from grade 0 of the flat-gauge data, which the weight does not
+    # enter, so the probes run with a zero weight
+    metric_orders = [g0]
+    zero_weight = dn_sigma.ctx.space.zero(dn_sigma.depth + 1, dn_sigma.boundary_metric.ky)
+    _drive(method, dn_sigma, metric_orders, zero_weight, 1, 1)
+    return metric_orders, v0, delta0
 
 
 # ---------------------------------------------------------------------------
@@ -404,21 +372,19 @@ def recover_first_order(
 ) -> ReconstructionReport:
     """Boundary values g^{ab}|0, d_r g^{ab}|0 and the weight modulo an
     additive constant, from the two gauge presentations of the DN symbol."""
-    g0, h_mat, v0, _delta0 = _boundary_stage(dn_s, dn_sigma)
+    metric_orders, v0, _delta0 = _boundary_stage("first_order", dn_s, dn_sigma)
     report = ReconstructionReport(
         method="first_order",
-        metric_orders=[g0, h_mat],
+        metric_orders=metric_orders,
         weight_orders=[v0],
         weight_normalization="modulo_constant",
     )
     # re-synthesise the consumed grades from the recovered data; the
     # flat-gauge principal square carries no weight and must match as is
     res = report.residuals
-    space, ky = dn_s.ctx.space, dn_s.boundary_metric.ky
-    metric = BoundaryMetricJet.from_upper(_collar_matrix(space, [g0, h_mat], 3, ky))
-    resn_s = _resynthesise(dn_s, metric, [v0], 1, res, "_s")
+    resn_s = _resynthesise(dn_s, metric_orders, [v0], 1, res, "_s")
     resn_sigma = _resynthesise(
-        dn_sigma, metric, [v0], 1, res, "_sigma", "principal_sigma"
+        dn_sigma, metric_orders, [v0], 1, res, "_sigma", "principal_sigma"
     )
     # the density ratio between the gauges matches modulo the unrecoverable
     # additive constant of the weight, so compare it normalised
@@ -595,7 +561,6 @@ class IndistinguishableWeight:
     weight: Jet
     alternate_root: Jet
     dn_matches: bool
-    grades_checked: tuple
 
 
 def construct_indistinguishable_weight(
@@ -623,21 +588,11 @@ def construct_indistinguishable_weight(
         weight=weight_alt,
         alternate_root=alt.root,
         dn_matches=dn_alt.agrees_with(dn_true),
-        grades_checked=(1, 2 - depth),
     )
 
 
 # ---------------------------------------------------------------------------
 # known-volume variants
-
-
-def _delta_boundary_data(delta_known: Jet):
-    """Boundary jets derived from a known determinant: delta|0, h = -d_r log
-    delta|0 and the drift E0 = h/2."""
-    d0 = delta_known.restricted_to_boundary()
-    d1 = delta_known.partial(0).restricted_to_boundary()
-    h = -(d1 * d0.reciprocal())
-    return d0, h, h.scale(HALF)
 
 
 def recover_with_known_volume_gauge(
@@ -657,15 +612,16 @@ def recover_with_known_volume_gauge(
         raise DepthError("joint recovery starts at order 2")
     kind, value = _prescribed(prescription, dn_sigma)
 
-    g0, h_mat, v0, delta0_data = _boundary_stage(dn_s, dn_sigma)
-    d0, h, e0 = _delta_boundary_data(delta_known)
+    metric_orders, v0, delta0_data = _boundary_stage("volume_gauge", dn_s, dn_sigma)
+    d0 = delta_known.restricted_to_boundary()
     if delta0_data != d0:
         raise DataError("known volume disagrees with the determinant in the data")
+    # the boundary drift E0 = -d_r log delta|0 / 2
+    e0 = (delta_known.partial(0).restricted_to_boundary() * d0.reciprocal()).scale(-HALF)
 
     # order 2: solve (M2, w) jointly in the flat gauge, w the second radial
     # derivative of a probe weight with d_r V = 0; it carries the zeroth-order
     # potential theta = -w/2
-    metric_orders = [g0, h_mat]
     probe_weight = [v0, dn_s.ctx.space.zero(0, dn_sigma.boundary_metric.ky)]
     _drive("volume_gauge", dn_sigma, metric_orders, probe_weight, 2, 2, delta_known)
     theta = probe_weight[2].scale(-HALF)
@@ -702,8 +658,7 @@ def recover_with_known_volume_scalar(
     if n < 3:
         raise DataError("joint recovery needs ambient dimension >= 3")
     _check_depth(dn, order)
-    nxi = n - 1
-    d0, h, e0 = _delta_boundary_data(delta_known)
+    d0 = delta_known.restricted_to_boundary()
 
     # order 0: the squared principal form is delta e^{-2V} g^{ab}; its
     # determinant with delta known isolates the weight factor
@@ -713,24 +668,11 @@ def recover_with_known_volume_scalar(
         dpow = dpow * d0
     e_weight = det_form * dpow.reciprocal()  # e^{-2(n-1)V}|0
     e_m2v = e_weight.nth_root(n - 1)
-    v0 = _weight_from_density(e_m2v, False)
-    g0 = _divided(nform, d0 * e_m2v)
+    metric_orders = [_divided(nform, d0 * e_m2v)]
+    weight_orders = [_weight_from_density(e_m2v, False)]
 
-    # order 1: shape route via the grade-0 difference against a radially
-    # constant probe; the difference is -(h^{ab} - (h + 2 d_rV) g^{ab})
-    # xi xi / (4 q2 w), whose trace the known volume unlocks
-    ktilde, kt_trace = _grade0_shape(dn, g0, [v0])
-    # d_r V = -(ktilde_trace + (n-2) h) / (2(n-1))
-    v1 = (kt_trace + h.scale(n - 2)).scale(mpq(-1, 2 * (n - 1)))
-    h_mat = [
-        [ktilde[a][b] + (h + v1.scale(2)) * g0[a][b] for b in range(nxi)]
-        for a in range(nxi)
-    ]
-    metric_orders = [g0, h_mat]
-    weight_orders = [v0, v1]
-
-    # deeper orders: joint linear solves with the determinant constraint
-    _drive("volume_scalar", dn, metric_orders, weight_orders, 2, order, delta_known)
+    # every further order: joint linear solves with the determinant constraint
+    _drive("volume_scalar", dn, metric_orders, weight_orders, 1, order, delta_known)
     report = ReconstructionReport(
         method="volume_scalar",
         metric_orders=metric_orders,

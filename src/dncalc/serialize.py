@@ -242,16 +242,14 @@ class Scenario:
     def _parse_metric(self, spec) -> BoundaryMetricJet:
         sp = self.space
         nt = self.n - 1
+        flat = BoundaryMetricJet.flat(sp, self.kr, self.ky)
         if spec == "flat":
-            rows = [
-                [sp.one(self.kr, self.ky) if a == b else sp.zero(self.kr, self.ky) for b in range(nt)]
-                for a in range(nt)
-            ]
-            return BoundaryMetricJet(rows)
+            return flat
         if spec == "random":
             return random_metric(self._rng(), sp, self.kr, self.ky)
         if isinstance(spec, dict):
-            rows = [[None] * nt for _ in range(nt)]
+            # entries the table leaves out are those of the identity
+            rows = [list(row) for row in flat.g_lower]
             for key, rec in spec.items():
                 try:
                     a, b = (int(x) for x in key.split(","))
@@ -264,12 +262,6 @@ class Scenario:
                 jet = jet_from_json(sp, rec)
                 rows[a - 1][b - 1] = jet
                 rows[b - 1][a - 1] = jet
-            for a in range(nt):
-                for b in range(nt):
-                    if rows[a][b] is None:
-                        rows[a][b] = (
-                            sp.one(self.kr, self.ky) if a == b else sp.zero(self.kr, self.ky)
-                        )
             return BoundaryMetricJet(rows)
         raise ScenarioError("metric must be 'flat', 'random' or a coefficient table")
 

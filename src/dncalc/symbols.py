@@ -633,9 +633,13 @@ class HomSymbol:
         kr, ky = self.kr, self.ky
         if isinstance(factor, Jet):
             kr, ky = min(kr, factor.kr), min(ky, factor.ky)
-        return HomSymbol(
+        out = HomSymbol(
             self.ctx, self.degree, self.a.scale(factor), self.b.scale(factor), self.p, kr, ky
-        ).normalized()
+        )
+        # a nonzero rational creates or removes no q2 factor
+        if isinstance(factor, Jet) or not factor:
+            return out.normalized()
+        return out
 
     def times_i(self) -> "HomSymbol":
         return HomSymbol(

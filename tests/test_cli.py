@@ -101,6 +101,19 @@ def test_coefficient_with_real_and_imaginary_parts_is_refused():
         homsymbol_from_json(ctx, data)
 
 
+def test_dn_data_with_a_wrong_phase_is_refused():
+    # grade 0's even part is real; written as purely imaginary it is refused
+    metric, weight = random_instance(305)
+    data = dn_to_json(dn_symbol_scalar(metric, weight, 3))
+    terms = data["grades"]["0"]["even"]["terms"]
+    assert terms
+    for term in terms:
+        coeff = term["coeff"]
+        coeff["re"], coeff["im"] = dict(coeff["re"], terms=[]), coeff["re"]
+    with pytest.raises(DataError):
+        dn_from_json(data)
+
+
 def test_flat_verify_scenario_exits_zero(tmp_path, capsys):
     raw = flat_scenario([{"kind": "factorize", "mode": "scalar", "verify": True}])
     path = write_scenario(tmp_path, raw)
@@ -234,21 +247,6 @@ def test_reconstruct_subcommand_two_branches(tmp_path, capsys):
     assert code == 0, report
     assert len(task["branches"]) == 2
     assert task["checks"]["truth_among_branches"]
-
-
-def test_conflicting_prescriptions_rejected():
-    code = main(
-        [
-            "reconstruct",
-            "--method",
-            "weight-gauge",
-            "--prescribe",
-            "d1V=true",
-            "--prescribe2",
-            "d2V=0",
-        ]
-    )
-    assert code == 2
 
 
 def test_validate_disk_subcommand(tmp_path):

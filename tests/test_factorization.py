@@ -20,13 +20,7 @@ KR, KY = 5, 4
 
 
 def flat_metric(n=3, kr=KR, ky=KY):
-    sp = JetSpace(n)
-    nt = n - 1
-    rows = [
-        [sp.one(kr, ky) if a == b else sp.zero(kr, ky) for b in range(nt)]
-        for a in range(nt)
-    ]
-    return BoundaryMetricJet(rows)
+    return BoundaryMetricJet.flat(JetSpace(n), kr, ky)
 
 
 def test_flat_factorizations_vanish_below_principal():

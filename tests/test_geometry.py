@@ -6,7 +6,6 @@ from dncalc.errors import MetricError
 from dncalc.geometry import (
     BoundaryMetricJet,
     compute_q_symbols,
-    compute_shape,
     gauge_s,
     gauge_sigma,
     gradient_square,
@@ -27,13 +26,7 @@ def space(n=3):
 
 
 def flat_metric(sp=None, kr=KR, ky=KY):
-    sp = sp or space()
-    nt = sp.n - 1
-    rows = [
-        [sp.one(kr, ky) if a == b else sp.zero(kr, ky) for b in range(nt)]
-        for a in range(nt)
-    ]
-    return BoundaryMetricJet(rows)
+    return BoundaryMetricJet.flat(sp or space(), kr, ky)
 
 
 def random_metric(rng, sp=None, kr=KR, ky=KY):
@@ -232,49 +225,27 @@ def test_gauge_difference_vanishes_for_radial_weight():
         assert q0s == q0o
 
 
-def test_shape_flat():
-    g = flat_metric()
-    shape = compute_shape(g, g.space.zero(KR, KY))
-    assert shape.h_trace.is_zero
-    for row in shape.k_tilde_upper:
-        for jet in row:
-            assert jet.is_zero
-
-
-def test_shape_weighted_example():
-    g = flat_metric()
-    a = mpq(7, 3)
-    v = g.space.coordinate(0, KR, KY).scale(a)
-    shape = compute_shape(g, v)
+def radial_trace(g):
+    """h = g_{ab} d_r g^{ab}, the trace of the first radial derivative."""
     nt = g.n - 1
-    for i in range(nt):
-        for j in range(nt):
-            expected = g.space.constant(-2 * a if i == j else 0, KR - 1, KY)
-            assert shape.k_tilde_upper[i][j] == expected
-    trace = g.trace_upper(shape.k_tilde_upper)
-    assert trace == g.space.constant(-2 * a * nt, KR - 1, KY)
+    terms = [
+        g.g_lower[a][b] * g.g_upper[a][b].partial(0) for a in range(nt) for b in range(nt)
+    ]
+    return sum(terms[1:], terms[0])
 
 
 def test_h_equals_twice_drift_random():
     rng = random.Random(25)
     for _ in range(6):
         g = random_metric(rng)
-        shape = compute_shape(g, g.space.zero(KR, KY))
-        assert shape.h_trace == radial_drift(g).scale(2)
+        assert radial_trace(g) == radial_drift(g).scale(2)
 
 
 def test_dlog_delta_two_ways():
     rng = random.Random(26)
     for _ in range(6):
         g = random_metric(rng)
-        direct = g.dlog_delta(0)
-        via_trace = -g.trace_upper(
-            tuple(
-                tuple(g.g_upper[a][b].partial(0) for b in range(g.n - 1))
-                for a in range(g.n - 1)
-            )
-        )
-        assert direct == via_trace
+        assert g.dlog_delta(0) == -radial_trace(g)
 
 
 def test_gradient_and_laplacian_flat():

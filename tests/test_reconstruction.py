@@ -1,7 +1,9 @@
+from dataclasses import replace
+
 import pytest
 
 from dncalc.dn import dn_symbol_gauge, dn_symbol_scalar
-from dncalc.errors import DataError, ReconstructionError
+from dncalc.errors import DataError, DepthError, ReconstructionError
 from dncalc.geometry import BoundaryMetricJet, radial_drift
 from dncalc.jets import JetSpace
 from dncalc.randomgen import random_instance
@@ -16,19 +18,14 @@ from dncalc.reconstruction import (
     solve_linear_jets,
 )
 from dncalc.scalars import mpq
+from dncalc.symbols import FormalSymbol, HomSymbol, XiPoly
 
 
 KR, KY = 5, 4
 
 
 def flat_metric(n=3, kr=KR, ky=KY):
-    sp = JetSpace(n)
-    nt = n - 1
-    rows = [
-        [sp.one(kr, ky) if a == b else sp.zero(kr, ky) for b in range(nt)]
-        for a in range(nt)
-    ]
-    return BoundaryMetricJet(rows)
+    return BoundaryMetricJet.flat(JetSpace(n), kr, ky)
 
 
 def assert_jet_equal(a, b):
@@ -306,8 +303,9 @@ def test_volume_scalar_roundtrip():
 
 
 def test_volume_scalar_trace_formula_hand_example():
-    # flat metric, V = a r, n = 3: the weighted shape trace is -4a, the
-    # unweighted one 0, so d_r V = -(-4a + 0)/4 = a
+    # flat metric, V = a r, n = 3: grade 0 sees d_r g^{ab} - (h + 2 d_r V) g^{ab}
+    # with h = g_{ab} d_r g^{ab}, and the determinant row pins h = 0, so the
+    # order-1 solve must return d_r V = a and a radially constant metric
     g = flat_metric()
     a = mpq(5, 7)
     v = g.space.coordinate(0, KR, KY).scale(a)
@@ -318,6 +316,65 @@ def test_volume_scalar_trace_formula_hand_example():
     for i in range(nt):
         for j in range(nt):
             assert rep.metric_orders[1][i][j].is_zero
+
+
+@pytest.mark.parametrize(
+    "seed, tangentially_constant", [(41, True), (301, False)], ids=["y-free", "general"]
+)
+def test_n4_order_one_through_the_driver(seed, tangentially_constant):
+    # n = 4, orders (4,3), depth 3: order 1 of the gauge pair and of the
+    # joint scalar recovery is a probe solve like every deeper order
+    metric, weight = random_instance(
+        seed, n=4, kr=4, ky=3, tangentially_constant=tangentially_constant
+    )
+    dn_s = dn_symbol_gauge(metric, weight, 3, "s")
+    dn_sig = dn_symbol_gauge(metric, weight, 3, "sigma")
+    truth = true_metric_orders(metric, 2)
+    first = recover_first_order(dn_s, dn_sig)
+    for m in range(2):
+        assert_matrix_equal(first.metric_orders[m], truth[m])
+    assert_jet_equal(first.weight_orders[0], weight.restricted_to_boundary())
+    assert all(v == 0.0 for v in first.residuals.values())
+    v1 = weight.radial_derivative_at_zero(1)
+    gauge = recover_with_known_volume_gauge(dn_s, dn_sig, metric.delta, ("d1V", v1), 2)
+    for m in range(3):
+        assert_matrix_equal(gauge.metric_orders[m], truth[m])
+        assert_jet_equal(
+            gauge.branches[0].weight_orders[m], weight.radial_derivative_at_zero(m)
+        )
+    scalar = recover_with_known_volume_scalar(
+        dn_symbol_scalar(metric, weight, 3), metric.delta, 2
+    )
+    for m in range(3):
+        assert_matrix_equal(scalar.metric_orders[m], truth[m])
+        assert_jet_equal(scalar.weight_orders[m], weight.radial_derivative_at_zero(m))
+    assert all(v == 0.0 for v in scalar.residuals.values())
+
+
+def test_first_order_needs_depth_two():
+    metric, weight = random_instance(205)
+    dn_s = dn_symbol_gauge(metric, weight, 1, "s")
+    dn_sig = dn_symbol_gauge(metric, weight, 1, "sigma")
+    with pytest.raises(DepthError):
+        recover_first_order(dn_s, dn_sig)
+
+
+def test_first_order_reads_the_even_part_of_grade_zero():
+    # i xi_1 w / q2 added to grade 0 of the flat-gauge data lands on the even
+    # part of the grade-0 ratio, which no metric can produce at order 1
+    metric, weight = random_instance(5)
+    dn_s = dn_symbol_gauge(metric, weight, 3, "s")
+    dn_sig = dn_symbol_gauge(metric, weight, 3, "sigma")
+    ctx, nxi = dn_sig.ctx, dn_sig.ctx.nxi
+    one = ctx.space.one(ctx.kr, ctx.ky)
+    bump = HomSymbol(ctx, 0, XiPoly(nxi, 2, {}), XiPoly(nxi, 1, {(1, 0): one}, True), 1)
+    sym = dn_sig.symbol
+    comps = dict(sym.comps)
+    comps[0] = comps[0] + bump
+    bumped = replace(dn_sig, symbol=FormalSymbol(ctx, comps, sym.hi, sym.lo))
+    with pytest.raises(ReconstructionError) as info:
+        recover_first_order(dn_s, bumped)
+    assert str(info.value).startswith("first_order: order 1 (grade 0): ")
 
 
 def test_gauge_pair_validation():
