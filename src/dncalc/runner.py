@@ -226,8 +226,8 @@ RECONSTRUCT = {
         lambda data, sc, task, order: recover_with_known_volume_gauge(
             *data, sc.metric.delta, _prescription(sc, task), order
         ),
-        ("recovered_metric", "branches"),
-        ("metric_orders", "truth_among_branches"),
+        ("recovered_metric", "branches", "extras"),
+        ("metric_orders", "branches", "truth_among_branches"),
     ),
     "volume-scalar": _Method(
         ("lambda0",),

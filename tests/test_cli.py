@@ -338,6 +338,8 @@ def test_volume_gauge_without_real_roots_fails_its_task(tmp_path):
         "metric_order_0": True,
         "metric_order_1": True,
         "metric_order_2": True,
+        "has_branches": False,
+        "branches_sound": True,
         "truth_among_branches": False,
     }
 
