@@ -4,17 +4,18 @@ Every recovery below consumes only rescale-invariant functions of the data
 (squares of principal observables, ratios of symbol components) and works
 order by order in the radial direction.  A method's boundary stage reads
 order 0 off the principal form and the density.  Then one driver,
-``_drive``, takes each further order m >= 1: the data grade 1 - m is affine in the order-m unknowns (the symmetric entries of
-d_r^m g^{ab}, the scalar d_r^m V, or both), plus one affine row for
-det(g^{ab}) delta = 1 when the volume is known.  The driver solves it by
-forward probes (run the forward model at unit parameter settings and
-difference) rather than hand-derived remainder formulas, so a transcription
-slip in a remainder cannot silently corrupt an inversion; exact arithmetic
-makes the probes lossless.  A failed solve names the method, order and grade.
+``_drive``, takes every order m >= 1: the data grade 1 - m is affine in the
+order-m unknowns (the symmetric entries of d_r^m g^{ab}, the scalar
+d_r^m V, or both), plus one affine row for det(g^{ab}) delta = 1 when the
+volume is known.  The driver solves it by forward probes (run the forward
+model at unit parameter settings and difference) rather than hand-derived
+remainder formulas, so a transcription slip in a remainder cannot silently
+corrupt an inversion; exact arithmetic makes the probes lossless.  A failed
+solve names the method, order and grade.
 
-The one non-affine step: in the gauge-theoretic problem with the metric
-known, the first and second radial derivatives of the weight enter one grade
-jointly through the combination
+The one non-affine step: in the gauge-theoretic problem, the first and
+second radial derivatives of the weight enter one grade jointly through the
+combination
 
     (d_r V)^2 / 4 + E0 d_r V / 2 - d_r^2 V / 2        (E0 the boundary drift)
 
@@ -358,8 +359,8 @@ def _boundary_stage(method: str, dn_s: DNSymbolData, dn_sigma: DNSymbolData):
     # order 1 from grade 0 of the flat-gauge data, which the weight does not
     # enter, so the probes run with a zero weight
     metric_orders = [g0]
-    zero_weight = dn_sigma.ctx.space.zero(dn_sigma.depth + 1, dn_sigma.boundary_metric.ky)
-    _drive(method, dn_sigma, metric_orders, zero_weight, 1, 1)
+    zero = dn_sigma.ctx.space.zero(dn_sigma.depth + 1, dn_sigma.boundary_metric.ky)
+    _drive(method, dn_sigma, metric_orders, zero, 1, 1)
     return metric_orders, v0, delta0
 
 
