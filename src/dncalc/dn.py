@@ -18,10 +18,19 @@ sqrt(density_sq); the factorisation is not canonical, so honest consumers
 only use rescale-invariant combinations: squares of components times
 density_sq, and ratios of components.  ``rescaled`` realises the gauge
 freedom so invariance is testable.
+
+Inside a ``shared_forward_runs`` block, a forward run whose exact inputs
+(gauge tag, depth, and the representation of the weight and of every metric
+entry) repeat an earlier run of the same block returns the earlier
+DNSymbolData instead of factorising again.  The runner opens one block per
+scenario run, so every task of a scenario reads one DN data set of each kind,
+and probe runs that two recoveries have in common run once.  Outside any
+block every call factorises.
 """
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, replace
 
 from .errors import DataError, DepthError
@@ -126,8 +135,54 @@ def _restrict(symbol: FormalSymbol, metric: BoundaryMetricJet) -> tuple:
     return symbol.restricted_to_boundary(bmetric.ctx), bmetric
 
 
+#: forward runs of the innermost open shared_forward_runs block, keyed on
+#: their exact inputs; None outside every block
+_shared_runs = None
+
+
+@contextlib.contextmanager
+def shared_forward_runs():
+    """Share forward runs on equal exact inputs while the block is open.  The
+    block starts with no runs and restores the enclosing block's on exit, so
+    nothing it holds outlives it."""
+    global _shared_runs
+    outer, _shared_runs = _shared_runs, {}
+    try:
+        yield
+    finally:
+        _shared_runs = outer
+
+
+def _exact(jet: Jet) -> tuple:
+    # not the Jet itself: equality aligns truncation orders, so a jet equals
+    # its truncation, and the hash is the constant term only
+    return jet.space, jet.kr, jet.ky, jet.den, frozenset(jet.num.items())
+
+
+def _shared(run, metric: BoundaryMetricJet, weight: Jet, depth: int, *gauge_tag):
+    """run(metric, weight, depth, *gauge_tag), or inside a
+    shared_forward_runs block the block's earlier result on the same exact
+    inputs."""
+    if _shared_runs is None:
+        return run(metric, weight, depth, *gauge_tag)
+    key = (
+        gauge_tag,
+        depth,
+        _exact(weight),
+        tuple(_exact(entry) for row in metric.g_lower for entry in row),
+    )
+    data = _shared_runs.get(key)
+    if data is None:
+        data = _shared_runs[key] = run(metric, weight, depth, *gauge_tag)
+    return data
+
+
 def dn_symbol_scalar(metric: BoundaryMetricJet, weight: Jet, depth: int) -> DNSymbolData:
     """Boundary symbol of the scalar DN map with density e^{-V} sqrt(delta)."""
+    return _shared(_dn_scalar, metric, weight, depth)
+
+
+def _dn_scalar(metric: BoundaryMetricJet, weight: Jet, depth: int) -> DNSymbolData:
     result = factorize_scalar(metric, weight, depth)
     sym, bmetric = _restrict(result.symbol, metric)
     density_sq = (weight.scale(-2).exp() * metric.delta).restricted_to_boundary()
@@ -139,6 +194,12 @@ def dn_symbol_gauge(
 ) -> DNSymbolData:
     """Boundary symbol of the gauge DN map in one of the two distinguished
     trivialisations."""
+    return _shared(_dn_gauge, metric, weight, depth, gauge_tag)
+
+
+def _dn_gauge(
+    metric: BoundaryMetricJet, weight: Jet, depth: int, gauge_tag: str
+) -> DNSymbolData:
     if gauge_tag == "s":
         gauge = gauge_s(metric, weight)
     elif gauge_tag == "sigma":

@@ -4,8 +4,10 @@ Each task runs against the scenario's geometry and produces a JSON-ready
 record with a status: "pass" (ran and every check held), "fail" (ran but a
 check was violated) or "error" (could not run, e.g. a truncation budget too
 small for the requested depth).  Reconstruction tasks are round trips: the
-forward DN data is generated from the scenario's metric and weight, inverted,
-and compared against the truth.
+forward DN data of the scenario's metric and weight is inverted and compared
+against the truth.  A serial scenario run shares its
+forward runs (``dn.shared_forward_runs``), so the tasks read one DN data set
+of each kind, and probe runs repeated across tasks run once.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 from . import __version__
 from .diskcheck import RadialProblem, asymptotic_compare
-from .dn import dn_symbol_gauge, dn_symbol_scalar
+from .dn import dn_symbol_gauge, dn_symbol_scalar, shared_forward_runs
 from .errors import DnCalcError, ScenarioError
 from .factorization import factorize_gauge, factorize_scalar, verify_residual
 from .geometry import gauge_s, gauge_sigma
@@ -300,6 +302,10 @@ def _run_single(raw: dict, index: int) -> dict:
 
 
 def run_scenario(scenario: Scenario, digest: str, parallel: bool = False) -> dict:
+    """Run every task of the scenario into one report.  Serially, the tasks
+    share forward runs inside one ``shared_forward_runs`` block, which ends
+    with the call.  With ``parallel`` each task runs in a worker process of
+    its own and shares nothing; its records equal the serial ones."""
     report = {
         "schema_version": SCHEMA_VERSION,
         "provenance": {
@@ -320,7 +326,8 @@ def run_scenario(scenario: Scenario, digest: str, parallel: bool = False) -> dic
             ]
             tasks = [f.result() for f in futures]
     else:
-        tasks = [run_task(scenario, task, i) for i, task in enumerate(scenario.tasks)]
+        with shared_forward_runs():
+            tasks = [run_task(scenario, task, i) for i, task in enumerate(scenario.tasks)]
     report["tasks"] = tasks
     report["status"] = (
         "pass" if all(t["status"] == "pass" for t in tasks) else "fail"
