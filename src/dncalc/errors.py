@@ -35,7 +35,13 @@ class DataError(DnCalcError):
 
 
 class ReconstructionError(DnCalcError):
-    """An inversion step degenerated (singular pivot, no real root, ...)."""
+    """An inversion step degenerated (singular pivot, no real root, ...).
+    When an order-by-order solve failed, ``method``, ``order`` and ``grade``
+    name it; otherwise they are None."""
+
+    def __init__(self, message, method=None, order=None, grade=None):
+        super().__init__(message)
+        self.method, self.order, self.grade = method, order, grade
 
 
 class ScenarioError(DnCalcError):

@@ -253,7 +253,8 @@ def _drive(method: str, dn: DNSymbolData, metric, weight, start: int, order: int
             sol = solve_linear_jets(rows, nparams)
         except ReconstructionError as exc:
             raise ReconstructionError(
-                "%s: order %d (grade %d): %s" % (method, m, grade, exc)
+                "%s: order %d (grade %d): %s" % (method, m, grade, exc),
+                method, m, grade,
             ) from exc
         if entries:
             metric.append(_matrix_from_entries(entries, sol, nxi))

@@ -3,9 +3,10 @@
 Each task runs against the scenario's geometry and produces a JSON-ready
 record with a status: "pass" (ran and every check held), "fail" (ran but a
 check was violated) or "error" (could not run, e.g. a truncation budget too
-small for the requested depth).  Reconstruction tasks are round trips: the
-forward DN data of the scenario's metric and weight is inverted and compared
-against the truth.  A serial scenario run shares its
+small for the requested depth); an error from a failed order-by-order solve
+also names its method, order and grade under "failure".  Reconstruction tasks
+are round trips: the forward DN data of the scenario's metric and weight is
+inverted and compared against the truth.  A serial scenario run shares its
 forward runs (``dn.shared_forward_runs``), so the tasks read one DN data set
 of each kind, and probe runs repeated across tasks run once.
 """
@@ -19,7 +20,7 @@ from concurrent.futures import ProcessPoolExecutor
 from . import __version__
 from .diskcheck import RadialProblem, asymptotic_compare
 from .dn import dn_symbol_gauge, dn_symbol_scalar, shared_forward_runs
-from .errors import DnCalcError, ScenarioError
+from .errors import DnCalcError, ReconstructionError, ScenarioError
 from .factorization import factorize_gauge, factorize_scalar, verify_residual
 from .geometry import gauge_s, gauge_sigma
 from .reconstruction import (
@@ -68,6 +69,10 @@ def run_task(scenario: Scenario, task: dict, index: int) -> dict:
     except DnCalcError as exc:
         record["status"] = "error"
         record["error"] = "%s: %s" % (type(exc).__name__, exc)
+        if isinstance(exc, ReconstructionError) and exc.order is not None:
+            record["failure"] = {
+                "method": exc.method, "order": exc.order, "grade": exc.grade
+            }
     return record
 
 
