@@ -6,9 +6,9 @@ check was violated) or "error" (could not run, e.g. a truncation budget too
 small for the requested depth); an error from a failed order-by-order solve
 also names its method, order and grade under "failure".  Reconstruction tasks
 are round trips: the forward DN data of the scenario's metric and weight is
-inverted and compared against the truth.  A serial scenario run shares its
-forward runs (``dn.shared_forward_runs``), so the tasks read one DN data set
-of each kind, and probe runs repeated across tasks run once.
+inverted and compared against the truth.  A serial scenario run shares its forward runs
+(``dn.shared_forward_runs``): its tasks read one DN data set of each kind, and
+a probe run that several tasks make runs once.
 """
 
 from __future__ import annotations
@@ -309,8 +309,8 @@ def _run_single(raw: dict, index: int) -> dict:
 def run_scenario(scenario: Scenario, digest: str, parallel: bool = False) -> dict:
     """Run every task of the scenario into one report.  Serially, the tasks
     share forward runs inside one ``shared_forward_runs`` block, which ends
-    with the call.  With ``parallel`` each task runs in a worker process of
-    its own and shares nothing; its records equal the serial ones."""
+    with the call.  With ``parallel`` each task runs in a pool worker outside
+    any block, so tasks share nothing; the records equal the serial ones."""
     report = {
         "schema_version": SCHEMA_VERSION,
         "provenance": {

@@ -6,7 +6,8 @@ import pytest
 from dncalc.cli import main
 from dncalc.dn import dn_symbol_gauge, dn_symbol_scalar
 from dncalc.randomgen import random_instance
-from dncalc.runner import RECONSTRUCT
+from dncalc.geometry import BoundaryMetricJet
+from dncalc.runner import RECONSTRUCT, run_scenario
 from dncalc.serialize import (
     RECONSTRUCTION_METHODS,
     Scenario,
@@ -283,6 +284,16 @@ def test_parallel_flag(tmp_path):
     assert [t["status"] for t in report["tasks"]] == ["pass", "pass"]
 
 
+def test_parallel_records_equal_serial_ones(tmp_path):
+    # parallel tasks share no forward runs, serial ones do; the golden
+    # scenario has weight-gauge, volume-gauge and counterexample tasks
+    path = os.path.join(DATA, "golden-reconstruct.json")
+    serial, parallel = str(tmp_path / "serial.json"), str(tmp_path / "parallel.json")
+    assert main(["run", path, "-o", serial]) == 0
+    assert main(["run", path, "-o", parallel, "--parallel"]) == 0
+    assert read_report(parallel)["tasks"] == read_report(serial)["tasks"]
+
+
 def test_float_backend_scenario_exits_two(tmp_path, capsys):
     raw = flat_scenario([{"kind": "factorize", "mode": "scalar"}])
     raw["backend"] = "float"
@@ -309,6 +320,21 @@ def test_reconstruct_report_matches_golden(tmp_path):
             return [line for line in fh if '"generated_at"' not in line]
 
     assert lines(out) == lines(os.path.join(DATA, "golden-reconstruct.report.json"))
+
+
+def test_a_scenario_run_factorises_each_distinct_forward_run_once(factorisations):
+    # 78 calls of dn_symbol_* make the golden report, 50 of them distinct;
+    # a second run starts with nothing shared, and neither does a call after
+    with open(os.path.join(DATA, "golden-reconstruct.json")) as fh:
+        scenario = Scenario(json.load(fh))
+    counts = []
+    for _ in range(2):
+        before = factorisations[0]
+        run_scenario(scenario, "golden")
+        counts.append(factorisations[0] - before)
+    assert counts == [50, 50]
+    dn_symbol_scalar(scenario.metric, scenario.weight, scenario.depth)
+    assert factorisations[0] == 101
 
 
 def test_runner_table_covers_every_reconstruct_method():
@@ -373,3 +399,37 @@ def test_reconstruct_checks_compare_against_the_truth(monkeypatch, tmp_path):
         "weight_order_1": False,
         "weight_order_2": True,
     }
+
+
+def test_failed_solve_is_named_in_the_task_record(monkeypatch, tmp_path):
+    # the recovery runs against a metric wrong in its r^1 coefficient, so
+    # the driver's solve at order 1 (grade 0) turns inconsistent
+    import dncalc.runner as runner
+
+    recover = runner.recover_weight_scalar
+
+    def off_metric(dn, metric, order):
+        rows = [list(row) for row in metric.g_lower]
+        rows[0][0] = rows[0][0] + metric.space.coordinate(0, metric.kr, metric.ky)
+        return recover(dn, BoundaryMetricJet(rows), order)
+
+    monkeypatch.setattr(runner, "recover_weight_scalar", off_metric)
+    raw = flat_scenario(
+        [
+            {"kind": "reconstruct", "method": "weight-scalar", "order": 2},
+            {"kind": "dn", "map": "lambda0"},
+        ],
+        depth=3,
+        kr=4,
+        ky=3,
+    )
+    path = write_scenario(tmp_path, raw)
+    out = str(tmp_path / "report.json")
+    assert main(["run", path, "-o", out]) == 1
+    failed, passed = read_report(out)["tasks"]
+    assert failed["status"] == "error"
+    assert failed["error"].startswith(
+        "ReconstructionError: weight_scalar: order 1 (grade 0): "
+    )
+    assert failed["failure"] == {"method": "weight_scalar", "order": 1, "grade": 0}
+    assert passed["status"] == "pass" and "failure" not in passed

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from dncalc.dn import dn_symbol_gauge, dn_symbol_scalar
+from dncalc.dn import dn_symbol_gauge, dn_symbol_scalar, shared_forward_runs
 from dncalc.errors import DataError
 from dncalc.factorization import factorize_scalar
 from dncalc.jets import JetSpace
@@ -121,3 +121,47 @@ def test_bad_gauge_tag_rejected():
     metric, weight = random_instance(36)
     with pytest.raises(DataError):
         dn_symbol_gauge(metric, weight, 4, "tau")
+
+
+def test_shared_runs_key_on_the_exact_inputs(factorisations):
+    metric, weight = random_instance(37)
+    truncated = weight.truncated(weight.kr - 1, weight.ky)
+    assert truncated == weight  # equal jets, different representations
+    other = JetSpace(3, "p1")
+    with shared_forward_runs():
+        first = dn_symbol_scalar(metric, weight, 2)
+        assert dn_symbol_scalar(metric, weight, 2) is first
+        assert factorisations[0] == 1
+        dn_symbol_scalar(metric, truncated, 2)
+        dn_symbol_scalar(metric, weight, 3)
+        dn_symbol_gauge(metric, weight, 2, "s")
+        dn_symbol_gauge(metric, weight, 2, "sigma")
+        assert factorisations[0] == 5
+        assert dn_symbol_gauge(metric, weight, 2, "s").gauge_tag == "s"
+        # the same flat metric and zero weight over another base point
+        dn_symbol_scalar(flat_metric(), flat_metric().space.zero(KR, KY), 2)
+        dn_symbol_scalar(
+            BoundaryMetricJet.flat(other, KR, KY), other.zero(KR, KY), 2
+        )
+        assert factorisations[0] == 7
+
+
+def test_shared_runs_end_with_their_block(factorisations):
+    metric, weight = random_instance(38)
+    dn_symbol_scalar(metric, weight, 2)
+    dn_symbol_scalar(metric, weight, 2)
+    assert factorisations[0] == 2  # outside a block every call runs
+    with shared_forward_runs():
+        outer = dn_symbol_scalar(metric, weight, 2)
+        with shared_forward_runs():
+            inner = dn_symbol_scalar(metric, weight, 2)
+        assert inner is not outer and factorisations[0] == 4
+        assert dn_symbol_scalar(metric, weight, 2) is outer
+        with pytest.raises(DataError):
+            with shared_forward_runs():
+                dn_symbol_scalar(metric, weight, 2)
+                dn_symbol_gauge(metric, weight, 2, "tau")
+        assert dn_symbol_scalar(metric, weight, 2) is outer
+    assert factorisations[0] == 5
+    dn_symbol_scalar(metric, weight, 2)
+    assert factorisations[0] == 6

@@ -375,6 +375,8 @@ def test_first_order_reads_the_even_part_of_grade_zero():
     with pytest.raises(ReconstructionError) as info:
         recover_first_order(dn_s, bumped)
     assert str(info.value).startswith("first_order: order 1 (grade 0): ")
+    failure = info.value
+    assert (failure.method, failure.order, failure.grade) == ("first_order", 1, 0)
 
 
 def test_gauge_pair_validation():
