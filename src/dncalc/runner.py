@@ -4,11 +4,11 @@ Each task runs against the scenario's geometry and produces a JSON-ready
 record with a status: "pass" (ran and every check held), "fail" (ran but a
 check was violated) or "error" (could not run, e.g. a truncation budget too
 small for the requested depth); an error from a failed order-by-order solve
-also names its method, order and grade under "failure".  Reconstruction tasks
-are round trips: the forward DN data of the scenario's metric and weight is
-inverted and compared against the truth.  A serial scenario run shares its forward runs
-(``dn.shared_forward_runs``): its tasks read one DN data set of each kind, and
-a probe run that several tasks make runs once.
+also names its method, order and grade under "failure".  Reconstruction
+tasks are round trips: the forward DN data of the scenario's metric and
+weight is inverted and compared against the truth.  A serial scenario run
+shares its forward runs (``dn.shared_forward_runs``): its tasks read one DN
+data set of each kind, and a probe run that several tasks make runs once.
 """
 
 from __future__ import annotations
@@ -332,7 +332,9 @@ def run_scenario(scenario: Scenario, digest: str, parallel: bool = False) -> dic
             tasks = [f.result() for f in futures]
     else:
         with shared_forward_runs():
-            tasks = [run_task(scenario, task, i) for i, task in enumerate(scenario.tasks)]
+            tasks = [
+                run_task(scenario, task, i) for i, task in enumerate(scenario.tasks)
+            ]
     report["tasks"] = tasks
     report["status"] = (
         "pass" if all(t["status"] == "pass" for t in tasks) else "fail"
