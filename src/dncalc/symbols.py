@@ -486,7 +486,7 @@ class HomSymbol:
                 [v.ky for poly in (a, b) for v in poly.c.values()],
                 default=UNRESTRICTED,
             )
-        if kr < UNRESTRICTED or ky < UNRESTRICTED:
+        if any(v.kr > kr or v.ky > ky for poly in (a, b) for v in poly.c.values()):
             trunc = lambda v: v.truncated(kr, ky)
             a = a.map_coeffs(trunc)
             b = b.map_coeffs(trunc)
@@ -497,6 +497,14 @@ class HomSymbol:
         self.b = b
         self.kr = kr
         self.ky = ky
+
+    def _like(self, a: XiPoly, b: XiPoly) -> "HomSymbol":
+        """This symbol's degree, power and budgets with parts that already
+        fit them (a sign or phase change of its own)."""
+        out = object.__new__(HomSymbol)
+        out.ctx, out.degree, out.p, out.a, out.b = self.ctx, self.degree, self.p, a, b
+        out.kr, out.ky = self.kr, self.ky
+        return out
 
     def _budgets_with(self, other: "HomSymbol"):
         return min(self.kr, other.kr), min(self.ky, other.ky)
@@ -616,7 +624,7 @@ class HomSymbol:
         return HomSymbol(self.ctx, self.degree, x.a + y.a, x.b + y.b, p, kr, ky).normalized()
 
     def __neg__(self):
-        return HomSymbol(self.ctx, self.degree, -self.a, -self.b, self.p, self.kr, self.ky)
+        return self._like(-self.a, -self.b)
 
     def __sub__(self, other):
         return self + (-other)
@@ -642,26 +650,10 @@ class HomSymbol:
         return out
 
     def times_i(self) -> "HomSymbol":
-        return HomSymbol(
-            self.ctx,
-            self.degree,
-            self.a.times_i(),
-            self.b.times_i(),
-            self.p,
-            self.kr,
-            self.ky,
-        )
+        return self._like(self.a.times_i(), self.b.times_i())
 
     def times_minus_i(self) -> "HomSymbol":
-        return HomSymbol(
-            self.ctx,
-            self.degree,
-            self.a.times_minus_i(),
-            self.b.times_minus_i(),
-            self.p,
-            self.kr,
-            self.ky,
-        )
+        return self._like(self.a.times_minus_i(), self.b.times_minus_i())
 
     # -- calculus -----------------------------------------------------------------
 
