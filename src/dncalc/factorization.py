@@ -50,23 +50,7 @@ class _Recursion:
         self.drift = drift
         self.a_r = a_r
         self.comps: dict[int, HomSymbol] = {}
-        self._xi: dict = {}
-        self._dy: dict = {}
         self._ar_dy: dict = {}
-
-    def xi_deriv(self, j: int, key: tuple) -> HomSymbol:
-        sym = self._xi.get((j, key))
-        if sym is None:
-            sym = self.comps[j] if not key else self.xi_deriv(j, key[:-1]).xi_partial(key[-1])
-            self._xi[(j, key)] = sym
-        return sym
-
-    def dy_deriv(self, j: int, key: tuple) -> HomSymbol:
-        sym = self._dy.get((j, key))
-        if sym is None:
-            sym = self.comps[j] if not key else self.dy_deriv(j, key[:-1]).d_y(key[-1])
-            self._dy[(j, key)] = sym
-        return sym
 
     def ar_deriv(self, key: tuple) -> tuple[Jet, bool]:
         """D_y^K a_r as a real jet and whether it is times i."""
@@ -102,14 +86,14 @@ class _Recursion:
         bg = self.comps.get(gamma)
         if bg is not None and not bg.is_zero:
             terms.append(-bg.scale(self.drift))
-            terms.append(bg.base_partial(0))
+            terms.append(bg.d_r())
         if self.a_r is not None:
             for k in range(1, 1 - gamma + 1):
                 m = gamma + k
                 if m not in self.comps:
                     continue
                 for key in combinations_with_replacement(range(nxi), k):
-                    left = self.xi_deriv(m, key)
+                    left = self.comps[m].xi_derivative(key)
                     if left.is_zero:
                         continue
                     right, imag = self.ar_deriv(key)
@@ -123,10 +107,10 @@ class _Recursion:
                 if k < 0:
                     continue
                 for key in combinations_with_replacement(range(nxi), k):
-                    left = self.xi_deriv(m, key)
+                    left = self.comps[m].xi_derivative(key)
                     if left.is_zero:
                         continue
-                    right = self.dy_deriv(l, key)
+                    right = self.comps[l].dy_derivative(key)
                     if right.is_zero:
                         continue
                     term = left * right

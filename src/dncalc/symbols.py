@@ -34,6 +34,15 @@ its coefficients.  Products XOR the flags, i * i negates, D_y = -i d_y flips
 the flag, and a sum of two nonzero polynomials with unlike flags raises
 IncompatibleJetsError: the operators' reality is a checked invariant.
 
+Derivatives.  Symbols are immutable, so each HomSymbol memoises its first
+derivatives d_xi_a, D_y^a and d_r, keyed by operation and direction, and
+``xi_derivative``/``dy_derivative`` walk a multi-index one memoised step at
+a time.  A chain the factorisation recursion formed is a string of lookups
+when the verifier's ``compose`` asks for it again; the public ``xi_partial``
+and ``base_partial`` always compute.  The verifier shares only these values:
+every product, the K-sum with its 1/K! factors, the grade sums and the
+normalisation it still forms itself.
+
 A FormalSymbol is a graded family of homogeneous symbols on a contiguous
 range of degrees; the asymptotic composition
 
@@ -454,7 +463,7 @@ class HomSymbol:
     pruned, silently overstating the precision of later sums.
     """
 
-    __slots__ = ("ctx", "degree", "p", "a", "b", "kr", "ky")
+    __slots__ = ("ctx", "degree", "p", "a", "b", "kr", "ky", "_derivs")
 
     def __init__(
         self,
@@ -497,13 +506,14 @@ class HomSymbol:
         self.b = b
         self.kr = kr
         self.ky = ky
+        self._derivs = {}
 
     def _like(self, a: XiPoly, b: XiPoly) -> "HomSymbol":
         """This symbol's degree, power and budgets with parts that already
         fit them (a sign or phase change of its own)."""
         out = object.__new__(HomSymbol)
         out.ctx, out.degree, out.p, out.a, out.b = self.ctx, self.degree, self.p, a, b
-        out.kr, out.ky = self.kr, self.ky
+        out.kr, out.ky, out._derivs = self.kr, self.ky, {}
         return out
 
     def _budgets_with(self, other: "HomSymbol"):
@@ -693,6 +703,32 @@ class HomSymbol:
         """D_{y^a} = -i d/dy^a (tangential direction a is jet direction a+1)."""
         return self.base_partial(a + 1).times_minus_i()
 
+    def _derivative(self, name: str, direction: int) -> "HomSymbol":
+        """The first derivative ``getattr(self, name)(direction)``,
+        computed once per symbol."""
+        sym = self._derivs.get((name, direction))
+        if sym is None:
+            sym = self._derivs[name, direction] = getattr(self, name)(direction)
+        return sym
+
+    def xi_derivative(self, key) -> "HomSymbol":
+        """d_xi^K for the directions in ``key``, one memoised step each."""
+        sym = self
+        for a in key:
+            sym = sym._derivative("xi_partial", a)
+        return sym
+
+    def dy_derivative(self, key) -> "HomSymbol":
+        """D_y^K for the directions in ``key``, one memoised step each."""
+        sym = self
+        for a in key:
+            sym = sym._derivative("d_y", a)
+        return sym
+
+    def d_r(self) -> "HomSymbol":
+        """d/dr, memoised like xi_derivative."""
+        return self._derivative("base_partial", 0)
+
     def div_2b1(self) -> "HomSymbol":
         """Division by twice the principal factor b1 = -w, i.e. multiplication
         by -w/(2 q2)."""
@@ -817,7 +853,7 @@ class FormalSymbol:
         return FormalSymbol(self.ctx, out, self.hi, self.lo, te)
 
     def d_r(self) -> "FormalSymbol":
-        return self.map_components(lambda s: s.base_partial(0))
+        return self.map_components(HomSymbol.d_r)
 
     def scale_jet(self, jet) -> "FormalSymbol":
         return self.map_components(lambda s: s.scale(jet))
@@ -901,30 +937,6 @@ def compose(f: FormalSymbol, g: FormalSymbol, lowest: int | None = None) -> Form
     tail_exact = f.tail_exact and g.tail_exact and lowest is not None
 
     nxi = ctx.nxi
-    # cache per-component derivative chains
-    f_x: dict = {}
-    g_y: dict = {}
-
-    def xi_deriv(j1, key):
-        sym = f_x.get((j1, key))
-        if sym is None:
-            if not key:
-                sym = f.comps[j1]
-            else:
-                sym = xi_deriv(j1, key[:-1]).xi_partial(key[-1])
-            f_x[(j1, key)] = sym
-        return sym
-
-    def y_deriv(j2, key):
-        sym = g_y.get((j2, key))
-        if sym is None:
-            if not key:
-                sym = g.comps[j2]
-            else:
-                sym = y_deriv(j2, key[:-1]).d_y(key[-1])
-            g_y[(j2, key)] = sym
-        return sym
-
     for j1 in f.grades():
         s1 = f.comps[j1]
         if s1.is_zero:
@@ -939,10 +951,10 @@ def compose(f: FormalSymbol, g: FormalSymbol, lowest: int | None = None) -> Form
                 if grade > hi:
                     continue
                 for key in combinations_with_replacement(range(nxi), k):
-                    left = xi_deriv(j1, key)
+                    left = s1.xi_derivative(key)
                     if left.is_zero:
                         continue
-                    right = y_deriv(j2, key)
+                    right = s2.dy_derivative(key)
                     if right.is_zero:
                         continue
                     term = left * right

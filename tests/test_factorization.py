@@ -1,9 +1,11 @@
 import time
+from dataclasses import replace
 
 import pytest
 
 from dncalc.errors import BudgetExhaustedError, DepthError
 from dncalc.factorization import (
+    _defining_expression,
     factorize_gauge,
     factorize_scalar,
     perturb_component,
@@ -193,3 +195,77 @@ def test_early_refusal_of_q2_divisions_changes_no_symbol(monkeypatch):
             for j in res.symbol.grades():
                 s, t = res.symbol.grade(j), ref.symbol.grade(j)
                 assert s.p == t.p and s.a == t.a and s.b == t.b
+
+
+def y_dependent_n4_instance():
+    """A sparse n = 4 instance at orders (KR, KY): the metric depends on y2
+    and y3, the weight on y1, and d_r V != 0, so gauge s has a_r != 0."""
+    sp = JetSpace(4)
+    one, zero = sp.one(KR, KY), sp.zero(KR, KY)
+    r, y1, y2, y3 = (sp.coordinate(i, KR, KY) for i in range(4))
+    g01 = (r * y3).scale(mpq(1, 3))
+    rows = [
+        [one + r.scale(mpq(1, 2)), g01, zero],
+        [g01, one - (r * y2).scale(mpq(1, 2)), zero],
+        [zero, zero, one + (r * r).scale(mpq(1, 4))],
+    ]
+    weight = r + (r * y1).scale(mpq(1, 2)) - (r * r).scale(mpq(1, 3))
+    return BoundaryMetricJet(rows), weight
+
+
+def rebuilt(sym):
+    """A new symbol from the same parts and budgets, so its memo is empty."""
+    return HomSymbol(sym.ctx, sym.degree, sym.a, sym.b, sym.p, sym.kr, sym.ky)
+
+
+def test_the_verifier_reuses_the_derivative_chains_of_the_solver(monkeypatch):
+    # the recursion has formed every d_xi chain the verifier's composition
+    # needs, on the same component objects.  The verifier still computes
+    # d_r of the lowest grade and, in gauge s, the D_y chains (|K| <= 2) of
+    # the a_r symbol, which the recursion forms on jets
+    metric, weight = y_dependent_n4_instance()
+    results = {
+        "scalar": factorize_scalar(metric, weight, 4),
+        "gauge": factorize_gauge(metric, gauge_s(metric, weight), 4, weight=weight),
+    }
+    calls = {}
+    for name in ("xi_partial", "base_partial"):
+        orig = getattr(HomSymbol, name)
+
+        def counted(self, direction, _orig=orig, _name=name):
+            calls[_name] += 1
+            return _orig(self, direction)
+
+        monkeypatch.setattr(HomSymbol, name, counted)
+    expected = {
+        "scalar": {"xi_partial": 0, "base_partial": 1},
+        "gauge": {"xi_partial": 0, "base_partial": 1 + 9},
+    }
+    for mode, res in results.items():
+        calls.update(xi_partial=0, base_partial=0)
+        assert verify_residual(res) is None
+        assert calls == expected[mode]
+
+
+@pytest.mark.parametrize("mode", ["scalar", "gauge"])
+def test_n4_fault_detection_at_every_determined_grade(mode):
+    # the first verification fills the derivative memos of every component.
+    # A perturbed component is a new symbol and must not read the memo of
+    # the one it replaces.  The verifier reports only the highest violated
+    # grade, so every grade of the identity is compared with the one over
+    # rebuilt components, whose memos are empty.  Only the grade -1 bump has
+    # derivatives that reach a verified grade: the grade 0 bump is constant,
+    # and those of the grade -2 bump enter below the verified range
+    metric, weight = y_dependent_n4_instance()
+    if mode == "scalar":
+        res = factorize_scalar(metric, weight, 4)
+    else:
+        gauge = gauge_s(metric, weight)
+        assert not gauge.a_r.is_zero
+        res = factorize_gauge(metric, gauge, 4, weight=weight)
+    assert verify_residual(res) is None
+    for grade in (0, -1, -2):
+        assert verify_residual(perturb_component(res, grade)) == grade
+    bad = perturb_component(res, -1)
+    fresh = replace(bad, symbol=bad.symbol.map_components(rebuilt))
+    assert _defining_expression(bad) == _defining_expression(fresh)

@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -389,3 +390,32 @@ def test_terms_beyond_the_common_orders_do_not_block_a_q2_division():
     # the same through normalisation, with budgets above q2's orders
     raw = HomSymbol(ctx, 1, q * ctx.q2 + r, XiPoly(nxi, 2, {}), 1, kr + 1, ky)
     assert raw.normalized().p == 0
+
+
+def rebuilt(sym):
+    """A new symbol from the same parts and budgets, so its memo is empty."""
+    return HomSymbol(sym.ctx, sym.degree, sym.a, sym.b, sym.p, sym.kr, sym.ky)
+
+
+def test_memoised_derivative_chains_equal_fresh_ones():
+    # every chain of length <= 3, in every order of its directions, walks the
+    # memo of each symbol on the way; the reference rebuilds the symbol before
+    # each step, so it never reads a memo
+    rng = random.Random(43)
+    ctx = random_ctx(rng, n=4)
+    keys = [key for k in (1, 2, 3) for key in product(range(ctx.nxi), repeat=k)]
+    for kind, p in ((0, 1), (1, 1), (0, 2), (1, 2)):
+        sym = random_symbol(rng, ctx, degree=rng.choice([0, -1]), p=p, kind=kind)
+        assert sym.p >= 1
+        for chain, step in (("xi_derivative", "xi_partial"), ("dy_derivative", "d_y")):
+            for key in keys:
+                got = getattr(sym, chain)(key)
+                ref = sym
+                for a in key:
+                    ref = getattr(rebuilt(ref), step)(a)
+                assert (got.p, got.kr, got.ky) == (ref.p, ref.kr, ref.ky)
+                assert got.a == ref.a and got.b == ref.b
+                assert getattr(sym, chain)(key) is got
+        assert sym.d_r() is sym.d_r()
+        assert sym.d_r().a == rebuilt(sym).base_partial(0).a
+        assert sym.d_r().b == rebuilt(sym).base_partial(0).b
