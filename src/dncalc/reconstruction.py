@@ -54,7 +54,7 @@ def solve_linear_jets(rows, nunknowns: int):
         pick = next(units, None)
         if pick is None:
             raise ReconstructionError(
-                "no unit pivot for unknown %d of %d" % (col, nunknowns)
+                "no unit pivot for unknown %d of %d" % (col, nunknowns), unknown=col
             )
         coeffs, rhs = rows.pop(pick)
         inv = coeffs[col].reciprocal()
@@ -254,7 +254,7 @@ def _drive(method: str, dn: DNSymbolData, metric, weight, start: int, order: int
         except ReconstructionError as exc:
             raise ReconstructionError(
                 "%s: order %d (grade %d): %s" % (method, m, grade, exc),
-                method, m, grade,
+                method, m, grade, exc.unknown,
             ) from exc
         if entries:
             metric.append(_matrix_from_entries(entries, sol, nxi))

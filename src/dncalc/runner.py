@@ -73,6 +73,8 @@ def run_task(scenario: Scenario, task: dict, index: int) -> dict:
             record["failure"] = {
                 "method": exc.method, "order": exc.order, "grade": exc.grade
             }
+            if exc.unknown is not None:
+                record["failure"]["unknown"] = exc.unknown
     return record
 
 

@@ -433,3 +433,36 @@ def test_failed_solve_is_named_in_the_task_record(monkeypatch, tmp_path):
     )
     assert failed["failure"] == {"method": "weight_scalar", "order": 1, "grade": 0}
     assert passed["status"] == "pass" and "failure" not in passed
+
+
+def test_a_missing_unit_pivot_names_the_unknown_in_the_task_record(monkeypatch, tmp_path):
+    # the probes of the metric recovery return a zero column for unknown 1,
+    # the (0, 1) entry of the order-1 matrix, so the solve at order 1
+    # (grade 0) finds no unit pivot for it
+    import dncalc.reconstruction as reconstruction
+
+    probe = reconstruction._probe
+
+    def zero_column(fn, nparams):
+        base, dirs = probe(fn, nparams)
+        dirs[1] = [d.scale(0) for d in dirs[1]]
+        return base, dirs
+
+    monkeypatch.setattr(reconstruction, "_probe", zero_column)
+    raw = flat_scenario(
+        [{"kind": "reconstruct", "method": "metric-known-weight", "order": 2}],
+        depth=3,
+        kr=4,
+        ky=3,
+    )
+    path = write_scenario(tmp_path, raw)
+    out = str(tmp_path / "report.json")
+    assert main(["run", path, "-o", out]) == 1
+    (failed,) = read_report(out)["tasks"]
+    assert failed["error"] == (
+        "ReconstructionError: metric_known_weight: order 1 (grade 0): "
+        "no unit pivot for unknown 1 of 3"
+    )
+    assert failed["failure"] == {
+        "method": "metric_known_weight", "order": 1, "grade": 0, "unknown": 1
+    }
