@@ -13,8 +13,10 @@ identity determines s_j: the only terms containing s_j there are the two
 K = 0 products s_1 s_j, and division by 2 s_1 = -2 ||xi'|| stays inside the
 symbol ring.  The solver below extracts each grade of the identity directly,
 which keeps every multi-index bound and combinatorial factor tied to one
-place; the verifier recombines the identity independently through the full
-asymptotic composition and demands that every reliable grade vanish.
+place; the verifier recombines the identity through the full asymptotic
+composition, with its own products and sums (the components' derivatives
+are memoised on them, so it shares those), and demands that every reliable
+grade vanish.
 
 Residual grades are labelled by the component they determine (label = grade
 of the identity minus one), so a corrupted s_j trips the verifier at label j.
