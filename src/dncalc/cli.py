@@ -143,7 +143,12 @@ def _cmd_counterexample(args):
 def _cmd_validate_disk(args):
     modes = args.modes
     if "," in modes:
-        modes = [int(x) for x in modes.split(",")]
+        try:
+            modes = [int(x) for x in modes.split(",")]
+        except ValueError:
+            raise ScenarioError(
+                "--modes must be 'lo:hi' or a comma list of integers, got %r" % modes
+            ) from None
     task = {
         "kind": "validate-disk",
         "modes": modes,

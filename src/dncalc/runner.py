@@ -32,7 +32,6 @@ from .reconstruction import (
     recover_with_known_volume_gauge,
     recover_with_known_volume_scalar,
 )
-from .scalars import mpq
 from .serialize import (
     SCHEMA_VERSION,
     Scenario,
@@ -136,7 +135,7 @@ def _prescription(scenario: Scenario, task: dict):
     key, value = next(iter(task["prescribe"].items()))
     if value == "true":
         return key, scenario.weight.radial_derivative_at_zero(1 if key == "d1V" else 2)
-    return key, scenario.space.constant(mpq(str(value)), 0, scenario.ky)
+    return key, scenario.space.constant(value, 0, scenario.ky)
 
 
 def _order_checks(name, orders, truth) -> dict:
@@ -254,7 +253,7 @@ def _task_reconstruct(scenario: Scenario, task: dict) -> dict:
     if method is None:
         raise ScenarioError("unknown reconstruction method %r" % task["method"])
     data = [_dn_data(scenario, kind) for kind in method.data]
-    order = int(task["order"])
+    order = task["order"]
     rep = method.recover(data, scenario, task, order)
     out = {"method": task["method"], "order": order}
     out.update((name, _FIELDS[name](rep)) for name in method.fields)
@@ -267,7 +266,7 @@ def _task_reconstruct(scenario: Scenario, task: dict) -> dict:
 
 def _task_counterexample(scenario: Scenario, task: dict) -> dict:
     metric, weight = scenario.metric, scenario.weight
-    result = construct_indistinguishable_weight(metric, weight, int(task["depth"]))
+    result = construct_indistinguishable_weight(metric, weight, task["depth"])
     distinct = result.weight != weight
     return {
         "status": "pass" if (result.dn_matches and distinct) else "fail",
@@ -280,10 +279,9 @@ def _task_counterexample(scenario: Scenario, task: dict) -> dict:
 
 def _task_validate_disk(scenario: Scenario, task: dict) -> dict:
     problem = RadialProblem(
-        rho_coeffs=tuple(mpq(str(c)) for c in task["weight_rho"]),
-        modes=tuple(task["modes"]),
+        rho_coeffs=tuple(task["weight_rho"]), modes=tuple(task["modes"])
     )
-    comp = asymptotic_compare(problem, int(task["depth"]))
+    comp = asymptotic_compare(problem, task["depth"])
     return {
         "status": "pass" if comp.passed else "fail",
         "depth": comp.depth,

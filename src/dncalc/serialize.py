@@ -210,7 +210,7 @@ class Scenario:
             )
         self.backend = backend
         self.base_point = str(raw.get("base_point", "p0"))
-        self.seed = int(raw.get("seed", 0))
+        self.seed = self._int_field(raw, "seed") if "seed" in raw else 0
         self.space = JetSpace(self.n, self.base_point)
         self.metric = self._parse_metric(raw.get("metric", "flat"))
         self.weight = self._parse_weight(raw.get("weight", "zero"))
@@ -309,6 +309,7 @@ class Scenario:
                     "%s.method must be one of %s" % (where, RECONSTRUCTION_METHODS)
                 )
             task.setdefault("order", min(3, self.depth - 1))
+            task["order"] = self._int_field(task, "order", where=where)
             presc = task.get("prescribe")
             if method in ("weight-gauge", "volume-gauge"):
                 if not isinstance(presc, dict) or len(presc) != 1:
@@ -318,16 +319,37 @@ class Scenario:
                 key = next(iter(presc))
                 if key not in ("d1V", "d2V"):
                     raise ScenarioError("%s.prescribe key must be d1V or d2V" % where)
+                value = presc[key]
+                if value != "true":
+                    label = "%s.prescribe.%s" % (where, key)
+                    value = _rational(value, label, "'true' or a rational")
+                task["prescribe"] = {key: value}
             elif presc is not None:
                 raise ScenarioError("%s.prescribe only applies to gauge methods" % where)
         elif kind == "counterexample":
             task.setdefault("depth", self.depth)
+            task["depth"] = self._int_field(task, "depth", where=where)
         elif kind == "validate-disk":
             task.setdefault("depth", 2)
+            task["depth"] = self._int_field(task, "depth", where=where)
             modes = task.get("modes", "8:64")
             task["modes"] = _parse_modes(modes, where)
-            task.setdefault("weight_rho", ["1/2", "-1", "1/2"])
+            rho = task.setdefault("weight_rho", ["1/2", "-1", "1/2"])
+            if not isinstance(rho, list):
+                raise ScenarioError("%s.weight_rho must be a list of rationals" % where)
+            task["weight_rho"] = [
+                _rational(c, "%s.weight_rho[%d]" % (where, i), "a rational")
+                for i, c in enumerate(rho)
+            ]
         return task
+
+
+def _rational(value, label, expected):
+    """``value`` as a rational; else an error: field ``label`` must be ``expected``."""
+    try:
+        return mpq(str(value))
+    except (ValueError, ZeroDivisionError):
+        raise ScenarioError("field %r must be %s" % (label, expected)) from None
 
 
 def _parse_modes(spec, where) -> list:

@@ -1,5 +1,7 @@
 import json
 import os
+import re
+from fractions import Fraction
 
 import pytest
 
@@ -162,6 +164,79 @@ def test_schema_validation_messages():
         Scenario(
             flat_scenario([{"kind": "reconstruct", "method": "weight-gauge"}])
         )
+    # malformed values name their field
+    for task, field in (
+        ({"kind": "reconstruct", "method": "weight-scalar", "order": "x"}, "order"),
+        (
+            {
+                "kind": "reconstruct",
+                "method": "weight-gauge",
+                "prescribe": {"d1V": "abc"},
+            },
+            r"prescribe\.d1V",
+        ),
+        ({"kind": "validate-disk", "weight_rho": ["1/2", "x"]}, r"weight_rho\[1\]"),
+        ({"kind": "validate-disk", "weight_rho": "1/2"}, "weight_rho"),
+        ({"kind": "validate-disk", "depth": "two"}, "depth"),
+        ({"kind": "counterexample", "depth": "deep"}, "depth"),
+    ):
+        with pytest.raises(ScenarioError, match=r"tasks\[0\]\." + field):
+            Scenario(flat_scenario([task]))
+    raw = flat_scenario([{"kind": "dn"}])
+    raw["seed"] = "abc"
+    with pytest.raises(ScenarioError, match="'seed' must be an integer"):
+        Scenario(raw)
+    # valid values are stored converted, so the runner reads them as they are
+    scenario = Scenario(
+        flat_scenario(
+            [
+                {
+                    "kind": "reconstruct",
+                    "method": "weight-gauge",
+                    "order": "2",
+                    "prescribe": {"d2V": "-1/3"},
+                },
+                {
+                    "kind": "reconstruct",
+                    "method": "volume-gauge",
+                    "prescribe": {"d1V": "true"},
+                },
+                {"kind": "validate-disk"},
+            ],
+            seed="7",
+        )
+    )
+    gauge, volume, disk = scenario.tasks
+    assert (gauge["order"], gauge["prescribe"]) == (2, {"d2V": Fraction(-1, 3)})
+    assert (volume["order"], volume["prescribe"]) == (3, {"d1V": "true"})
+    assert disk["weight_rho"] == [Fraction(1, 2), Fraction(-1), Fraction(1, 2)]
+    assert scenario.seed == 7
+
+
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (["validate-disk", "--modes", "8,x"], "--modes"),
+        (["validate-disk", "--weight-rho", "a,b"], r"weight_rho\[0\]"),
+        (
+            ["reconstruct", "--method", "weight-gauge", "--prescribe", "d1V=abc"],
+            r"prescribe\.d1V",
+        ),
+    ],
+)
+def test_a_malformed_flag_value_exits_two_naming_the_field(argv, field, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ")
+    assert re.search(field, err)
+
+
+def test_a_malformed_task_value_exits_two_and_names_the_field(tmp_path, capsys):
+    raw = flat_scenario(
+        [{"kind": "reconstruct", "method": "weight-scalar", "order": "x"}]
+    )
+    assert main(["run", write_scenario(tmp_path, raw)]) == 2
+    assert "'tasks[0].order' must be an integer" in capsys.readouterr().err
 
 
 def test_roundtrip_scenario_report_deterministic(tmp_path):
