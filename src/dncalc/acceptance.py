@@ -25,13 +25,10 @@ from .jets import JetSpace
 from .randomgen import random_instance
 from .reconstruction import (
     construct_indistinguishable_weight,
-    recover_first_order,
     recover_weight_gauge,
-    recover_weight_scalar,
-    recover_with_known_volume_gauge,
     recover_with_known_volume_scalar,
 )
-from .runner import true_metric_order
+from .runner import reconstruct_record
 from .scalars import mpq
 from .symbols import HomSymbol
 
@@ -104,22 +101,23 @@ def criterion_2_flat_baseline() -> CriterionResult:
     )
 
 
+def _round_trip_failures(task, first_seed, kr, ky, depth) -> list:
+    """(seed, check name) for every check that fails in the runner's record
+    of the reconstruct ``task`` on ``random_instance(seed, kr=kr, ky=ky)``,
+    DN data to ``depth``, for the 10 seeds from ``first_seed`` on."""
+    bad = []
+    for seed in range(first_seed, first_seed + 10):
+        metric, weight = random_instance(seed, kr=kr, ky=ky)
+        checks = reconstruct_record(metric, weight, depth, task)["checks"]
+        bad.extend((seed, name) for name, ok in checks.items() if not ok)
+    return bad
+
+
 def criterion_3_first_order_roundtrip() -> CriterionResult:
     """10 random instances: boundary metric and first radial derivative exact,
     weight exact modulo its additive constant."""
     start = time.perf_counter()
-    bad = []
-    for i in range(10):
-        metric, weight = random_instance(2000 + i)
-        dn_s = dn_symbol_gauge(metric, weight, 4, "s")
-        dn_sig = dn_symbol_gauge(metric, weight, 4, "sigma")
-        rep = recover_first_order(dn_s, dn_sig)
-        if rep.metric_orders[0] != true_metric_order(metric, 0):
-            bad.append((i, "g0"))
-        if rep.metric_orders[1] != true_metric_order(metric, 1):
-            bad.append((i, "dg"))
-        if rep.weight_orders[0] != weight.restricted_to_boundary():
-            bad.append((i, "V0"))
+    bad = _round_trip_failures({"method": "first-order", "order": 1}, 2000, 5, 4, 4)
     elapsed = time.perf_counter() - start
     return CriterionResult(
         3,
@@ -134,14 +132,7 @@ def criterion_4_weight_scalar_roundtrip() -> CriterionResult:
     """10 random instances at depth 5: with the metric known, the scalar DN
     symbol returns d_r^m V exactly for m = 0..4 (absolute boundary value)."""
     start = time.perf_counter()
-    bad = []
-    for i in range(10):
-        metric, weight = random_instance(3000 + i, kr=6, ky=5)
-        dn = dn_symbol_scalar(metric, weight, 5)
-        rep = recover_weight_scalar(dn, metric, 4)
-        for m in range(5):
-            if rep.weight_orders[m] != weight.radial_derivative_at_zero(m):
-                bad.append((i, m))
+    bad = _round_trip_failures({"method": "weight-scalar", "order": 4}, 3000, 6, 5, 5)
     elapsed = time.perf_counter() - start
     return CriterionResult(
         4,
@@ -186,35 +177,14 @@ def criterion_5_dichotomy_and_counterexample() -> CriterionResult:
 
 def criterion_6_known_volume_roundtrips() -> CriterionResult:
     """With the volume known: gauge-pair recovery returns the metric to order
-    3 (10 instances, prescribed true d_r V), the scalar recovery returns both
-    jets to order 4 (10 instances), and on the flat example with V = a r it
-    returns d_r V = a."""
+    3 and sound branches, one of them the true weight (10 instances,
+    prescribed true d_r V), the scalar recovery returns both jets to order 4
+    (10 instances), and on the flat example with V = a r it returns
+    d_r V = a."""
     start = time.perf_counter()
-    bad = []
-    for i in range(10):
-        metric, weight = random_instance(4000 + i)
-        dn_s = dn_symbol_gauge(metric, weight, 4, "s")
-        dn_sig = dn_symbol_gauge(metric, weight, 4, "sigma")
-        v1 = weight.radial_derivative_at_zero(1)
-        rep = recover_with_known_volume_gauge(
-            dn_s, dn_sig, metric.delta, ("d1V", v1), 3
-        )
-        for m in range(4):
-            if rep.metric_orders[m] != true_metric_order(metric, m):
-                bad.append(("gauge", i, "g", m))
-        branch = rep.branches[0]
-        for m in range(4):
-            if branch.weight_orders[m] != weight.radial_derivative_at_zero(m):
-                bad.append(("gauge", i, "V", m))
-    for i in range(10):
-        metric, weight = random_instance(5000 + i, kr=6, ky=5)
-        dn = dn_symbol_scalar(metric, weight, 5)
-        rep = recover_with_known_volume_scalar(dn, metric.delta, 4)
-        for m in range(5):
-            if rep.metric_orders[m] != true_metric_order(metric, m):
-                bad.append(("scalar", i, "g", m))
-            if rep.weight_orders[m] != weight.radial_derivative_at_zero(m):
-                bad.append(("scalar", i, "V", m))
+    gauge = {"method": "volume-gauge", "order": 3, "prescribe": {"d1V": "true"}}
+    bad = _round_trip_failures(gauge, 4000, 5, 4, 4)
+    bad += _round_trip_failures({"method": "volume-scalar", "order": 4}, 5000, 6, 5, 5)
     # hand example: flat metric, V = a r, n = 3
     g = BoundaryMetricJet.flat(JetSpace(3), 5, 4)
     a = mpq(3, 4)

@@ -91,7 +91,7 @@ def _run_inline(raw, output):
 
 def _cmd_run(args):
     scenario, digest = load_scenario(args.scenario)
-    report = run_scenario(scenario, digest, parallel=args.parallel)
+    report = run_scenario(scenario, digest)
     return _emit(report, args.output)
 
 
@@ -200,9 +200,6 @@ def build_parser():
     p = sub.add_parser("run", help="execute a scenario file")
     p.add_argument("scenario")
     p.add_argument("--output", "-o")
-    p.add_argument(
-        "--parallel", action="store_true", help="run independent tasks in processes"
-    )
     p.set_defaults(fn=_cmd_run)
 
     p = sub.add_parser("factorize", help="solve a factorisation and verify it")

@@ -6,16 +6,16 @@ check was violated) or "error" (could not run, e.g. a truncation budget too
 small for the requested depth); an error from a failed order-by-order solve
 also names its method, order and grade under "failure".  Reconstruction
 tasks are round trips: the forward DN data of the scenario's metric and
-weight is inverted and compared against the truth.  A serial scenario run
-shares its forward runs (``dn.shared_forward_runs``): its tasks read one DN
-data set of each kind, and a probe run that several tasks make runs once.
+weight is inverted and compared against the truth, by ``reconstruct_record``,
+which the acceptance criteria run too.  A scenario run shares its forward
+runs (``dn.shared_forward_runs``): its tasks read one DN data set of each
+kind, and a probe run that several tasks make runs once.
 """
 
 from __future__ import annotations
 
 import time
 from typing import Callable, NamedTuple
-from concurrent.futures import ProcessPoolExecutor
 
 from . import __version__
 from .diskcheck import RadialProblem, asymptotic_compare
@@ -84,7 +84,7 @@ def _dispatch(scenario: Scenario, task: dict) -> dict:
     if kind == "dn":
         return _task_dn(scenario, task)
     if kind == "reconstruct":
-        return _task_reconstruct(scenario, task)
+        return reconstruct_record(scenario.metric, scenario.weight, scenario.depth, task)
     if kind == "counterexample":
         return _task_counterexample(scenario, task)
     if kind == "validate-disk":
@@ -118,9 +118,8 @@ def _task_factorize(scenario: Scenario, task: dict) -> dict:
     return out
 
 
-def _dn_data(scenario: Scenario, kind: str):
-    """The scenario's DN data: "lambda0", or lambda1 in the gauge ``kind``."""
-    metric, weight, depth = scenario.metric, scenario.weight, scenario.depth
+def _dn_data(metric, weight, depth: int, kind: str):
+    """The DN data to ``depth``: "lambda0", or lambda1 in the gauge ``kind``."""
     if kind == "lambda0":
         return dn_symbol_scalar(metric, weight, depth)
     return dn_symbol_gauge(metric, weight, depth, kind)
@@ -128,14 +127,15 @@ def _dn_data(scenario: Scenario, kind: str):
 
 def _task_dn(scenario: Scenario, task: dict) -> dict:
     kind = "lambda0" if task["map"] == "lambda0" else task["gauge"]
-    return {"status": "pass", "data": dn_to_json(_dn_data(scenario, kind))}
+    data = _dn_data(scenario.metric, scenario.weight, scenario.depth, kind)
+    return {"status": "pass", "data": dn_to_json(data)}
 
 
-def _prescription(scenario: Scenario, task: dict):
+def _prescription(weight, task: dict):
     key, value = next(iter(task["prescribe"].items()))
     if value == "true":
-        return key, scenario.weight.radial_derivative_at_zero(1 if key == "d1V" else 2)
-    return key, scenario.space.constant(value, 0, scenario.ky)
+        return key, weight.radial_derivative_at_zero(1 if key == "d1V" else 2)
+    return key, weight.space.constant(value, 0, weight.ky)
 
 
 def _order_checks(name, orders, truth) -> dict:
@@ -163,28 +163,26 @@ _FIELDS = {
     ],
 }
 
-#: truth check -> {check name: passed}, from a report and its scenario
+#: truth check -> {check name: passed}, from a report, the metric and the weight
 _CHECKS = {
-    "metric_orders": lambda rep, sc: _order_checks(
-        "metric", rep.metric_orders, lambda m: true_metric_order(sc.metric, m)
+    "metric_orders": lambda rep, metric, weight: _order_checks(
+        "metric", rep.metric_orders, lambda m: true_metric_order(metric, m)
     ),
-    "weight_orders": lambda rep, sc: _order_checks(
-        "weight", rep.weight_orders, sc.weight.radial_derivative_at_zero
+    "weight_orders": lambda rep, metric, weight: _order_checks(
+        "weight", rep.weight_orders, weight.radial_derivative_at_zero
     ),
-    "weight_mod_constant": lambda rep, sc: {
-        "weight_mod_constant": (
-            rep.weight_orders[0] == sc.weight.restricted_to_boundary()
-        )
+    "weight_mod_constant": lambda rep, metric, weight: {
+        "weight_mod_constant": rep.weight_orders[0] == weight.restricted_to_boundary()
     },
-    "branches": lambda rep, sc: {
+    "branches": lambda rep, metric, weight: {
         "has_branches": bool(rep.branches),
         "branches_sound": all(
             v == 0.0 for b in rep.branches for v in b.residuals.values()
         ),
     },
-    "truth_among_branches": lambda rep, sc: {
+    "truth_among_branches": lambda rep, metric, weight: {
         "truth_among_branches": any(
-            _is_true_weight(b.weight_orders, sc.weight) for b in rep.branches
+            _is_true_weight(b.weight_orders, weight) for b in rep.branches
         )
     },
 }
@@ -192,7 +190,7 @@ _CHECKS = {
 
 class _Method(NamedTuple):
     data: tuple  # DN data to generate: "lambda0", or the gauge tag of lambda1
-    recover: Callable  # (data list, scenario, task, order) -> ReconstructionReport
+    recover: Callable  # (data list, metric, weight, task) -> ReconstructionReport
     fields: tuple  # keys of _FIELDS
     checks: tuple  # keys of _CHECKS
 
@@ -203,44 +201,46 @@ class _Method(NamedTuple):
 RECONSTRUCT = {
     "first-order": _Method(
         ("s", "sigma"),
-        lambda data, sc, task, order: recover_first_order(*data),
+        lambda data, metric, weight, task: recover_first_order(*data),
         ("recovered_metric", "recovered_weight", "residuals", "normalization"),
         ("metric_orders", "weight_mod_constant"),
     ),
     "metric-known-weight": _Method(
         ("sigma",),
-        lambda data, sc, task, order: recover_metric_known_weight(
-            data[0], sc.weight, order
+        lambda data, metric, weight, task: recover_metric_known_weight(
+            data[0], weight, task["order"]
         ),
         ("recovered_metric", "residuals"),
         ("metric_orders",),
     ),
     "weight-scalar": _Method(
         ("lambda0",),
-        lambda data, sc, task, order: recover_weight_scalar(data[0], sc.metric, order),
+        lambda data, metric, weight, task: recover_weight_scalar(
+            data[0], metric, task["order"]
+        ),
         ("recovered_weight", "residuals", "normalization"),
         ("weight_orders",),
     ),
     "weight-gauge": _Method(
         ("s",),
-        lambda data, sc, task, order: recover_weight_gauge(
-            data[0], sc.metric, _prescription(sc, task), order
+        lambda data, metric, weight, task: recover_weight_gauge(
+            data[0], metric, _prescription(weight, task), task["order"]
         ),
         ("branches", "extras"),
         ("branches", "truth_among_branches"),
     ),
     "volume-gauge": _Method(
         ("s", "sigma"),
-        lambda data, sc, task, order: recover_with_known_volume_gauge(
-            *data, sc.metric.delta, _prescription(sc, task), order
+        lambda data, metric, weight, task: recover_with_known_volume_gauge(
+            *data, metric.delta, _prescription(weight, task), task["order"]
         ),
         ("recovered_metric", "branches", "extras"),
         ("metric_orders", "branches", "truth_among_branches"),
     ),
     "volume-scalar": _Method(
         ("lambda0",),
-        lambda data, sc, task, order: recover_with_known_volume_scalar(
-            data[0], sc.metric.delta, order
+        lambda data, metric, weight, task: recover_with_known_volume_scalar(
+            data[0], metric.delta, task["order"]
         ),
         ("recovered_metric", "recovered_weight", "residuals"),
         ("metric_orders", "weight_orders"),
@@ -248,18 +248,19 @@ RECONSTRUCT = {
 }
 
 
-def _task_reconstruct(scenario: Scenario, task: dict) -> dict:
-    method = RECONSTRUCT.get(task["method"])
-    if method is None:
-        raise ScenarioError("unknown reconstruction method %r" % task["method"])
-    data = [_dn_data(scenario, kind) for kind in method.data]
-    order = task["order"]
-    rep = method.recover(data, scenario, task, order)
-    out = {"method": task["method"], "order": order}
+def reconstruct_record(metric, weight, depth: int, task: dict) -> dict:
+    """The record of a reconstruct ``task`` (its "method", its integer
+    "order" and, for the gauge methods, its "prescribe"): the DN data of
+    ``metric`` and ``weight`` to ``depth``, inverted by the method and
+    checked against them."""
+    method = RECONSTRUCT[task["method"]]
+    data = [_dn_data(metric, weight, depth, kind) for kind in method.data]
+    rep = method.recover(data, metric, weight, task)
+    out = {"method": task["method"], "order": task["order"]}
     out.update((name, _FIELDS[name](rep)) for name in method.fields)
     out["checks"] = {}
     for name in method.checks:
-        out["checks"].update(_CHECKS[name](rep, scenario))
+        out["checks"].update(_CHECKS[name](rep, metric, weight))
     out["status"] = "pass" if all(out["checks"].values()) else "fail"
     return out
 
@@ -301,16 +302,10 @@ def _task_validate_disk(scenario: Scenario, task: dict) -> dict:
     }
 
 
-def _run_single(raw: dict, index: int) -> dict:
-    scenario = Scenario(raw)
-    return run_task(scenario, scenario.tasks[index], index)
-
-
-def run_scenario(scenario: Scenario, digest: str, parallel: bool = False) -> dict:
-    """Run every task of the scenario into one report.  Serially, the tasks
-    share forward runs inside one ``shared_forward_runs`` block, which ends
-    with the call.  With ``parallel`` each task runs in a pool worker outside
-    any block, so tasks share nothing; the records equal the serial ones."""
+def run_scenario(scenario: Scenario, digest: str) -> dict:
+    """Run every task of the scenario into one report.  The tasks share
+    forward runs inside one ``shared_forward_runs`` block, which ends with
+    the call."""
     report = {
         "schema_version": SCHEMA_VERSION,
         "provenance": {
@@ -323,18 +318,8 @@ def run_scenario(scenario: Scenario, digest: str, parallel: bool = False) -> dic
             "generated_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         },
     }
-    if parallel and len(scenario.tasks) > 1:
-        with ProcessPoolExecutor() as pool:
-            futures = [
-                pool.submit(_run_single, scenario.raw, i)
-                for i in range(len(scenario.tasks))
-            ]
-            tasks = [f.result() for f in futures]
-    else:
-        with shared_forward_runs():
-            tasks = [
-                run_task(scenario, task, i) for i, task in enumerate(scenario.tasks)
-            ]
+    with shared_forward_runs():
+        tasks = [run_task(scenario, task, i) for i, task in enumerate(scenario.tasks)]
     report["tasks"] = tasks
     report["status"] = (
         "pass" if all(t["status"] == "pass" for t in tasks) else "fail"
