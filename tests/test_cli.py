@@ -356,23 +356,42 @@ def test_float_backend_scenario_exits_two(tmp_path, capsys):
 
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
+SCENARIOS = os.path.join(os.path.dirname(__file__), os.pardir, "benchmark", "scenarios")
 
 
-def test_reconstruct_report_matches_golden(tmp_path):
-    """All six reconstruct methods, both prescriptions of the two gauge
-    methods, and a counterexample, on a random (4,3) scenario at depth 3:
-    the report must stay byte-identical apart from generated_at.  To renew
-    the golden report after an intended change, run
-    ``dncalc run tests/data/golden-reconstruct.json
-    -o tests/data/golden-reconstruct.report.json`` and review the diff."""
+def assert_report_matches(tmp_path, scenario, golden):
+    """The report of ``dncalc run scenario`` equals the file ``golden`` line
+    by line, apart from generated_at.  To renew a golden report after an
+    intended change, run ``dncalc run <scenario> -o <golden>`` and review
+    the diff."""
     out = tmp_path / "report.json"
-    assert main(["run", os.path.join(DATA, "golden-reconstruct.json"), "-o", str(out)]) == 0
+    assert main(["run", scenario, "-o", str(out)]) == 0
 
     def lines(path):
         with open(path) as fh:
             return [line for line in fh if '"generated_at"' not in line]
 
-    assert lines(out) == lines(os.path.join(DATA, "golden-reconstruct.report.json"))
+    assert lines(out) == lines(golden)
+
+
+def test_reconstruct_report_matches_golden(tmp_path):
+    # all six reconstruct methods, both prescriptions of the two gauge
+    # methods, and a counterexample, on a random (4,3) scenario at depth 3
+    assert_report_matches(
+        tmp_path,
+        os.path.join(DATA, "golden-reconstruct.json"),
+        os.path.join(DATA, "golden-reconstruct.report.json"),
+    )
+
+
+def test_roundtrip_report_matches_golden(tmp_path):
+    # the benchmark's roundtrip scenario: factorize, dn, all six reconstruct
+    # methods, counterexample and validate-disk tasks on an (4,3) instance
+    assert_report_matches(
+        tmp_path,
+        os.path.join(SCENARIOS, "roundtrip.json"),
+        os.path.join(DATA, "roundtrip.report.json"),
+    )
 
 
 def test_a_scenario_run_factorises_each_distinct_forward_run_once(factorisations):
