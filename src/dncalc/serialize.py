@@ -1,10 +1,31 @@
 """Versioned JSON encoding of scenarios, jets, symbols, DN data and reports.
 
 Rational scalars travel as "p/q" strings so exactness survives the round
-trip; jets are sparse lists of index/value records carrying their truncation
-orders.  Scenario files declare the geometry once and a list of tasks; the
-schema is documented in the README and validated here with field-level
-messages.
+trip; a jet is ``{"radial_order", "tangential_order", "terms": [{"index",
+"value"}]}``, a sparse list carrying its truncation orders.
+
+A scenario declares the geometry once and a list of tasks.  ``Scenario``
+validates it with messages that name the field, and stores each task with
+its defaults filled in and its values converted.  Required:
+``schema_version`` 1, ``dimension`` n >= 2, ``truncation`` ``{"radial",
+"tangential"}`` (both >= 0), ``depth`` >= 1 and a non-empty list ``tasks``.
+Optional: ``backend`` "rational" (the only one), ``base_point`` (default
+"p0"), ``seed`` (an integer, default 0), ``name`` (not read), ``metric``
+"flat" (default), "random" or a table ``{"a,b": jet}`` of g_ab entries,
+1-based, the identity's where left out, and ``weight`` "zero" (default),
+"random" or a jet.  Each task has a ``kind``; its other fields follow, the
+first value listed being the default:
+
+- factorize: ``mode`` "scalar" or "gauge"; ``gauge`` "s" or "sigma" (gauge
+  mode only); ``verify`` true.
+- dn: ``map`` "lambda0" or "lambda1"; ``gauge`` "s" or "sigma" (lambda1 only).
+- reconstruct: ``method``, required, one of ``RECONSTRUCTION_METHODS``;
+  ``order`` min(3, depth - 1); ``prescribe`` ``{"d1V" or "d2V": "true" or a
+  rational}``, required by weight-gauge and volume-gauge, refused otherwise.
+- counterexample: ``depth`` the scenario's depth.
+- validate-disk: ``modes`` "8:64" ("lo:hi" in steps of about sqrt 2, or a
+  list of integers); ``depth`` 2; ``weight_rho`` ["1/2", "-1", "1/2"], the
+  rational coefficients of V(rho).
 """
 
 from __future__ import annotations
