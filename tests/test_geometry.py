@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from dncalc.errors import MetricError
+from dncalc.errors import MetricError, NotInvertibleError
 from dncalc.geometry import (
     BoundaryMetricJet,
     compute_q_symbols,
@@ -13,7 +13,8 @@ from dncalc.geometry import (
     radial_drift,
     schroedinger_potential,
 )
-from dncalc.jets import JetSpace
+from dncalc.jets import Jet, JetSpace
+from dncalc.randomgen import random_instance
 from dncalc.scalars import mpq
 from dncalc.symbols import HomSymbol
 
@@ -102,6 +103,61 @@ def test_metric_requires_spd():
     one = sp.one(KR, KY)
     with pytest.raises(MetricError):
         BoundaryMetricJet([[one.scale(-1), sp.zero(KR, KY)], [sp.zero(KR, KY), one]])
+
+
+def exact_fields(m):
+    """Orders, blocks and determinants of a metric, each jet as its exact
+    (kr, ky, den, num) form."""
+
+    def exact(j):
+        return j.kr, j.ky, j.den, dict(j.num)
+
+    blocks = tuple(
+        tuple(tuple(exact(j) for j in row) for row in block)
+        for block in (m.g_lower, m.g_upper)
+    )
+    return m.kr, m.ky, blocks, exact(m.delta), exact(m.delta_inv)
+
+
+@pytest.mark.parametrize(
+    "make",
+    (
+        lambda: flat_metric(),
+        lambda: random_instance(5, n=3)[0],
+        lambda: random_instance(41, n=4)[0],
+    ),
+    ids=("flat", "random-n3", "random-n4"),
+)
+def test_every_construction_matches_the_one_from_g_lower(make):
+    m = make()
+
+    def rebuilt(fn):
+        return BoundaryMetricJet([[fn(j) for j in row] for row in m.g_lower])
+
+    assert exact_fields(BoundaryMetricJet.from_upper(m.g_upper)) == exact_fields(m)
+    # an entry of higher orders is cut to the common orders of the block
+    upper = [list(row) for row in m.g_upper]
+    upper[0][0] = upper[0][0].with_budgets(m.kr + 1, m.ky + 1)
+    assert exact_fields(BoundaryMetricJet.from_upper(upper)) == exact_fields(m)
+    for kr, ky in ((m.kr - 1, m.ky - 1), (m.kr + 1, m.ky - 1)):
+        expected = rebuilt(lambda j: j.truncated(kr, ky))
+        assert exact_fields(m.truncated(kr, ky)) == exact_fields(expected)
+    expected = rebuilt(Jet.restricted_to_boundary)
+    assert exact_fields(m.restricted_to_boundary()) == exact_fields(expected)
+
+
+def test_a_bad_block_raises_the_same_error_from_either_side():
+    sp = space()
+    one, zero, r = sp.one(KR, KY), sp.zero(KR, KY), sp.coordinate(0, KR, KY)
+    with pytest.raises(MetricError, match="symmetric"):
+        BoundaryMetricJet.from_upper([[one, r], [zero, one]])
+    with pytest.raises(MetricError, match="positive definite"):
+        BoundaryMetricJet.from_upper([[one.scale(-1), zero], [zero, one]])
+    with pytest.raises(NotInvertibleError):
+        BoundaryMetricJet.from_upper([[one, one], [one, one]])
+    # a lower block is checked before it is inverted
+    with pytest.raises(MetricError, match="positive definite"):
+        BoundaryMetricJet([[one, one], [one, one]])
 
 
 def test_radial_drift_flat():
