@@ -222,6 +222,9 @@ def test_schema_validation_messages():
             ["reconstruct", "--method", "weight-gauge", "--prescribe", "d1V=abc"],
             r"prescribe\.d1V",
         ),
+        (["selftest", "--criteria", "9"], "--criteria"),
+        (["selftest", "--criteria", "2,9"], "--criteria"),
+        (["selftest", "--criteria", "x"], "--criteria"),
     ],
 )
 def test_a_malformed_flag_value_exits_two_naming_the_field(argv, field, capsys):
@@ -237,6 +240,31 @@ def test_a_malformed_task_value_exits_two_and_names_the_field(tmp_path, capsys):
     )
     assert main(["run", write_scenario(tmp_path, raw)]) == 2
     assert "'tasks[0].order' must be an integer" in capsys.readouterr().err
+
+
+GAUGE_D1V = {"prescribe": {"d1V": "true"}}
+
+
+@pytest.mark.parametrize(
+    "task, top, field",
+    [
+        ({"method": "weight-scalar", "order": 1.9}, {}, r"'tasks\[0\]\.order'"),
+        ({"method": "weight-scalar", "order": True}, {}, r"'tasks\[0\]\.order'"),
+        ({"method": "weight-scalar", "order": -1}, {}, r"'tasks\[0\]\.order'"),
+        ({"method": "weight-gauge", "order": 1, **GAUGE_D1V}, {}, r"'tasks\[0\]\.order'"),
+        ({"method": "volume-gauge", "order": 1, **GAUGE_D1V}, {}, r"'tasks\[0\]\.order'"),
+        ({"kind": "counterexample", "depth": True}, {}, r"'tasks\[0\]\.depth'"),
+        ({"kind": "dn"}, {"seed": 2.7}, "'seed'"),
+        ({"kind": "dn"}, {"dimension": 3.5}, "'dimension'"),
+        ({"kind": "dn"}, {"truncation": {"radial": True, "tangential": 4}}, "'truncation.radial'"),
+    ],
+)
+def test_an_integer_field_refuses_bools_fractions_and_low_orders(tmp_path, capsys, task, top, field):
+    raw = {**flat_scenario([{"kind": "reconstruct", **task}]), **top}
+    assert main(["run", write_scenario(tmp_path, raw)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ")
+    assert re.search(field, err)
 
 
 def test_roundtrip_scenario_report_deterministic(tmp_path):
