@@ -20,7 +20,6 @@ from .geometry import (
     BoundaryMetricJet,
     GaugeData,
     compute_q_symbols,
-    custom_gauge,
     gauge_s,
     gauge_sigma,
     radial_drift,

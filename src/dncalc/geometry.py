@@ -24,44 +24,38 @@ from .symbols import HomSymbol, SymbolContext
 HALF = Fraction(1, 2)
 
 
-def _det(mat):
-    n = len(mat)
-    if n == 1:
+def det(mat):
+    """Determinant by cofactor expansion along the first row; the entries
+    may be jets or rationals."""
+    if len(mat) == 1:
         return mat[0][0]
-    if n == 2:
-        return mat[0][0] * mat[1][1] - mat[0][1] * mat[1][0]
     acc = None
-    for j in range(n):
-        minor = [row[:j] + row[j + 1 :] for row in mat[1:]]
-        term = mat[0][j] * _det(minor)
+    for j, x in enumerate(mat[0]):
+        term = x * det([row[:j] + row[j + 1 :] for row in mat[1:]])
         if j % 2:
             term = -term
         acc = term if acc is None else acc + term
     return acc
 
 
-def _adjugate(mat):
+def _inverse(mat):
+    """(det, 1/det, inverse) of a square matrix of jets, the inverse being
+    the adjugate over the determinant, which is expanded along the first
+    row of cofactors."""
     n = len(mat)
     if n == 1:
-        one = mat[0][0].space.one(mat[0][0].kr, mat[0][0].ky)
-        return [[one]]
-    adj = [[None] * n for _ in range(n)]
+        inv = mat[0][0].reciprocal()
+        return mat[0][0], inv, ((inv,),)
+    cof = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(n):
-            minor = [
-                [mat[r][c] for c in range(n) if c != j] for r in range(n) if r != i
-            ]
-            cof = _det(minor)
-            if (i + j) % 2:
-                cof = -cof
-            adj[j][i] = cof
-    return adj
-
-
-def _inverse(mat):
-    """Inverse of a matrix of jets through its adjugate and determinant."""
-    inv = _det(mat).reciprocal()
-    return [[x * inv for x in row] for row in _adjugate(mat)]
+            c = det([row[:j] + row[j + 1 :] for k, row in enumerate(mat) if k != i])
+            cof[i][j] = -c if (i + j) % 2 else c
+    d = mat[0][0] * cof[0][0]
+    for j in range(1, n):
+        d = d + mat[0][j] * cof[0][j]
+    inv = d.reciprocal()
+    return d, inv, tuple(tuple(cof[j][i] * inv for j in range(n)) for i in range(n))
 
 
 class BoundaryMetricJet:
@@ -83,28 +77,18 @@ class BoundaryMetricJet:
 
     def __init__(self, g_lower):
         rows = tuple(tuple(row) for row in g_lower)
-        first = rows[0][0]
-        self.space: JetSpace = first.space
+        self._check(rows)
+        delta, delta_inv, g_upper = _inverse(rows)
+        self._set(rows, g_upper, delta, delta_inv)
+
+    def _set(self, g_lower, g_upper, delta, delta_inv):
+        self.space = delta.space
         self.n = self.space.n
-        nt = self.n - 1
-        if len(rows) != nt or any(len(r) != nt for r in rows):
-            raise MetricError("tangential block must be (n-1) x (n-1)")
-        for a in range(nt):
-            for b in range(a + 1, nt):
-                if rows[a][b] != rows[b][a]:
-                    raise MetricError("metric block is not symmetric")
-        self._check_spd(rows)
-        self.g_lower = rows
-        self.kr = min(j.kr for row in rows for j in row)
-        self.ky = min(j.ky for row in rows for j in row)
-        delta = _det([list(r) for r in rows])
-        self.delta = delta
-        self.delta_inv = delta.reciprocal()
-        adj = _adjugate([list(r) for r in rows])
-        self.g_upper = tuple(
-            tuple(adj[a][b] * self.delta_inv for b in range(nt)) for a in range(nt)
-        )
-        self.ctx = SymbolContext(self.g_upper)
+        self.g_lower, self.g_upper = g_lower, g_upper
+        self.delta, self.delta_inv = delta, delta_inv
+        self.kr = min(j.kr for row in g_lower for j in row)
+        self.ky = min(j.ky for row in g_lower for j in row)
+        self.ctx = SymbolContext(g_upper)
         self._dlog_delta = {}
         self._boundary = None
 
@@ -122,16 +106,42 @@ class BoundaryMetricJet:
     @classmethod
     def from_upper(cls, g_upper) -> "BoundaryMetricJet":
         """Build from the inverse block (used when reconstructions recover
-        g^{ab} rather than g_{ab})."""
-        return cls(_inverse([list(r) for r in g_upper]))
+        g^{ab} rather than g_{ab}), kept at the common orders of its
+        entries; delta is the reciprocal of its determinant."""
+        kr = min(j.kr for row in g_upper for j in row)
+        ky = min(j.ky for row in g_upper for j in row)
+        rows = tuple(tuple(j.truncated(kr, ky) for j in row) for row in g_upper)
+        delta_inv, delta, g_lower = _inverse(rows)
+        cls._check(rows)
+        metric = cls.__new__(cls)
+        metric._set(g_lower, rows, delta, delta_inv)
+        return metric
+
+    def _mapped(self, fn) -> "BoundaryMetricJet":
+        """fn applied to every entry of both blocks and to both determinants.
+        fn is a jet truncation, a ring homomorphism that keeps constant
+        terms, so the result needs no inversion and no checks."""
+        g_lower, g_upper = (
+            tuple(tuple(map(fn, row)) for row in b) for b in (self.g_lower, self.g_upper)
+        )
+        metric = BoundaryMetricJet.__new__(BoundaryMetricJet)
+        metric._set(g_lower, g_upper, fn(self.delta), fn(self.delta_inv))
+        return metric
 
     @staticmethod
-    def _check_spd(rows):
+    def _check(rows):
+        """Refuse a block that is not (n-1) x (n-1), not symmetric, or whose
+        constant term has a leading minor <= 0."""
+        nt = rows[0][0].space.n - 1
+        if len(rows) != nt or any(len(r) != nt for r in rows):
+            raise MetricError("tangential block must be (n-1) x (n-1)")
+        for a in range(nt):
+            for b in range(a + 1, nt):
+                if rows[a][b] != rows[b][a]:
+                    raise MetricError("metric block is not symmetric")
         const = [[j.constant_term() for j in row] for row in rows]
-        n = len(const)
-        for k in range(1, n + 1):
-            minor = [[const[i][j] for j in range(k)] for i in range(k)]
-            if _det(minor) <= 0:
+        for k in range(1, nt + 1):
+            if det([row[:k] for row in const[:k]]) <= 0:
                 raise MetricError(
                     "constant term of the metric block is not positive definite"
                 )
@@ -148,20 +158,13 @@ class BoundaryMetricJet:
 
     def restricted_to_boundary(self) -> "BoundaryMetricJet":
         if self._boundary is None:
-            self._boundary = BoundaryMetricJet(
-                tuple(
-                    tuple(j.restricted_to_boundary() for j in row)
-                    for row in self.g_lower
-                )
-            )
+            self._boundary = self._mapped(Jet.restricted_to_boundary)
         return self._boundary
 
     def truncated(self, kr: int, ky: int) -> "BoundaryMetricJet":
         if kr >= self.kr and ky >= self.ky:
             return self
-        return BoundaryMetricJet(
-            tuple(tuple(j.truncated(kr, ky) for j in row) for row in self.g_lower)
-        )
+        return self._mapped(lambda j: j.truncated(kr, ky))
 
     def divergence_upper(self) -> list:
         """delta^{-1/2} d_a (delta^{1/2} g^{ab}) = d_a g^{ab} + g^{ab} d_a log(delta)/2
@@ -253,19 +256,6 @@ def gauge_sigma(metric: BoundaryMetricJet, weight: Jet) -> GaugeData:
     zero = sp.zero(kr, ky)
     u = schroedinger_potential(metric, weight)
     return GaugeData("sigma", zero, tuple(zero for _ in range(metric.n - 1)), u, metric.delta)
-
-
-def custom_gauge(
-    metric: BoundaryMetricJet,
-    a_r: Jet,
-    a_tan,
-    potential: Jet,
-    density_sq: Jet | None = None,
-) -> GaugeData:
-    """Arbitrary potential, used to exercise the general recursion."""
-    if density_sq is None:
-        density_sq = metric.delta
-    return GaugeData("custom", a_r, tuple(a_tan), potential, density_sq)
 
 
 def compute_q_symbols(

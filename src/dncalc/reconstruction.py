@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 from .dn import DNSymbolData, dn_symbol_gauge, dn_symbol_scalar
 from .errors import DataError, DepthError, ReconstructionError
-from .geometry import HALF, BoundaryMetricJet, _det
+from .geometry import HALF, BoundaryMetricJet, det
 from .jets import Jet, collar_from_radial_orders
 
 
@@ -208,8 +208,8 @@ def _det_constraint_row(space, ky, order_mats, m, entries, delta_known, nweight)
     def phi(setting):
         trial = [space.constant(x, 0, ky) for x in setting]
         mats = order_mats + [_matrix_from_entries(entries, trial, nxi)]
-        det = _det(_collar_matrix(space, mats, m, ky))
-        return [(det * dtrunc).radial_coefficient(m)]
+        upper = det(_collar_matrix(space, mats, m, ky))
+        return [(upper * dtrunc).radial_coefficient(m)]
 
     base, dirs = _probe(phi, len(entries))
     return [d[0] for d in dirs] + [space.zero(0, ky)] * nweight, -base[0]
@@ -298,7 +298,7 @@ def _principal_form(dn: DNSymbolData, factor=None):
     if factor is not None:
         vals = [v * factor for v in vals]
     form = _fit_quadratic_form(vals, dn.n - 1)
-    det_form = _det(form)
+    det_form = det(form)
     if det_form.constant_term() <= 0:
         raise DataError("squared principal form has non-positive determinant")
     return form, det_form

@@ -11,7 +11,7 @@ from dncalc.factorization import (
     perturb_component,
     verify_residual,
 )
-from dncalc.geometry import BoundaryMetricJet, custom_gauge, gauge_s, gauge_sigma
+from dncalc.geometry import BoundaryMetricJet, GaugeData, gauge_s, gauge_sigma
 from dncalc.jets import JetSpace
 from dncalc.randomgen import random_instance
 from dncalc.scalars import mpq
@@ -133,7 +133,8 @@ def test_residual_passes_custom_gauge():
     a_r = weight * weight  # arbitrary radial potential
     a_tan = tuple(weight.partial(i + 1) for i in range(metric.n - 1))
     pot = weight.scale(3)
-    res = factorize_gauge(metric, custom_gauge(metric, a_r, a_tan, pot), 4)
+    gauge = GaugeData("custom", a_r, a_tan, pot, metric.delta)
+    res = factorize_gauge(metric, gauge, 4)
     assert verify_residual(res) is None
 
 
