@@ -544,26 +544,6 @@ class Jet:
         return "Jet(%s)" % " + ".join(terms)
 
 
-def dense_product_oracle(a: Jet, b: Jet) -> Jet:
-    """Independent convolution over all coefficient pairs, truncated afterwards.
-
-    Deliberately ignores every shortcut the fast path takes: it works on the
-    ``Fraction`` view with tuple indices.  Used by tests.
-    """
-    a2, b2, kr, ky = a._aligned(b)
-    out: dict = {}
-    for i1, v1 in a2.c.items():
-        for i2, v2 in b2.c.items():
-            idx = tuple(x + y for x, y in zip(i1, i2))
-            out[idx] = out.get(idx, Fraction(0)) + v1 * v2
-    out = {
-        idx: v
-        for idx, v in out.items()
-        if v and idx[0] <= kr and sum(idx[1:]) <= ky
-    }
-    return a.space.jet(out, kr, ky)
-
-
 def collar_from_radial_orders(
     space: JetSpace, orders: list, kr: int, ky: int
 ) -> Jet:

@@ -298,13 +298,6 @@ class SymbolContext:
             self._q2_values[key] = val
         return val
 
-    def restricted_to_boundary(self) -> "SymbolContext":
-        return SymbolContext(
-            tuple(
-                tuple(j.restricted_to_boundary() for j in row) for row in self.g_upper
-            )
-        )
-
     def same_structure(self, other: "SymbolContext") -> bool:
         if self is other:
             return True
@@ -736,12 +729,6 @@ class HomSymbol:
         nb = self.a.scale(Fraction(-1, 2))
         kr, ky = min(self.kr, self.ctx.kr), min(self.ky, self.ctx.ky)
         return HomSymbol(self.ctx, self.degree - 1, na, nb, self.p + 1, kr, ky).normalized()
-
-    def lower_by_q2(self) -> "HomSymbol":
-        """Division by q2 (degree drops by two)."""
-        return HomSymbol(
-            self.ctx, self.degree - 2, self.a, self.b, self.p + 1, self.kr, self.ky
-        ).normalized()
 
     def restricted_to_boundary(self, bctx: SymbolContext) -> "HomSymbol":
         kr = 0 if self.kr < UNRESTRICTED else UNRESTRICTED

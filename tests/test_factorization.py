@@ -15,7 +15,7 @@ from dncalc.geometry import BoundaryMetricJet, GaugeData, gauge_s, gauge_sigma
 from dncalc.jets import JetSpace
 from dncalc.randomgen import random_instance
 from dncalc.scalars import mpq
-from dncalc.symbols import HomSymbol, SymbolContext
+from dncalc.symbols import HomSymbol, SymbolContext, XiPoly
 
 
 KR, KY = 5, 4
@@ -41,9 +41,10 @@ def test_flat_factorizations_vanish_below_principal():
 
 
 def over_norm(g, value):
-    """value / ||xi'|| as a degree -1 symbol (value a scalar)."""
-    const = HomSymbol.from_jet(g.ctx, g.space.constant(value, KR, KY))
-    return (const * HomSymbol.xi_norm(g.ctx)).lower_by_q2()
+    """value / ||xi'|| = value * w / q2 as a degree -1 symbol (value a scalar)."""
+    nxi = g.ctx.nxi
+    odd = XiPoly(nxi, 0, {(0,) * nxi: g.space.constant(value, KR, KY)})
+    return HomSymbol(g.ctx, -1, XiPoly(nxi, 1, {}), odd, 1, KR, KY).normalized()
 
 
 def test_gauge_quadratic_weight_example():
