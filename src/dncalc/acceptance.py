@@ -276,7 +276,6 @@ def run_criteria(numbers=None, log=None):
     with the verdict, the wall time and the detail."""
     results = []
     for fn in ALL_CRITERIA:
-        result = None
         probe = fn.__name__.split("_")[1]
         if numbers is not None and int(probe) not in numbers:
             continue

@@ -169,11 +169,18 @@ def _cmd_validate_disk(args):
 
 
 def _cmd_selftest(args):
-    from .acceptance import run_criteria
+    from .acceptance import ALL_CRITERIA, run_criteria
 
     numbers = None
     if args.criteria:
-        numbers = {int(x) for x in args.criteria.split(",")}
+        valid = {str(k) for k in range(1, len(ALL_CRITERIA) + 1)}
+        parts = [x.strip() for x in args.criteria.split(",")]
+        if not valid.issuperset(parts):
+            raise ScenarioError(
+                "--criteria must be a comma list of numbers from 1 to %d, got %r"
+                % (len(ALL_CRITERIA), args.criteria)
+            )
+        numbers = {int(x) for x in parts}
     results = run_criteria(numbers, log=print)
     failed = [r for r in results if not r.passed]
     print(
