@@ -245,10 +245,14 @@ class Scenario:
     @staticmethod
     def _int_field(obj, name, minimum=None, where=None):
         label = "%s.%s" % (where, name) if where else name
+        if name not in obj:
+            raise ScenarioError("missing field %r" % label)
+        raw = obj[name]
         try:
-            value = int(obj[name])
-        except KeyError:
-            raise ScenarioError("missing field %r" % label) from None
+            # int() would silently truncate a bool or a fraction
+            if isinstance(raw, bool) or isinstance(raw, float) and not raw.is_integer():
+                raise TypeError
+            value = int(raw)
         except (TypeError, ValueError):
             raise ScenarioError("field %r must be an integer" % label) from None
         if minimum is not None and value < minimum:
@@ -330,9 +334,12 @@ class Scenario:
                     "%s.method must be one of %s" % (where, RECONSTRUCTION_METHODS)
                 )
             task.setdefault("order", min(3, self.depth - 1))
-            task["order"] = self._int_field(task, "order", where=where)
+            gauge_method = method in ("weight-gauge", "volume-gauge")
+            task["order"] = self._int_field(
+                task, "order", minimum=2 if gauge_method else 0, where=where
+            )
             presc = task.get("prescribe")
-            if method in ("weight-gauge", "volume-gauge"):
+            if gauge_method:
                 if not isinstance(presc, dict) or len(presc) != 1:
                     raise ScenarioError(
                         "%s.prescribe must fix exactly one of d1V, d2V" % where
