@@ -20,12 +20,16 @@ first value listed being the default:
   mode only); ``verify`` true.
 - dn: ``map`` "lambda0" or "lambda1"; ``gauge`` "s" or "sigma" (lambda1 only).
 - reconstruct: ``method``, required, one of ``RECONSTRUCTION_METHODS``;
-  ``order`` min(3, depth - 1); ``prescribe`` ``{"d1V" or "d2V": "true" or a
+  ``order`` min(3, depth - 1), at least 2 for weight-gauge and volume-gauge
+  and 0 otherwise; ``prescribe`` ``{"d1V" or "d2V": "true" or a
   rational}``, required by weight-gauge and volume-gauge, refused otherwise.
 - counterexample: ``depth`` the scenario's depth.
 - validate-disk: ``modes`` "8:64" ("lo:hi" in steps of about sqrt 2, or a
   list of integers); ``depth`` 2; ``weight_rho`` ["1/2", "-1", "1/2"], the
   rational coefficients of V(rho).
+
+An integer field takes an integer or an integer string; a boolean or a
+fraction is refused rather than truncated.
 """
 
 from __future__ import annotations
