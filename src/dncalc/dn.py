@@ -24,8 +24,10 @@ Inside a ``shared_forward_runs`` block, a forward run whose exact inputs
 entry) repeat an earlier run of the same block returns the earlier
 DNSymbolData instead of factorising again.  The runner opens one block per
 scenario run, so every task of a scenario reads one DN data set of each kind,
-and probe runs that two recoveries have in common run once.  Outside any
-block every call factorises.
+and probe runs that two recoveries have in common run once.  That holds across
+methods too: the unit-direction runs of a solve use a frozen model that only
+the boundary metric, the data kind and the order fix, so every recovery on
+one data kind shares them.  Outside any block every call factorises.
 """
 
 from __future__ import annotations

@@ -13,6 +13,17 @@ remainder formulas, so a transcription slip in a remainder cannot silently
 corrupt an inversion; exact arithmetic makes the probes lossless.  A failed
 solve names the method, order and grade.
 
+Only the base of each solve runs on the full candidate, which carries the
+recovered lower orders.  The unit directions run on a frozen model: the
+candidate's g^{ab}|0 constant in r, every lower order of the metric and the
+weight zero.  That loses nothing, because at grade 1 - m the order-m unknown
+enters only through its top-order term, the m-fold d_r chain over the
+principal symbol at r = 0 (Lee and Uhlmann, "Determining anisotropic
+real-analytic conductivities by boundary measurements", CPAM 42, 1989), so
+the linear part of the solve depends on g^{ab}|0 alone.  A frozen run is
+also cheap, and it depends on neither the method nor the lower orders, so
+the recoveries of one scenario on one data kind share it.
+
 The one non-affine step: in the gauge-theoretic problem, the first and
 second radial derivatives of the weight enter one grade jointly through the
 combination
@@ -215,13 +226,41 @@ def _det_constraint_row(space, ky, order_mats, m, entries, delta_known, nweight)
     return [d[0] for d in dirs] + [space.zero(0, ky)] * nweight, -base[0]
 
 
+def _frozen_directions(dn: DNSymbolData, metric, m: int, entries, nweight: int,
+                       samples) -> list:
+    """Unit-direction differences of the grade 1 - m data in the order-m
+    unknowns (the metric entries, then the weight), taken on the frozen
+    model: the candidate's g^{ab}|0 constant in r, every lower order of the
+    metric and the weight zero, and one unit entry at order m, at radial
+    order m + 2 and depth m + 1.  The differences need nothing else: at
+    grade 1 - m the order-m unknown enters only through its top-order term
+    over the principal symbol at r = 0."""
+    space, ky, nxi = dn.ctx.space, dn.boundary_metric.ky, dn.n - 1
+    zero = space.zero(0, ky)
+    zero_mat = [[zero] * nxi for _ in range(nxi)]
+    if isinstance(metric, list):
+        g0 = metric[0]
+    else:
+        g0 = metric.restricted_to_boundary().g_upper
+    lower = [g0] + [zero_mat] * (m - 1)
+
+    def build(setting):
+        trial = [space.constant(x, 0, ky) for x in setting]
+        top = _matrix_from_entries(entries, trial, nxi) if entries else zero_mat
+        weight = [zero] * m + (trial[-1:] if nweight else [zero])
+        return _ratio_vector(_forward(dn, lower + [top], weight, m + 1), 1 - m, samples)
+
+    return _probe(build, len(entries) + nweight)[1]
+
+
 def _drive(method: str, dn: DNSymbolData, metric, weight, start: int, order: int,
            delta_known=None):
     """Recover radial orders start..order of whichever of metric and weight
     is a list of recovered orders (the other is the known jet), appending
-    each order to its list.  Order m is one affine probe solve at grade
-    1 - m against the candidate at radial order m + 2 and depth m + 1, plus
-    the determinant constraint when delta_known is given."""
+    each order to its list.  Order m is one affine solve at grade 1 - m: the
+    base is the candidate (which carries the lower orders) at radial order
+    m + 2 and depth m + 1, the directions come from ``_frozen_directions``,
+    and the determinant constraint joins when delta_known is given."""
     space, ky = dn.ctx.space, dn.boundary_metric.ky
     nxi = dn.n - 1
     samples = _samples(nxi)
@@ -230,19 +269,8 @@ def _drive(method: str, dn: DNSymbolData, metric, weight, start: int, order: int
     nparams = len(entries) + nweight
     for m in range(start, order + 1):
         grade = 1 - m
-        # a known metric is truncated once per order, not once per probe
-        known_metric = None if entries else metric.truncated(m + 2, ky)
-
-        def build(setting):
-            trial = [space.constant(x, 0, ky) for x in setting]
-            cand_m, cand_w = known_metric, weight
-            if entries:
-                cand_m = metric + [_matrix_from_entries(entries, trial, nxi)]
-            if nweight:
-                cand_w = weight + trial[-1:]
-            return _ratio_vector(_forward(dn, cand_m, cand_w, m + 1), grade, samples)
-
-        base, dirs = _probe(build, nparams)
+        base = _ratio_vector(_forward(dn, metric, weight, m + 1), grade, samples)
+        dirs = _frozen_directions(dn, metric, m, entries, nweight, samples)
         data = _ratio_vector(dn, grade, samples)
         rows = [([d[t] for d in dirs], data[t] - base[t]) for t in range(len(base))]
         if delta_known is not None:

@@ -423,7 +423,7 @@ def test_roundtrip_report_matches_golden(tmp_path):
 
 
 def test_a_scenario_run_factorises_each_distinct_forward_run_once(factorisations):
-    # 78 calls of dn_symbol_* make the golden report, 50 of them distinct;
+    # 90 calls of dn_symbol_* make the golden report, 45 of them distinct;
     # a second run starts with nothing shared, and neither does a call after
     with open(os.path.join(DATA, "golden-reconstruct.json")) as fh:
         scenario = Scenario(json.load(fh))
@@ -432,9 +432,9 @@ def test_a_scenario_run_factorises_each_distinct_forward_run_once(factorisations
         before = factorisations[0]
         run_scenario(scenario, "golden")
         counts.append(factorisations[0] - before)
-    assert counts == [50, 50]
+    assert counts == [45, 45]
     dn_symbol_scalar(scenario.metric, scenario.weight, scenario.depth)
-    assert factorisations[0] == 101
+    assert factorisations[0] == 91
 
 
 def test_runner_table_covers_every_reconstruct_method():
