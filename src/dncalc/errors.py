@@ -37,13 +37,15 @@ class DataError(DnCalcError):
 class ReconstructionError(DnCalcError):
     """An inversion step degenerated (singular pivot, no real root, ...).
     When an order-by-order solve failed, ``method``, ``order`` and ``grade``
-    name it, and ``unknown`` is the index of the unknown without a unit
-    pivot if that is why; otherwise they are None."""
+    name it, ``unknown`` is the index of the unknown without a unit pivot if
+    that is why, and ``residual`` the largest coefficient left over if the
+    system was inconsistent; otherwise they are None."""
 
-    def __init__(self, message, method=None, order=None, grade=None, unknown=None):
+    def __init__(self, message, method=None, order=None, grade=None, unknown=None,
+                 residual=None):
         super().__init__(message)
         self.method, self.order, self.grade = method, order, grade
-        self.unknown = unknown
+        self.unknown, self.residual = unknown, residual
 
 
 class ScenarioError(DnCalcError):

@@ -57,7 +57,8 @@ from .jets import Jet, collar_from_radial_orders
 def solve_linear_jets(rows, nunknowns: int):
     """Solve an (over-determined, exactly consistent) linear system whose
     coefficients and right-hand sides are jets.  Raises when no unit pivot
-    exists for some unknown or when elimination leaves a nonzero residue."""
+    exists for some unknown or when elimination leaves a nonzero residue,
+    whose largest coefficient the error carries as ``residual``."""
     rows = [(list(coeffs), rhs) for coeffs, rhs in rows]
     # Gauss-Jordan in place: rows[:col] are the pivot rows found so far
     for col in range(nunknowns):
@@ -76,9 +77,11 @@ def solve_linear_jets(rows, nunknowns: int):
             f = ocs[col]
             if i != col and not f.is_zero:
                 rows[i] = ([a - f * b for a, b in zip(ocs, coeffs)], orhs - f * rhs)
-    for coeffs, rhs in rows[nunknowns:]:
-        if any(not c.is_zero for c in coeffs) or not rhs.is_zero:
-            raise ReconstructionError("inconsistent linear system for jet unknowns")
+    leftover = [j for coeffs, rhs in rows[nunknowns:] for j in coeffs + [rhs]]
+    if any(not j.is_zero for j in leftover):
+        raise ReconstructionError(
+            "inconsistent linear system for jet unknowns", residual=_magnitude(leftover)
+        )
     return [rhs for _, rhs in rows[:nunknowns]]
 
 
@@ -282,7 +285,7 @@ def _drive(method: str, dn: DNSymbolData, metric, weight, start: int, order: int
         except ReconstructionError as exc:
             raise ReconstructionError(
                 "%s: order %d (grade %d): %s" % (method, m, grade, exc),
-                method, m, grade, exc.unknown,
+                method, m, grade, exc.unknown, exc.residual,
             ) from exc
         if entries:
             metric.append(_matrix_from_entries(entries, sol, nxi))

@@ -4,12 +4,13 @@ Each task runs against the scenario's geometry and produces a JSON-ready
 record with a status: "pass" (ran and every check held), "fail" (ran but a
 check was violated) or "error" (could not run, e.g. a truncation budget too
 small for the requested depth); an error from a failed order-by-order solve
-also names its method, order and grade under "failure".  Reconstruction
-tasks are round trips: the forward DN data of the scenario's metric and
-weight is inverted and compared against the truth, by ``reconstruct_record``,
-which the acceptance criteria run too.  A scenario run shares its forward
-runs (``dn.shared_forward_runs``): its tasks read one DN data set of each
-kind, and a probe run that several tasks make runs once.
+also names its method, order and grade under "failure", and the unknown
+without a unit pivot or the residual of an inconsistent system when either
+is why.  Reconstruction tasks are round trips: the forward DN data of the
+scenario's metric and weight is inverted and compared against the truth, by
+``reconstruct_record``, which the acceptance criteria run too.  A scenario
+run shares its forward runs (``dn.shared_forward_runs``): its tasks read one
+DN data set of each kind, and a probe run that several tasks make runs once.
 """
 
 from __future__ import annotations
@@ -72,8 +73,9 @@ def run_task(scenario: Scenario, task: dict, index: int) -> dict:
             record["failure"] = {
                 "method": exc.method, "order": exc.order, "grade": exc.grade
             }
-            if exc.unknown is not None:
-                record["failure"]["unknown"] = exc.unknown
+            for key in ("unknown", "residual"):
+                if getattr(exc, key) is not None:
+                    record["failure"][key] = getattr(exc, key)
     return record
 
 

@@ -503,7 +503,8 @@ def test_reconstruct_checks_compare_against_the_truth(monkeypatch, tmp_path):
 
 def test_failed_solve_is_named_in_the_task_record(monkeypatch, tmp_path):
     # the recovery runs against a metric wrong in its r^1 coefficient, so
-    # the driver's solve at order 1 (grade 0) turns inconsistent
+    # the driver's solve at order 1 (grade 0) turns inconsistent, leaving a
+    # coefficient of size 1/4 behind
     import dncalc.runner as runner
 
     recover = runner.recover_weight_scalar
@@ -531,7 +532,9 @@ def test_failed_solve_is_named_in_the_task_record(monkeypatch, tmp_path):
     assert failed["error"].startswith(
         "ReconstructionError: weight_scalar: order 1 (grade 0): "
     )
-    assert failed["failure"] == {"method": "weight_scalar", "order": 1, "grade": 0}
+    assert failed["failure"] == {
+        "method": "weight_scalar", "order": 1, "grade": 0, "residual": 0.25
+    }
     assert passed["status"] == "pass" and "failure" not in passed
 
 

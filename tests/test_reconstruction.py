@@ -77,6 +77,24 @@ def test_solve_linear_jets_inconsistent():
         solve_linear_jets(rows, 1)
 
 
+def test_an_inconsistent_system_carries_its_largest_leftover_coefficient():
+    # the first row fixes x = 1; the others then leave 7/2 y1 and -3 behind
+    sp = JetSpace(3)
+    one = sp.one(0, 2)
+    y1 = sp.coordinate(1, 0, 2)
+    rows = [
+        ([one], one),
+        ([one], one + y1.scale(mpq(7, 2))),
+        ([one.scale(2)], one.scale(-1)),
+    ]
+    with pytest.raises(ReconstructionError) as info:
+        solve_linear_jets(rows, 1)
+    assert info.value.residual == 3.5
+    with pytest.raises(ReconstructionError) as info:
+        solve_linear_jets([([sp.zero(0, 2)], one)], 1)
+    assert info.value.residual is None and info.value.unknown == 0
+
+
 def test_first_order_flat():
     g = flat_metric()
     v = g.space.zero(KR, KY)
