@@ -23,10 +23,10 @@ first value listed being the default:
   ``order`` min(3, depth - 1), at least 2 for weight-gauge and volume-gauge
   and 0 otherwise; ``prescribe`` ``{"d1V" or "d2V": "true" or a
   rational}``, required by weight-gauge and volume-gauge, refused otherwise.
-- counterexample: ``depth`` the scenario's depth.
+- counterexample: ``depth`` the scenario's depth, at least 3.
 - validate-disk: ``modes`` "8:64" ("lo:hi" in steps of about sqrt 2, or a
-  list of integers); ``depth`` 2; ``weight_rho`` ["1/2", "-1", "1/2"], the
-  rational coefficients of V(rho).
+  list of integers >= 1); ``depth`` 2; ``weight_rho`` ["1/2", "-1",
+  "1/2"], the rational coefficients of V(rho).
 
 An integer field takes an integer or an integer string; a boolean or a
 fraction is refused rather than truncated.
@@ -360,7 +360,8 @@ class Scenario:
                 raise ScenarioError("%s.prescribe only applies to gauge methods" % where)
         elif kind == "counterexample":
             task.setdefault("depth", self.depth)
-            task["depth"] = self._int_field(task, "depth", where=where)
+            # the two-root recovery behind it runs to order depth - 1 >= 2
+            task["depth"] = self._int_field(task, "depth", minimum=3, where=where)
         elif kind == "validate-disk":
             task.setdefault("depth", 2)
             task["depth"] = self._int_field(task, "depth", where=where)
@@ -401,9 +402,11 @@ def _parse_modes(spec, where) -> list:
             k = max(k + 1, int(round(k * 2 ** 0.5)))
         modes.append(hi)
         return modes
-    if isinstance(spec, list) and all(isinstance(k, int) for k in spec):
+    if isinstance(spec, list) and all(
+        isinstance(k, int) and not isinstance(k, bool) and k >= 1 for k in spec
+    ):
         return list(spec)
-    raise ScenarioError("%s.modes must be 'lo:hi' or a list of integers" % where)
+    raise ScenarioError("%s.modes must be 'lo:hi' or a list of integers >= 1" % where)
 
 
 def load_scenario(path: str) -> tuple:

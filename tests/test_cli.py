@@ -267,6 +267,27 @@ def test_an_integer_field_refuses_bools_fractions_and_low_orders(tmp_path, capsy
     assert re.search(field, err)
 
 
+@pytest.mark.parametrize(
+    "task, message",
+    [
+        ({"kind": "counterexample", "depth": 0}, r"'tasks\[0\]\.depth' must be >= 3"),
+        ({"kind": "counterexample", "depth": 2}, r"'tasks\[0\]\.depth' must be >= 3"),
+        ({"kind": "validate-disk", "modes": [True, 3]}, r"tasks\[0\]\.modes must be"),
+        ({"kind": "validate-disk", "modes": [0, 3]}, r"tasks\[0\]\.modes must be"),
+        ({"kind": "validate-disk", "modes": [8, -16]}, r"tasks\[0\]\.modes must be"),
+    ],
+    ids=["depth-0", "depth-2", "modes-true", "modes-0", "modes-negative"],
+)
+def test_a_low_counterexample_depth_or_mode_exits_two_naming_the_field(
+    tmp_path, capsys, task, message
+):
+    # the counterexample recovers to order depth - 1, which must be >= 2
+    assert main(["run", write_scenario(tmp_path, flat_scenario([task]))]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ")
+    assert re.search(message, err)
+
+
 def test_roundtrip_scenario_report_deterministic(tmp_path):
     raw = flat_scenario(
         [
