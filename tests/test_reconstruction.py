@@ -17,6 +17,7 @@ from dncalc.reconstruction import (
     recover_with_known_volume_scalar,
     solve_linear_jets,
 )
+from dncalc.runner import true_metric_order
 from dncalc.scalars import mpq
 from dncalc.symbols import FormalSymbol, HomSymbol, XiPoly
 
@@ -367,6 +368,17 @@ def test_n4_order_one_through_the_driver(seed, tangentially_constant):
         assert_matrix_equal(scalar.metric_orders[m], truth[m])
         assert_jet_equal(scalar.weight_orders[m], weight.radial_derivative_at_zero(m))
     assert all(v == 0.0 for v in scalar.residuals.values())
+
+
+def test_n4_metric_to_order_two_from_the_flat_gauge():
+    # n = 4, orders (4,3), depth 3: order 2 of the metric, the first order
+    # above the boundary stage, from the flat-gauge data
+    metric, weight = random_instance(41, n=4, kr=4, ky=3)
+    dn = dn_symbol_gauge(metric, weight, 3, "sigma")
+    rep = recover_metric_known_weight(dn, weight, 2)
+    for m in range(3):
+        assert_matrix_equal(rep.metric_orders[m], true_metric_order(metric, m))
+    assert all(v == 0.0 for v in rep.residuals.values())
 
 
 def test_first_order_needs_depth_two():
