@@ -235,9 +235,8 @@ def _frozen_directions(dn: DNSymbolData, metric, m: int, entries, nweight: int,
     unknowns (the metric entries, then the weight), taken on the frozen
     model: the candidate's g^{ab}|0 constant in r, every lower order of the
     metric and the weight zero, and one unit entry at order m, at radial
-    order m + 2 and depth m + 1.  The differences need nothing else: at
-    grade 1 - m the order-m unknown enters only through its top-order term
-    over the principal symbol at r = 0."""
+    order m + 2 and depth m + 1.  They equal the full candidate's, for the
+    reason the module docstring gives."""
     space, ky, nxi = dn.ctx.space, dn.boundary_metric.ky, dn.n - 1
     zero = space.zero(0, ky)
     zero_mat = [[zero] * nxi for _ in range(nxi)]
@@ -250,7 +249,7 @@ def _frozen_directions(dn: DNSymbolData, metric, m: int, entries, nweight: int,
     def build(setting):
         trial = [space.constant(x, 0, ky) for x in setting]
         top = _matrix_from_entries(entries, trial, nxi) if entries else zero_mat
-        weight = [zero] * m + (trial[-1:] if nweight else [zero])
+        weight = [zero] * m + trial[len(entries):]
         return _ratio_vector(_forward(dn, lower + [top], weight, m + 1), 1 - m, samples)
 
     return _probe(build, len(entries) + nweight)[1]
