@@ -10,8 +10,6 @@ forward model; the other side is read off the rows ``_drive`` hands to
 ``solve_linear_jets`` while the public recovery functions run.
 """
 
-import functools
-
 import pytest
 
 import dncalc.reconstruction as reconstruction
@@ -38,10 +36,11 @@ INSTANCES = {
 }
 
 
-def _forward(dn, metric, weight, depth):
-    if dn.map_kind == "lambda0":
+def _forward(kind, metric, weight, depth):
+    """DN data of kind "lambda0", or lambda1 in the gauge tag kind."""
+    if kind == "lambda0":
         return dn_symbol_scalar(metric, weight, depth)
-    return dn_symbol_gauge(metric, weight, depth, dn.gauge_tag)
+    return dn_symbol_gauge(metric, weight, depth, kind)
 
 
 def full_candidate_directions(dn, metric, weight, m):
@@ -79,7 +78,7 @@ def full_candidate_directions(dn, metric, weight, m):
             w = collar_from_radial_orders(space, weight + trial[-1:], kr, ky)
         else:
             w = weight.truncated(kr, ky)
-        data = _forward(dn, g, w, m + 1)
+        data = _forward(dn.gauge_tag or "lambda0", g, w, m + 1)
         return [part for xi in _samples(nxi) for part in data.grade_ratio_eval(1 - m, xi)]
 
     base = run([0] * nparams)
@@ -139,60 +138,55 @@ def checked_orders(monkeypatch):
         yield checked
 
 
-@functools.lru_cache(maxsize=None)
-def _instance(n):
-    kwargs, depth = INSTANCES[n]
-    return random_instance(**kwargs) + (depth,)
-
-
-@functools.lru_cache(maxsize=None)
-def _dn(n, kind):
-    """DN data of the instance for n: "lambda0", or lambda1 in gauge kind."""
-    metric, weight, depth = _instance(n)
-    if kind == "lambda0":
-        return dn_symbol_scalar(metric, weight, depth)
-    return dn_symbol_gauge(metric, weight, depth, kind)
-
-
-class _Data:
-    """The data kinds of one instance, made when a recovery first reads them."""
+class _Instance:
+    """The random instance for one n, with each DN data kind ("lambda0", or
+    the gauge tag of lambda1) made when a recovery first reads it."""
 
     def __init__(self, n):
-        self.n = n
+        kwargs, self.depth = INSTANCES[n]
+        self.metric, self.weight = random_instance(**kwargs)
+        self.data = {}
 
     def __getitem__(self, kind):
-        return _dn(self.n, kind)
+        if kind not in self.data:
+            self.data[kind] = _forward(kind, self.metric, self.weight, self.depth)
+        return self.data[kind]
 
 
-def _first_order(metric, weight, data, top):
-    recover_first_order(data["s"], data["sigma"])
+@pytest.fixture(scope="module")
+def instances():
+    return {n: _Instance(n) for n in INSTANCES}
+
+
+def _first_order(inst, top):
+    recover_first_order(inst["s"], inst["sigma"])
 
 
 def _metric_known_weight(kind):
-    def recover(metric, weight, data, top):
-        recover_metric_known_weight(data[kind], weight, top)
+    def recover(inst, top):
+        recover_metric_known_weight(inst[kind], inst.weight, top)
 
     return recover
 
 
-def _weight_scalar(metric, weight, data, top):
-    recover_weight_scalar(data["lambda0"], metric, top)
+def _weight_scalar(inst, top):
+    recover_weight_scalar(inst["lambda0"], inst.metric, top)
 
 
-def _weight_gauge(metric, weight, data, top):
-    v1 = weight.radial_derivative_at_zero(1)
-    recover_weight_gauge(data["s"], metric, ("d1V", v1), top)
+def _weight_gauge(inst, top):
+    v1 = inst.weight.radial_derivative_at_zero(1)
+    recover_weight_gauge(inst["s"], inst.metric, ("d1V", v1), top)
 
 
-def _volume_gauge(metric, weight, data, top):
-    v1 = weight.radial_derivative_at_zero(1)
+def _volume_gauge(inst, top):
+    v1 = inst.weight.radial_derivative_at_zero(1)
     recover_with_known_volume_gauge(
-        data["s"], data["sigma"], metric.delta, ("d1V", v1), top
+        inst["s"], inst["sigma"], inst.metric.delta, ("d1V", v1), top
     )
 
 
-def _volume_scalar(metric, weight, data, top):
-    recover_with_known_volume_scalar(data["lambda0"], metric.delta, top)
+def _volume_scalar(inst, top):
+    recover_with_known_volume_scalar(inst["lambda0"], inst.metric.delta, top)
 
 
 M, W, MW = ("metric",), ("weight",), ("metric", "weight")
@@ -225,11 +219,12 @@ CASES = {
 
 @pytest.mark.parametrize("case", sorted(CASES))
 @pytest.mark.parametrize("n", sorted(INSTANCES))
-def test_solve_directions_equal_the_full_candidate_ones(n, case, checked_orders):
-    metric, weight, depth = _instance(n)
-    top = depth - 1
+def test_solve_directions_equal_the_full_candidate_ones(
+    n, case, instances, checked_orders
+):
+    top = instances[n].depth - 1
     recover, calls = CASES[case]
-    recover(metric, weight, _Data(n), top)
+    recover(instances[n], top)
     method = checked_orders[0][0]
     expected = [
         (method, kind, tag, m, unknowns)
