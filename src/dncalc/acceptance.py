@@ -1,19 +1,23 @@
-"""Acceptance criteria for the whole toolkit, each one a callable check.
+"""Acceptance criteria for the whole toolkit: rows of (name, check, budget),
+numbered by position, that ``run_criteria`` alone times.
 
-The checks are exact wherever the rational backend reaches (residuals and
-round trips compare jets coefficient by coefficient with zero tolerance);
-only the disk comparison against the numeric radial solver involves floating
-point, with the tolerances stated inline.  Both the test suite and the CLI
+Each check picks its instances and returns ``(passed, detail)``, reading its
+verdicts from ``runner.task_record`` wherever a task kind covers the claim.
+The flat baseline, the exact roots of the dichotomy, the trivial-weight disk
+modes and the fault injection are checked here: no task record carries them.
+All checks are exact but the disk comparison against the numeric radial
+solver, whose tolerances are stated inline.  Both the test suite and the CLI
 ``selftest`` subcommand run this list.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
+from time import perf_counter
 
-from .diskcheck import RadialProblem, asymptotic_compare, solve_mode
+from .diskcheck import RadialProblem, solve_mode
 from .dn import dn_symbol_gauge, dn_symbol_scalar
+from .errors import DnCalcError
 from .factorization import (
     factorize_gauge,
     factorize_scalar,
@@ -23,13 +27,10 @@ from .factorization import (
 from .geometry import BoundaryMetricJet, gauge_s, gauge_sigma
 from .jets import JetSpace
 from .randomgen import random_instance
-from .reconstruction import (
-    construct_indistinguishable_weight,
-    recover_weight_gauge,
-    recover_with_known_volume_scalar,
-)
-from .runner import reconstruct_record
+from .reconstruction import recover_weight_gauge
+from .runner import task_record
 from .scalars import mpq
+from .serialize import jet_from_json
 from .symbols import HomSymbol
 
 
@@ -42,36 +43,52 @@ class CriterionResult:
     elapsed_seconds: float
 
 
-def criterion_1_exact_residuals() -> CriterionResult:
+def _seeds(first, count, kr=5, ky=4):
+    """(seed, metric, weight) of ``random_instance(seed, kr=kr, ky=ky)`` for
+    ``count`` seeds from ``first`` on."""
+    for seed in range(first, first + count):
+        yield (seed, *random_instance(seed, kr=kr, ky=ky))
+
+
+def _failures(instances, depth, *tasks) -> list:
+    """(label, what failed) for every runner record of ``tasks`` that does
+    not pass on the (label, metric, weight) ``instances``, symbols to
+    ``depth``.  What failed is the list of failed checks, or the mode of a
+    factorize record, which has none."""
+    bad = []
+    for label, metric, weight in instances:
+        for task in tasks:
+            record = task_record(metric, weight, depth, task)
+            if record["status"] != "pass":
+                failed = [k for k, ok in record.get("checks", {}).items() if not ok]
+                bad.append((label, failed or task["mode"]))
+    return bad
+
+
+def _listed(text, bad):
+    """(passed, detail): passed when ``bad`` is empty, which the detail lists."""
+    return not bad, text + ("; failures %r" % bad if bad else "")
+
+
+def _reconstruct(method, order, **extra):
+    return {"kind": "reconstruct", "method": method, "order": order, **extra}
+
+
+def exact_residuals():
     """25 random rational instances (n=3, orders (5,4), depth 4): the defining
     identity of both factorisations vanishes on every reliable grade."""
-    start = time.perf_counter()
-    failures = []
-    for i in range(25):
-        metric, weight = random_instance(1000 + i)
-        res_g = factorize_gauge(metric, gauge_s(metric, weight), 4, weight=weight)
-        if verify_residual(res_g) is not None:
-            failures.append((i, "gauge"))
-        res_c = factorize_scalar(metric, weight, 4)
-        if verify_residual(res_c) is not None:
-            failures.append((i, "scalar"))
-    elapsed = time.perf_counter() - start
-    ok = not failures and elapsed < 300.0
-    detail = "25 instances x 2 modes"
-    if failures:
-        detail += "; failures: %r" % failures
-    if elapsed >= 300.0:
-        detail += "; exceeded the 5 minute budget"
-    return CriterionResult(1, "exact factorisation residuals", ok, detail, elapsed)
+    tasks = (
+        {"kind": "factorize", "mode": "gauge", "gauge": "s"},
+        {"kind": "factorize", "mode": "scalar"},
+    )
+    return _listed("25 instances x 2 modes", _failures(_seeds(1000, 25), 4, *tasks))
 
 
-def criterion_2_flat_baseline() -> CriterionResult:
+def flat_baseline():
     """Flat metric with zero weight: every subprincipal component vanishes and
     the principal DN observable is -||xi'|| with unit density."""
-    start = time.perf_counter()
     g = BoundaryMetricJet.flat(JetSpace(3), 5, 4)
     v = g.space.zero(5, 4)
-    ok = True
     notes = []
     for result in (
         factorize_gauge(g, gauge_s(g, v), 4, weight=v),
@@ -79,10 +96,8 @@ def criterion_2_flat_baseline() -> CriterionResult:
         factorize_scalar(g, v, 4),
     ):
         if result.symbol.grade(1) != -HomSymbol.xi_norm(g.ctx):
-            ok = False
             notes.append("%s principal is not -||xi'||" % result.mode)
         if not all(result.symbol.grade(j).is_zero for j in (0, -1, -2)):
-            ok = False
             notes.append("%s has nonzero lower grades" % result.mode)
     for dn in (
         dn_symbol_scalar(g, v, 4),
@@ -90,64 +105,30 @@ def criterion_2_flat_baseline() -> CriterionResult:
         dn_symbol_gauge(g, v, 4, "sigma"),
     ):
         if dn.symbol.grade(1) != -HomSymbol.xi_norm(dn.ctx):
-            ok = False
             notes.append("%s principal observable wrong" % dn.map_kind)
         if dn.density_sq != g.space.one(0, 4):
-            ok = False
             notes.append("%s density not one" % dn.map_kind)
-    elapsed = time.perf_counter() - start
-    return CriterionResult(
-        2, "flat baseline", ok, "; ".join(notes) if notes else "all exact", elapsed
-    )
+    return not notes, "; ".join(notes) if notes else "all exact"
 
 
-def _round_trip_failures(task, first_seed, kr, ky, depth) -> list:
-    """(seed, check name) for every check that fails in the runner's record
-    of the reconstruct ``task`` on ``random_instance(seed, kr=kr, ky=ky)``,
-    DN data to ``depth``, for the 10 seeds from ``first_seed`` on."""
-    bad = []
-    for seed in range(first_seed, first_seed + 10):
-        metric, weight = random_instance(seed, kr=kr, ky=ky)
-        checks = reconstruct_record(metric, weight, depth, task)["checks"]
-        bad.extend((seed, name) for name, ok in checks.items() if not ok)
-    return bad
-
-
-def criterion_3_first_order_roundtrip() -> CriterionResult:
+def first_order_roundtrip():
     """10 random instances: boundary metric and first radial derivative exact,
     weight exact modulo its additive constant."""
-    start = time.perf_counter()
-    bad = _round_trip_failures({"method": "first-order", "order": 1}, 2000, 5, 4, 4)
-    elapsed = time.perf_counter() - start
-    return CriterionResult(
-        3,
-        "boundary data round trip",
-        not bad,
-        "10 instances%s" % ("; failures %r" % bad if bad else ""),
-        elapsed,
-    )
+    bad = _failures(_seeds(2000, 10), 4, _reconstruct("first-order", 1))
+    return _listed("10 instances", bad)
 
 
-def criterion_4_weight_scalar_roundtrip() -> CriterionResult:
+def weight_scalar_roundtrip():
     """10 random instances at depth 5: with the metric known, the scalar DN
     symbol returns d_r^m V exactly for m = 0..4 (absolute boundary value)."""
-    start = time.perf_counter()
-    bad = _round_trip_failures({"method": "weight-scalar", "order": 4}, 3000, 6, 5, 5)
-    elapsed = time.perf_counter() - start
-    return CriterionResult(
-        4,
-        "scalar weight round trip to order 4",
-        not bad,
-        "10 instances%s" % ("; failures %r" % bad if bad else ""),
-        elapsed,
-    )
+    bad = _failures(_seeds(3000, 10, 6, 5), 5, _reconstruct("weight-scalar", 4))
+    return _listed("10 instances", bad)
 
 
-def criterion_5_dichotomy_and_counterexample() -> CriterionResult:
+def dichotomy_and_counterexample():
     """Flat metric, radial weight with d_r V = 1: prescribing the true second
     derivative returns exactly the roots {1, -1}, and the alternate root
     produces a distinct weight with identical gauge DN data on all grades."""
-    start = time.perf_counter()
     g = BoundaryMetricJet.flat(JetSpace(3), 5, 4)
     sp = g.space
     r = sp.coordinate(0, 5, 4)
@@ -155,59 +136,35 @@ def criterion_5_dichotomy_and_counterexample() -> CriterionResult:
     dn = dn_symbol_gauge(g, v, 4, "s")
     rep = recover_weight_gauge(dn, g, ("d2V", 0), 3)
     roots = [b.root_constant for b in rep.branches]
-    ok = roots == [mpq(-1), mpq(1)]
     notes = ["roots %r" % [str(x) for x in roots]]
-    try:
-        ce = construct_indistinguishable_weight(g, v, 4)
-        if not ce.dn_matches:
-            ok = False
-            notes.append("counterexample DN data does not match")
-        if ce.weight == v:
-            ok = False
-            notes.append("counterexample weight equals the original")
-        notes.append("alternate root %s" % ce.alternate_root.constant_term())
-    except Exception as exc:  # noqa: BLE001 - reported, not raised
-        ok = False
-        notes.append("counterexample failed: %s" % exc)
-    elapsed = time.perf_counter() - start
-    return CriterionResult(
-        5, "two-root dichotomy and counterexample", ok, "; ".join(notes), elapsed
-    )
+    ce = task_record(g, v, 4, {"kind": "counterexample", "depth": 4})
+    if ce["status"] != "pass":
+        notes.append("counterexample dn_matches %(dn_matches)s, distinct %(distinct)s" % ce)
+    root = jet_from_json(sp, ce["alternate_root"])
+    notes.append("alternate root %s" % root.constant_term())
+    return roots == [mpq(-1), mpq(1)] and ce["status"] == "pass", "; ".join(notes)
 
 
-def criterion_6_known_volume_roundtrips() -> CriterionResult:
+def known_volume_roundtrips():
     """With the volume known: gauge-pair recovery returns the metric to order
     3 and sound branches, one of them the true weight (10 instances,
     prescribed true d_r V), the scalar recovery returns both jets to order 4
-    (10 instances), and on the flat example with V = a r it returns
-    d_r V = a."""
-    start = time.perf_counter()
-    gauge = {"method": "volume-gauge", "order": 3, "prescribe": {"d1V": "true"}}
-    bad = _round_trip_failures(gauge, 4000, 5, 4, 4)
-    bad += _round_trip_failures({"method": "volume-scalar", "order": 4}, 5000, 6, 5, 5)
-    # hand example: flat metric, V = a r, n = 3
+    (10 instances), and on the flat example with V = a r it returns both
+    jets to order 1, so d_r V = a."""
+    gauge = _reconstruct("volume-gauge", 3, prescribe={"d1V": "true"})
+    bad = _failures(_seeds(4000, 10), 4, gauge)
+    bad += _failures(_seeds(5000, 10, 6, 5), 5, _reconstruct("volume-scalar", 4))
+    # hand example: flat metric, V = a r with a = 3/4, n = 3
     g = BoundaryMetricJet.flat(JetSpace(3), 5, 4)
-    a = mpq(3, 4)
-    v = g.space.coordinate(0, 5, 4).scale(a)
-    dn = dn_symbol_scalar(g, v, 4)
-    rep = recover_with_known_volume_scalar(dn, g.delta, 1)
-    if rep.weight_orders[1].constant_term() != a:
-        bad.append(("flat-example", str(rep.weight_orders[1].constant_term())))
-    elapsed = time.perf_counter() - start
-    return CriterionResult(
-        6,
-        "known-volume round trips",
-        not bad,
-        "20 instances + hand example%s" % ("; failures %r" % bad if bad else ""),
-        elapsed,
-    )
+    v = g.space.coordinate(0, 5, 4).scale(mpq(3, 4))
+    bad += _failures([("flat-example", g, v)], 4, _reconstruct("volume-scalar", 1))
+    return _listed("20 instances + hand example", bad)
 
 
-def criterion_7_disk_asymptotics() -> CriterionResult:
+def disk_asymptotics():
     """Euclidean disk with a radial quadratic weight: error after the depth-J
     partial sum decays with fitted slope <= -(J - 0.3) for J in {2, 3}; the
-    trivial weight reproduces -k to 1e-8 relative.  Budget: one minute."""
-    start = time.perf_counter()
+    trivial weight reproduces -k to 1e-8 relative."""
     notes = []
     ok = True
     trivial = RadialProblem(rho_coeffs=())
@@ -216,24 +173,24 @@ def criterion_7_disk_asymptotics() -> CriterionResult:
         if abs(ratio + k) > 1e-8 * k:
             ok = False
             notes.append("mode %d ratio %.12f" % (k, ratio))
-    problem = RadialProblem(rho_coeffs=(mpq(1, 2), mpq(-1), mpq(1, 2)))
     for depth in (2, 3):
-        comp = asymptotic_compare(problem, depth)
-        notes.append("J=%d slope %.3f" % (depth, comp.slope))
-        if not comp.passed:
+        task = {
+            "kind": "validate-disk",
+            "modes": RadialProblem.modes,
+            "depth": depth,
+            "weight_rho": (mpq(1, 2), mpq(-1), mpq(1, 2)),
+        }
+        record = task_record(None, None, depth, task)
+        notes.append("J=%d slope %.3f" % (depth, record["slope"]))
+        if record["status"] != "pass":
             ok = False
-            notes.append("J=%d failed: %s" % (depth, comp.note))
-    elapsed = time.perf_counter() - start
-    if elapsed >= 60.0:
-        ok = False
-        notes.append("exceeded the 1 minute budget")
-    return CriterionResult(7, "disk asymptotics", ok, "; ".join(notes), elapsed)
+            notes.append("J=%d failed: %s" % (depth, record["note"]))
+    return ok, "; ".join(notes)
 
 
-def criterion_8_fault_detection() -> CriterionResult:
+def fault_detection():
     """Five injected faults, one per determined component across both modes:
     the residual verifier reports exactly the corrupted grade."""
-    start = time.perf_counter()
     metric, weight = random_instance(6000)
     bad = []
     scalar = factorize_scalar(metric, weight, 4)
@@ -249,47 +206,44 @@ def criterion_8_fault_detection() -> CriterionResult:
         reported = verify_residual(perturb_component(result, grade))
         if reported != grade:
             bad.append((result.mode, grade, reported))
-    elapsed = time.perf_counter() - start
-    return CriterionResult(
-        8,
-        "injected-fault detection",
-        not bad,
-        "5 sites%s" % ("; failures %r" % bad if bad else ", all localised"),
-        elapsed,
-    )
+    return not bad, "5 sites%s" % ("; failures %r" % bad if bad else ", all localised")
 
 
+#: (name, check, budget in seconds or None); criterion k is row k - 1
 ALL_CRITERIA = (
-    criterion_1_exact_residuals,
-    criterion_2_flat_baseline,
-    criterion_3_first_order_roundtrip,
-    criterion_4_weight_scalar_roundtrip,
-    criterion_5_dichotomy_and_counterexample,
-    criterion_6_known_volume_roundtrips,
-    criterion_7_disk_asymptotics,
-    criterion_8_fault_detection,
+    ("exact factorisation residuals", exact_residuals, 300),
+    ("flat baseline", flat_baseline, None),
+    ("boundary data round trip", first_order_roundtrip, None),
+    ("scalar weight round trip to order 4", weight_scalar_roundtrip, None),
+    ("two-root dichotomy and counterexample", dichotomy_and_counterexample, None),
+    ("known-volume round trips", known_volume_roundtrips, None),
+    ("disk asymptotics", disk_asymptotics, 60),
+    ("injected-fault detection", fault_detection, None),
 )
 
 
 def run_criteria(numbers=None, log=None):
     """Run the selected criteria (all by default), logging one line each
-    with the verdict, the wall time and the detail."""
+    with the verdict, the wall time and the detail.  A criterion fails when
+    its check raises a ``DnCalcError`` or runs for its budget or longer."""
     results = []
-    for fn in ALL_CRITERIA:
-        probe = fn.__name__.split("_")[1]
-        if numbers is not None and int(probe) not in numbers:
+    for number, (name, check, budget) in enumerate(ALL_CRITERIA, 1):
+        if numbers is not None and number not in numbers:
             continue
-        result = fn()
+        start = perf_counter()
+        try:
+            passed, detail = check()
+        except DnCalcError as exc:
+            passed, detail = False, "%s: %s" % (type(exc).__name__, exc)
+        elapsed = perf_counter() - start
+        if budget is not None and elapsed >= budget:
+            passed = False
+            detail += "; exceeded the %d minute budget" % (budget // 60)
+        result = CriterionResult(number, name, passed, detail, elapsed)
         results.append(result)
         if log is not None:
             log(
                 "criterion %d [%s]: %s in %.1fs (%s)"
-                % (
-                    result.number,
-                    result.name,
-                    "PASS" if result.passed else "FAIL",
-                    result.elapsed_seconds,
-                    result.detail,
-                )
+                % (number, name, "PASS" if passed else "FAIL", elapsed, detail)
             )
     return results

@@ -129,7 +129,9 @@ def _parse_prescription(text):
 
 def _cmd_reconstruct(args):
     prescribe = _parse_prescription(args.prescribe)
-    task = {"kind": "reconstruct", "method": args.method, "order": args.order}
+    task = {"kind": "reconstruct", "method": args.method}
+    if args.order is not None:  # else the scenario schema's default
+        task["order"] = args.order
     if prescribe:
         task["prescribe"] = prescribe
     return _run_inline(_geometry_scenario(args, [task]), args.output)
@@ -229,7 +231,7 @@ def build_parser():
         required=True,
         choices=RECONSTRUCTION_METHODS,
     )
-    p.add_argument("--order", type=int, default=3)
+    p.add_argument("--order", type=int, help="recovery order (default min(3, depth - 1))")
     p.add_argument("--prescribe", help="d1V=<value|true> or d2V=<value|true>")
     p.set_defaults(fn=_cmd_reconstruct)
 

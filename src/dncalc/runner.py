@@ -1,16 +1,16 @@
-"""Task execution for scenario files: the engine behind the CLI.
+"""Task execution for scenario files, and the one pass rule of each task kind.
 
-Each task runs against the scenario's geometry and produces a JSON-ready
-record with a status: "pass" (ran and every check held), "fail" (ran but a
-check was violated) or "error" (could not run, e.g. a truncation budget too
-small for the requested depth); an error from a failed order-by-order solve
-also names its method, order and grade under "failure", and the unknown
-without a unit pivot or the residual of an inconsistent system when either
-is why.  Reconstruction tasks are round trips: the forward DN data of the
-scenario's metric and weight is inverted and compared against the truth, by
-``reconstruct_record``, which the acceptance criteria run too.  A scenario
-run shares its forward runs (``dn.shared_forward_runs``): its tasks read one
-DN data set of each kind, and a probe run that several tasks make runs once.
+``task_record(metric, weight, depth, task)`` looks the kind up in ``TASKS``
+and returns a JSON-ready record whose status is "pass" or "fail": a
+factorisation passes when its residual vanishes, a reconstruction when its
+round trip returns the truth on every check, a counterexample when its
+second weight is distinct with the same DN data, and a disk check when its
+error slope meets the bound.  The acceptance criteria read these verdicts.
+In ``run_task``, status "error" means the task could not run (e.g. a
+truncation too small for the depth); a failed order-by-order solve names its
+method, order, grade and, when either is why, the unknown without a unit
+pivot or the residual of an inconsistent system, under "failure".  A
+scenario run shares its forward runs (``dn.shared_forward_runs``).
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import Callable, NamedTuple
 from . import __version__
 from .diskcheck import RadialProblem, asymptotic_compare
 from .dn import dn_symbol_gauge, dn_symbol_scalar, shared_forward_runs
-from .errors import DnCalcError, ReconstructionError, ScenarioError
+from .errors import DnCalcError, ReconstructionError
 from .factorization import factorize_gauge, factorize_scalar, verify_residual
 from .geometry import gauge_s, gauge_sigma
 from .reconstruction import (
@@ -64,8 +64,7 @@ def _weight_orders_json(orders):
 def run_task(scenario: Scenario, task: dict, index: int) -> dict:
     record = {"index": index, "kind": task["kind"], "status": "error"}
     try:
-        detail = _dispatch(scenario, task)
-        record.update(detail)
+        record.update(task_record(scenario.metric, scenario.weight, scenario.depth, task))
     except DnCalcError as exc:
         record["status"] = "error"
         record["error"] = "%s: %s" % (type(exc).__name__, exc)
@@ -79,28 +78,18 @@ def run_task(scenario: Scenario, task: dict, index: int) -> dict:
     return record
 
 
-def _dispatch(scenario: Scenario, task: dict) -> dict:
-    kind = task["kind"]
-    if kind == "factorize":
-        return _task_factorize(scenario, task)
-    if kind == "dn":
-        return _task_dn(scenario, task)
-    if kind == "reconstruct":
-        return reconstruct_record(scenario.metric, scenario.weight, scenario.depth, task)
-    if kind == "counterexample":
-        return _task_counterexample(scenario, task)
-    if kind == "validate-disk":
-        return _task_validate_disk(scenario, task)
-    raise ScenarioError("unknown task kind %r" % kind)
+def task_record(metric, weight, depth: int, task: dict) -> dict:
+    """The record of ``task``, a task as ``Scenario`` stores it, on
+    ``metric`` and ``weight`` with symbols to ``depth``."""
+    return TASKS[task["kind"]](metric, weight, depth, task)
 
 
-def _task_factorize(scenario: Scenario, task: dict) -> dict:
-    metric, weight = scenario.metric, scenario.weight
+def _task_factorize(metric, weight, depth: int, task: dict) -> dict:
     if task["mode"] == "gauge":
         gauge = gauge_s(metric, weight) if task["gauge"] == "s" else gauge_sigma(metric, weight)
-        result = factorize_gauge(metric, gauge, scenario.depth, weight=weight)
+        result = factorize_gauge(metric, gauge, depth, weight=weight)
     else:
-        result = factorize_scalar(metric, weight, scenario.depth)
+        result = factorize_scalar(metric, weight, depth)
     bctx = metric.restricted_to_boundary().ctx
     boundary = result.symbol.restricted_to_boundary(bctx)
     out = {
@@ -127,10 +116,9 @@ def _dn_data(metric, weight, depth: int, kind: str):
     return dn_symbol_gauge(metric, weight, depth, kind)
 
 
-def _task_dn(scenario: Scenario, task: dict) -> dict:
+def _task_dn(metric, weight, depth: int, task: dict) -> dict:
     kind = "lambda0" if task["map"] == "lambda0" else task["gauge"]
-    data = _dn_data(scenario.metric, scenario.weight, scenario.depth, kind)
-    return {"status": "pass", "data": dn_to_json(data)}
+    return {"status": "pass", "data": dn_to_json(_dn_data(metric, weight, depth, kind))}
 
 
 def _prescription(weight, task: dict):
@@ -250,11 +238,9 @@ RECONSTRUCT = {
 }
 
 
-def reconstruct_record(metric, weight, depth: int, task: dict) -> dict:
-    """The record of a reconstruct ``task`` (its "method", its integer
-    "order" and, for the gauge methods, its "prescribe"): the DN data of
-    ``metric`` and ``weight`` to ``depth``, inverted by the method and
-    checked against them."""
+def _task_reconstruct(metric, weight, depth: int, task: dict) -> dict:
+    """The DN data of ``metric`` and ``weight`` to ``depth``, inverted by
+    the task's method to its order and checked against them."""
     method = RECONSTRUCT[task["method"]]
     data = [_dn_data(metric, weight, depth, kind) for kind in method.data]
     rep = method.recover(data, metric, weight, task)
@@ -267,8 +253,7 @@ def reconstruct_record(metric, weight, depth: int, task: dict) -> dict:
     return out
 
 
-def _task_counterexample(scenario: Scenario, task: dict) -> dict:
-    metric, weight = scenario.metric, scenario.weight
+def _task_counterexample(metric, weight, depth: int, task: dict) -> dict:
     result = construct_indistinguishable_weight(metric, weight, task["depth"])
     distinct = result.weight != weight
     return {
@@ -280,7 +265,7 @@ def _task_counterexample(scenario: Scenario, task: dict) -> dict:
     }
 
 
-def _task_validate_disk(scenario: Scenario, task: dict) -> dict:
+def _task_validate_disk(metric, weight, depth: int, task: dict) -> dict:
     problem = RadialProblem(
         rho_coeffs=tuple(task["weight_rho"]), modes=tuple(task["modes"])
     )
@@ -302,6 +287,16 @@ def _task_validate_disk(scenario: Scenario, task: dict) -> dict:
             for row in comp.rows
         ],
     }
+
+
+#: every task kind of serialize.VALID_TASK_KINDS -> its record
+TASKS = {
+    "factorize": _task_factorize,
+    "dn": _task_dn,
+    "reconstruct": _task_reconstruct,
+    "counterexample": _task_counterexample,
+    "validate-disk": _task_validate_disk,
+}
 
 
 def run_scenario(scenario: Scenario, digest: str) -> dict:

@@ -38,7 +38,7 @@ import hashlib
 import json
 
 from .dn import DNSymbolData
-from .errors import BackendError, DataError, ScenarioError
+from .errors import BackendError, DataError, DnCalcError, ScenarioError
 from .geometry import BoundaryMetricJet
 from .jets import Jet, JetSpace
 from .randomgen import random_metric, random_weight
@@ -288,10 +288,10 @@ class Scenario:
                     ) from None
                 if not (1 <= a <= nt and 1 <= b <= nt):
                     raise ScenarioError("metric index %r out of range" % key)
-                jet = jet_from_json(sp, rec)
+                jet = _named("metric entry %r" % key, jet_from_json, sp, rec)
                 rows[a - 1][b - 1] = jet
                 rows[b - 1][a - 1] = jet
-            return BoundaryMetricJet(rows)
+            return _named("metric", BoundaryMetricJet, rows)
         raise ScenarioError("metric must be 'flat', 'random' or a coefficient table")
 
     def _parse_weight(self, spec) -> Jet:
@@ -303,7 +303,7 @@ class Scenario:
             rng.random()  # same stream as the metric, offset by two 32-bit words
             return random_weight(rng, sp, self.kr, self.ky)
         if isinstance(spec, dict):
-            return jet_from_json(sp, spec)
+            return _named("weight", jet_from_json, sp, spec)
         raise ScenarioError("weight must be 'zero', 'random' or a jet record")
 
     def _validate_task(self, task, index) -> dict:
@@ -375,6 +375,15 @@ class Scenario:
                 for i, c in enumerate(rho)
             ]
         return task
+
+
+def _named(label, build, *args):
+    """``build(*args)``; a ``DnCalcError`` it raises becomes a ``ScenarioError``
+    naming ``label``."""
+    try:
+        return build(*args)
+    except DnCalcError as exc:
+        raise ScenarioError("%s: %s" % (label, exc)) from None
 
 
 def _rational(value, label, expected):

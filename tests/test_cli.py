@@ -9,9 +9,10 @@ from dncalc.cli import main
 from dncalc.dn import dn_symbol_gauge, dn_symbol_scalar
 from dncalc.randomgen import random_instance
 from dncalc.geometry import BoundaryMetricJet
-from dncalc.runner import RECONSTRUCT, run_scenario
+from dncalc.runner import RECONSTRUCT, TASKS, run_scenario
 from dncalc.serialize import (
     RECONSTRUCTION_METHODS,
+    VALID_TASK_KINDS,
     Scenario,
     dn_from_json,
     dn_to_json,
@@ -288,6 +289,52 @@ def test_a_low_counterexample_depth_or_mode_exits_two_naming_the_field(
     assert re.search(message, err)
 
 
+def _metric_entry(*terms):
+    return {
+        "radial_order": 3,
+        "tangential_order": 2,
+        "terms": [{"index": index, "value": value} for index, value in terms],
+    }
+
+
+@pytest.mark.parametrize(
+    "geometry, message",
+    [
+        (
+            {"weight": {"radial_order": 3, "tangential_order": 2,
+                        "terms": [{"index": [0, 1], "value": "1"}]}},
+            r"weight: bad multi-index \(0, 1\) for n=3",
+        ),
+        (
+            {"metric": {"1,1": _metric_entry(([0, 0, 0], "1"), ([5, 0, 0], "1"))}},
+            r"metric entry '1,1': index \(5, 0, 0\) exceeds truncation orders",
+        ),
+        (
+            {"metric": {"1,1": _metric_entry(([0, 0, 0], "-1"))}},
+            r"metric: constant term of the metric block is not positive definite",
+        ),
+    ],
+    ids=["weight-index", "metric-entry-order", "metric-not-positive"],
+)
+def test_a_malformed_jet_or_metric_table_exits_two_naming_the_field(
+    tmp_path, capsys, geometry, message
+):
+    raw = {**flat_scenario([{"kind": "dn"}], kr=3, ky=2), **geometry}
+    assert main(["run", write_scenario(tmp_path, raw)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ")
+    assert re.search(message, err)
+
+
+def test_reconstruct_order_defaults_to_the_scenario_schema(tmp_path):
+    # no --order: the task gets min(3, depth - 1), here 1
+    out = str(tmp_path / "report.json")
+    argv = ["reconstruct", "--method", "weight-scalar", "--depth", "2",
+            "--radial-order", "3", "--tangential-order", "2", "-o", out]
+    assert main(argv) == 0
+    assert read_report(out)["tasks"][0]["order"] == 1
+
+
 def test_roundtrip_scenario_report_deterministic(tmp_path):
     raw = flat_scenario(
         [
@@ -387,13 +434,12 @@ def test_validate_disk_subcommand(tmp_path):
 
 
 def test_selftest_quick_criteria(capsys):
-    code = main(["selftest", "--criteria", "2,3,8"])
+    code = main(["selftest", "--criteria", "2,3,5,7,8"])
     captured = capsys.readouterr()
     assert code == 0
-    assert "criterion 2" in captured.out
-    assert "criterion 3" in captured.out
-    assert "criterion 8" in captured.out
-    assert "3/3 criteria passed" in captured.out
+    for number in (2, 3, 5, 7, 8):
+        assert "criterion %d" % number in captured.out
+    assert "5/5 criteria passed" in captured.out
 
 
 def test_float_backend_scenario_exits_two(tmp_path, capsys):
@@ -460,6 +506,10 @@ def test_a_scenario_run_factorises_each_distinct_forward_run_once(factorisations
 
 def test_runner_table_covers_every_reconstruct_method():
     assert tuple(RECONSTRUCT) == RECONSTRUCTION_METHODS
+
+
+def test_runner_table_covers_every_task_kind():
+    assert tuple(TASKS) == VALID_TASK_KINDS
 
 
 def test_volume_gauge_without_real_roots_fails_its_task(tmp_path):
