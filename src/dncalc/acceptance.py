@@ -65,7 +65,7 @@ def _failures(instances, depth, *tasks) -> list:
     return bad
 
 
-def _listed(text, bad):
+def _verdict(text, bad):
     """(passed, detail): passed when ``bad`` is empty, which the detail lists."""
     return not bad, text + ("; failures %r" % bad if bad else "")
 
@@ -81,7 +81,7 @@ def exact_residuals():
         {"kind": "factorize", "mode": "gauge", "gauge": "s"},
         {"kind": "factorize", "mode": "scalar"},
     )
-    return _listed("25 instances x 2 modes", _failures(_seeds(1000, 25), 4, *tasks))
+    return _verdict("25 instances x 2 modes", _failures(_seeds(1000, 25), 4, *tasks))
 
 
 def flat_baseline():
@@ -115,14 +115,14 @@ def first_order_roundtrip():
     """10 random instances: boundary metric and first radial derivative exact,
     weight exact modulo its additive constant."""
     bad = _failures(_seeds(2000, 10), 4, _reconstruct("first-order", 1))
-    return _listed("10 instances", bad)
+    return _verdict("10 instances", bad)
 
 
 def weight_scalar_roundtrip():
     """10 random instances at depth 5: with the metric known, the scalar DN
     symbol returns d_r^m V exactly for m = 0..4 (absolute boundary value)."""
     bad = _failures(_seeds(3000, 10, 6, 5), 5, _reconstruct("weight-scalar", 4))
-    return _listed("10 instances", bad)
+    return _verdict("10 instances", bad)
 
 
 def dichotomy_and_counterexample():
@@ -158,7 +158,7 @@ def known_volume_roundtrips():
     g = BoundaryMetricJet.flat(JetSpace(3), 5, 4)
     v = g.space.coordinate(0, 5, 4).scale(mpq(3, 4))
     bad += _failures([("flat-example", g, v)], 4, _reconstruct("volume-scalar", 1))
-    return _listed("20 instances + hand example", bad)
+    return _verdict("20 instances + hand example", bad)
 
 
 def disk_asymptotics():

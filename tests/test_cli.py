@@ -289,7 +289,8 @@ def test_a_low_counterexample_depth_or_mode_exits_two_naming_the_field(
     assert re.search(message, err)
 
 
-def _metric_entry(*terms):
+def _jet(*terms):
+    """A jet record at truncation (3, 2) with the (index, value) terms."""
     return {
         "radial_order": 3,
         "tangential_order": 2,
@@ -301,16 +302,15 @@ def _metric_entry(*terms):
     "geometry, message",
     [
         (
-            {"weight": {"radial_order": 3, "tangential_order": 2,
-                        "terms": [{"index": [0, 1], "value": "1"}]}},
+            {"weight": _jet(([0, 1], "1"))},
             r"weight: bad multi-index \(0, 1\) for n=3",
         ),
         (
-            {"metric": {"1,1": _metric_entry(([0, 0, 0], "1"), ([5, 0, 0], "1"))}},
+            {"metric": {"1,1": _jet(([0, 0, 0], "1"), ([5, 0, 0], "1"))}},
             r"metric entry '1,1': index \(5, 0, 0\) exceeds truncation orders",
         ),
         (
-            {"metric": {"1,1": _metric_entry(([0, 0, 0], "-1"))}},
+            {"metric": {"1,1": _jet(([0, 0, 0], "-1"))}},
             r"metric: constant term of the metric block is not positive definite",
         ),
     ],
