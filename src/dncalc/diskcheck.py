@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .errors import DataError, DepthError
+from .errors import DataError
 from .factorization import factorize_scalar
 from .geometry import BoundaryMetricJet
 from .jets import JetSpace

@@ -25,7 +25,7 @@ of the identity minus one), so a corrupted s_j trips the verifier at label j.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
@@ -43,6 +43,8 @@ class FactorizationResult:
     weight: Jet | None
     gauge: GaugeData | None
     depth: int
+    q: tuple  # (q2, q1, q0), the full symbol of the tangential operator
+    drift: Jet  # the first-order radial drift
 
 
 class _Recursion:
@@ -158,11 +160,10 @@ def factorize_gauge(
     is always -||xi'||.
     """
     _check_budgets(metric, weight, depth)
-    q2, q1, q0 = compute_q_symbols(metric, weight, gauge)
+    q = compute_q_symbols(metric, weight, gauge)
     drift = radial_drift(metric)
-    rec = _Recursion(metric.ctx, q2, q1, q0, drift, gauge.a_r)
-    sym = rec.solve(depth)
-    return FactorizationResult("gauge", sym, metric, weight, gauge, depth)
+    sym = _Recursion(metric.ctx, *q, drift, gauge.a_r).solve(depth)
+    return FactorizationResult("gauge", sym, metric, weight, gauge, depth, q, drift)
 
 
 def factorize_scalar(
@@ -170,31 +171,23 @@ def factorize_scalar(
 ) -> FactorizationResult:
     """Solve the scalar-mode recursion (the weight lives in the drift)."""
     _check_budgets(metric, weight, depth)
-    q2, q1, q0 = compute_q_symbols(metric, weight, None)
+    q = compute_q_symbols(metric, weight, None)
     drift = radial_drift(metric, weight)
-    rec = _Recursion(metric.ctx, q2, q1, q0, drift, None)
-    sym = rec.solve(depth)
-    return FactorizationResult("scalar", sym, metric, weight, None, depth)
+    sym = _Recursion(metric.ctx, *q, drift, None).solve(depth)
+    return FactorizationResult("scalar", sym, metric, weight, None, depth, q, drift)
 
 
 def _defining_expression(result: FactorizationResult) -> FormalSymbol:
-    """The identity recombined with the full asymptotic composition."""
-    metric, weight, gauge = result.metric, result.weight, result.gauge
-    ctx = metric.ctx
+    """The identity recombined with the full asymptotic composition, over the
+    q symbols and the drift the recursion consumed."""
+    ctx = result.metric.ctx
     b = result.symbol
     lo_check = 3 - result.depth
-
-    if result.mode == "gauge":
-        q2, q1, q0 = compute_q_symbols(metric, weight, gauge)
-        drift = radial_drift(metric)
-    else:
-        q2, q1, q0 = compute_q_symbols(metric, weight, None)
-        drift = radial_drift(metric, weight)
-
+    q2, q1, q0 = result.q
     q_formal = FormalSymbol(ctx, {2: q2, 1: q1, 0: q0}, 2, 0, tail_exact=True)
-    expr = b.d_r() - b.scale_jet(drift) - q_formal
+    expr = b.d_r() - b.scale_jet(result.drift) - q_formal
     expr = expr + compose(b, b, lowest=lo_check)
-    if result.mode == "gauge" and not result.gauge.a_r.is_zero:
+    if result.gauge is not None and not result.gauge.a_r.is_zero:
         ar_sym = FormalSymbol.single(HomSymbol.from_jet(ctx, result.gauge.a_r))
         full = compose(b, ar_sym, lowest=lo_check)
         pointwise = b.scale_jet(result.gauge.a_r)
@@ -237,6 +230,4 @@ def perturb_component(result: FactorizationResult, grade: int) -> FactorizationR
     comps = dict(result.symbol.comps)
     comps[grade] = comps[grade] + bump
     sym = FormalSymbol(ctx, comps, result.symbol.hi, result.symbol.lo)
-    return FactorizationResult(
-        result.mode, sym, result.metric, result.weight, result.gauge, result.depth
-    )
+    return replace(result, symbol=sym)

@@ -25,14 +25,17 @@ also cheap, and it depends on neither the method nor the lower orders, so
 the recoveries of one scenario on one data kind share it.
 
 The one non-affine step: in the gauge-theoretic problem, the first and
-second radial derivatives of the weight enter one grade jointly through the
-combination
+second radial derivatives of the weight enter the grade -1 data only through
 
-    (d_r V)^2 / 4 + E0 d_r V / 2 - d_r^2 V / 2        (E0 the boundary drift)
+    theta = (d_r V)^2 / 4 + E0 d_r V / 2 - d_r^2 V / 2   (E0 the boundary drift)
 
-so prescribing d_r^2 V leaves a quadratic equation for d_r V that may have
-two real roots; both are returned and the driver extends each to a full
-branch.  Every recovery ends by re-synthesising the consumed grades.
+So the driver reads theta off the affine order-2 solve with d_r V = 0, and
+one closed form, shared by both gauge methods, turns theta and the
+prescription into the start of each branch: a prescribed d_r V fixes
+d_r^2 V, and a prescribed d_r^2 V leaves (d_r V + E0)^2 = E0^2 + 4 theta +
+2 d_r^2 V, which may have two real roots.  Both are returned, and the driver
+extends each to a full branch.  Every recovery ends by re-synthesising the
+consumed grades.
 
 The linear algebra is Gauss elimination over the local ring of jets: pivots
 must be unit jets (nonzero constant term), which the triangular structure of
@@ -491,29 +494,32 @@ def _sorted_roots(center: Jet, disc: Jet) -> list:
     return sorted([center - s, center + s], key=Jet.constant_term)
 
 
-def _quadratic_roots(alpha, beta, gamma, data_vec):
-    """Solve gamma v^2 + beta v + (alpha - data) = 0 over jets, componentwise:
-    returns the list of real jet roots (0, 1 or 2) and the discriminant of the
-    pivot component."""
-    pivot = next((t for t, g in enumerate(gamma) if g.constant_term() != 0), None)
-    if pivot is None:
-        raise ReconstructionError("quadratic coefficient vanished at every component")
-    ginv = gamma[pivot].reciprocal()
-    center = (beta[pivot] * ginv).scale(-HALF)  # -b/(2g)
-    disc = center * center + (data_vec[pivot] - alpha[pivot]) * ginv
-    roots = _sorted_roots(center, disc)
-    # verify candidate roots against every component
-    verified = [
-        r
-        for r in roots
-        if all(
-            (gamma[t] * r * r + beta[t] * r + alpha[t] - data_vec[t]).is_zero
-            for t in range(len(data_vec))
-        )
-    ]
-    if roots and not verified:
-        raise DataError("no quadratic root satisfies all data components")
-    return verified, disc
+def _theta(method: str, dn: DNSymbolData, metric, v0: Jet, delta_known=None) -> Jet:
+    """The combination theta of the module docstring, through which alone
+    d_r V and d_r^2 V enter the gauge data: the driver solves order 2 of
+    the weight with d_r V = 0, where theta = -d_r^2 V / 2.  A metric given
+    as a list of recovered orders gains its order 2 in the same solve."""
+    weight = [v0, dn.ctx.space.zero(0, dn.boundary_metric.ky)]
+    _drive(method, dn, metric, weight, 2, 2, delta_known)
+    return weight[2].scale(-HALF)
+
+
+def _two_root_starts(report, prescription: tuple, v0: Jet, theta: Jet, delta: Jet):
+    """The weight orders [V, d_r V, d_r^2 V] at r = 0 that start a branch,
+    from theta, the prescribed y-jet and the volume density delta, whose
+    boundary drift is E0 = -(d_r delta / delta)|0 / 2.  Prescribing d_r V
+    gives d_r^2 V in closed form; prescribing d_r^2 V leaves
+    (d_r V + E0)^2 = E0^2 + 4 theta + 2 d_r^2 V, one start per real root,
+    and records the discriminant's constant term."""
+    kind, value = prescription
+    d0 = delta.restricted_to_boundary()
+    e0 = (delta.partial(0).restricted_to_boundary() * d0.reciprocal()).scale(-HALF)
+    if kind == "d1V":
+        v2 = (value * value).scale(HALF) + e0 * value - theta.scale(2)
+        return [[v0, value, v2]]
+    disc = e0 * e0 + theta.scale(4) + value.scale(2)
+    report.extras["discriminant_constant"] = float(disc.constant_term())
+    return [[v0, r, value] for r in _sorted_roots(-e0, disc)]
 
 
 def _extend_branches(report, dn, metric, starts, order, delta_known=None):
@@ -555,7 +561,7 @@ def recover_weight_gauge(
     if dn.map_kind != "lambda1" or dn.gauge_tag != "s":
         raise DataError("gauge weight recovery needs lambda1 data in gauge 's'")
     _check_depth(dn, order)
-    kind, value = _prescribed(prescription, dn)
+    prescription = _prescribed(prescription, dn)
     if order < 2:
         raise DepthError("gauge weight recovery starts at order 2")
     # boundary value modulo a constant (normalised to zero constant term)
@@ -563,25 +569,8 @@ def recover_weight_gauge(
     report = ReconstructionReport(
         method="weight_gauge", weight_normalization="modulo_constant", branches=[]
     )
-    if kind == "d1V":
-        starts = [[v0, value]]
-    else:
-        # quadratic probe at the grade joining d_r V and d_r^2 V: the data
-        # is alpha + beta t + gamma t^2 in t = d_r V
-        samples = _samples(dn.n - 1)
-        space, ky = dn.ctx.space, dn.boundary_metric.ky
-
-        def fprobe(t):
-            cand_w = [v0, space.constant(t, 0, ky), value]
-            return _ratio_vector(_forward(dn, metric, cand_w, 3), -1, samples)
-
-        f0, f1, f2 = fprobe(0), fprobe(1), fprobe(2)
-        gamma = [(a - b.scale(2) + c).scale(HALF) for a, b, c in zip(f2, f1, f0)]
-        beta = [a - b - g for a, b, g in zip(f1, f0, gamma)]
-        roots, disc = _quadratic_roots(f0, beta, gamma, _ratio_vector(dn, -1, samples))
-        report.extras["discriminant_constant"] = float(disc.constant_term())
-        starts = [[v0, r, value] for r in roots]
-
+    theta = _theta("weight_gauge", dn, metric, v0)
+    starts = _two_root_starts(report, prescription, v0, theta, metric.delta)
     _extend_branches(report, dn, metric, starts, order)
     return report
 
@@ -642,38 +631,20 @@ def recover_with_known_volume_gauge(
     _check_depth(dn_s, order)
     if order < 2:
         raise DepthError("joint recovery starts at order 2")
-    kind, value = _prescribed(prescription, dn_sigma)
+    prescription = _prescribed(prescription, dn_sigma)
 
     metric_orders, v0, delta0_data = _boundary_stage("volume_gauge", dn_s, dn_sigma)
-    d0 = delta_known.restricted_to_boundary()
-    if delta0_data != d0:
+    if delta0_data != delta_known.restricted_to_boundary():
         raise DataError("known volume disagrees with the determinant in the data")
-    # the boundary drift E0 = -d_r log delta|0 / 2
-    e0 = (delta_known.partial(0).restricted_to_boundary() * d0.reciprocal()).scale(-HALF)
-
-    # order 2: solve (M2, w) jointly in the flat gauge, w the second radial
-    # derivative of a probe weight with d_r V = 0; it carries the zeroth-order
-    # potential theta = -w/2
-    probe_weight = [v0, dn_s.ctx.space.zero(0, dn_sigma.boundary_metric.ky)]
-    _drive("volume_gauge", dn_sigma, metric_orders, probe_weight, 2, 2, delta_known)
-    theta = probe_weight[2].scale(-HALF)
-
-    # resolve the (v1, v2) pair: theta = v1^2/4 + E0 v1 / 2 - v2/2
+    # order 2: the metric's order 2 and theta in one flat-gauge solve
+    theta = _theta("volume_gauge", dn_sigma, metric_orders, v0, delta_known)
     report = ReconstructionReport(
         method="volume_gauge",
         metric_orders=metric_orders,
         weight_normalization="modulo_constant",
         branches=[],
     )
-    if kind == "d1V":
-        v2 = (value * value).scale(HALF) + (e0 * value) - theta.scale(2)
-        starts = [[v0, value, v2]]
-    else:
-        # (v1 + E0)^2 = E0^2 + 4 theta + 2 v2
-        disc = e0 * e0 + theta.scale(4) + value.scale(2)
-        report.extras["discriminant_constant"] = float(disc.constant_term())
-        starts = [[v0, r, value] for r in _sorted_roots(-e0, disc)]
-
+    starts = _two_root_starts(report, prescription, v0, theta, delta_known)
     # deeper orders: per branch, solve (M_m, v_m) jointly in the flat gauge
     _extend_branches(report, dn_sigma, metric_orders, starts, order, delta_known)
     return report

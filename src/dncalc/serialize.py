@@ -25,8 +25,8 @@ first value listed being the default:
   rational}``, required by weight-gauge and volume-gauge, refused otherwise.
 - counterexample: ``depth`` the scenario's depth, at least 3.
 - validate-disk: ``modes`` "8:64" ("lo:hi" in steps of about sqrt 2, or a
-  list of integers >= 1); ``depth`` 2; ``weight_rho`` ["1/2", "-1",
-  "1/2"], the rational coefficients of V(rho).
+  list of integers >= 1); ``depth`` 2, at least 1; ``weight_rho`` ["1/2",
+  "-1", "1/2"], the rational coefficients of V(rho).
 
 An integer field takes an integer or an integer string; a boolean or a
 fraction is refused rather than truncated.
@@ -364,7 +364,7 @@ class Scenario:
             task["depth"] = self._int_field(task, "depth", minimum=3, where=where)
         elif kind == "validate-disk":
             task.setdefault("depth", 2)
-            task["depth"] = self._int_field(task, "depth", where=where)
+            task["depth"] = self._int_field(task, "depth", minimum=1, where=where)
             modes = task.get("modes", "8:64")
             task["modes"] = _parse_modes(modes, where)
             rho = task.setdefault("weight_rho", ["1/2", "-1", "1/2"])

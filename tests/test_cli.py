@@ -276,13 +276,19 @@ def test_an_integer_field_refuses_bools_fractions_and_low_orders(tmp_path, capsy
         ({"kind": "validate-disk", "modes": [True, 3]}, r"tasks\[0\]\.modes must be"),
         ({"kind": "validate-disk", "modes": [0, 3]}, r"tasks\[0\]\.modes must be"),
         ({"kind": "validate-disk", "modes": [8, -16]}, r"tasks\[0\]\.modes must be"),
+        ({"kind": "validate-disk", "depth": 0}, r"'tasks\[0\]\.depth' must be >= 1"),
+        ({"kind": "validate-disk", "depth": -2}, r"'tasks\[0\]\.depth' must be >= 1"),
     ],
-    ids=["depth-0", "depth-2", "modes-true", "modes-0", "modes-negative"],
+    ids=[
+        "depth-0", "depth-2", "modes-true", "modes-0", "modes-negative",
+        "disk-depth-0", "disk-depth-negative",
+    ],
 )
 def test_a_low_counterexample_depth_or_mode_exits_two_naming_the_field(
     tmp_path, capsys, task, message
 ):
-    # the counterexample recovers to order depth - 1, which must be >= 2
+    # the counterexample recovers to order depth - 1, which must be >= 2, and
+    # the disk check compares factorisations of depth >= 1
     assert main(["run", write_scenario(tmp_path, flat_scenario([task]))]) == 2
     err = capsys.readouterr().err
     assert err.startswith("input error: ")
@@ -490,7 +496,7 @@ def test_roundtrip_report_matches_golden(tmp_path):
 
 
 def test_a_scenario_run_factorises_each_distinct_forward_run_once(factorisations):
-    # 90 calls of dn_symbol_* make the golden report, 45 of them distinct;
+    # 90 calls of dn_symbol_* make the golden report, 42 of them distinct;
     # a second run starts with nothing shared, and neither does a call after
     with open(os.path.join(DATA, "golden-reconstruct.json")) as fh:
         scenario = Scenario(json.load(fh))
@@ -499,9 +505,9 @@ def test_a_scenario_run_factorises_each_distinct_forward_run_once(factorisations
         before = factorisations[0]
         run_scenario(scenario, "golden")
         counts.append(factorisations[0] - before)
-    assert counts == [45, 45]
+    assert counts == [42, 42]
     dn_symbol_scalar(scenario.metric, scenario.weight, scenario.depth)
-    assert factorisations[0] == 91
+    assert factorisations[0] == 85
 
 
 def test_runner_table_covers_every_reconstruct_method():

@@ -309,6 +309,35 @@ def test_volume_gauge_dichotomy_and_unique_metric():
     assert weight.radial_derivative_at_zero(1).constant_term() in roots
 
 
+def _exact(jet):
+    return jet.kr, jet.ky, jet.den, dict(jet.num)
+
+
+@pytest.mark.parametrize(
+    "instance, depth",
+    [(dict(seed=241), 4), (dict(seed=41, n=4, kr=4, ky=3), 3)],
+    ids=["n3", "n4"],
+)
+def test_both_gauge_methods_share_the_two_root_step(instance, depth):
+    # weight-gauge reads theta from the s data with the metric known, and
+    # volume-gauge from the flat-gauge data with the volume known; given the
+    # true d_r^2 V, both must find the same roots and the same discriminant
+    metric, weight = random_instance(**instance)
+    dn_s = dn_symbol_gauge(metric, weight, depth, "s")
+    dn_sig = dn_symbol_gauge(metric, weight, depth, "sigma")
+    prescription = ("d2V", weight.radial_derivative_at_zero(2))
+    by_metric = recover_weight_gauge(dn_s, metric, prescription, depth - 1)
+    by_volume = recover_with_known_volume_gauge(
+        dn_s, dn_sig, metric.delta, prescription, depth - 1
+    )
+    assert len(by_metric.branches) == 2
+    assert weight.radial_derivative_at_zero(1) in [b.root for b in by_metric.branches]
+    roots = [_exact(b.root) for b in by_metric.branches]
+    assert roots == [_exact(b.root) for b in by_volume.branches]
+    assert by_metric.extras == by_volume.extras
+    assert set(by_metric.extras) == {"discriminant_constant"}
+
+
 def test_volume_scalar_roundtrip():
     metric, weight = random_instance(243, kr=6, ky=5)
     dn = dn_symbol_scalar(metric, weight, 5)
@@ -433,3 +462,19 @@ def test_failed_solve_names_method_order_and_grade(m):
     message = str(info.value)
     assert message.startswith("weight_scalar: order %d (grade %d): " % (m, 1 - m))
     assert "inconsistent linear system" in message
+
+
+@pytest.mark.parametrize("kind", ["d1V", "d2V"])
+def test_an_inconsistent_two_root_step_names_weight_gauge_order_two(kind):
+    # the known metric is wrong in its r^2 coefficient only, so the order-2
+    # solve that gives theta has no exact solution under either prescription
+    metric, weight = random_instance(212)
+    dn = dn_symbol_gauge(metric, weight, 4, "s")
+    r = metric.space.coordinate(0, KR, KY)
+    rows = [list(row) for row in metric.g_lower]
+    rows[0][0] = rows[0][0] + r * r
+    value = weight.radial_derivative_at_zero(int(kind[1]))
+    with pytest.raises(ReconstructionError) as info:
+        recover_weight_gauge(dn, BoundaryMetricJet(rows), (kind, value), 3)
+    assert str(info.value).startswith("weight_gauge: order 2 (grade -1): ")
+    assert info.value.residual > 0
