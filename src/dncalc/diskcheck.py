@@ -16,15 +16,18 @@ The ODE is integrated in Riccati form u = phi'/phi, which stays O(k) on the
 whole interval instead of spanning hundreds of orders of magnitude, with the
 regular-solution data u(eps) = k/eps imposed near the coordinate centre; the
 spurious mode decays like (eps/rho)^{2k}, far below solver tolerance.
+
+numpy and scipy load on the first numeric solve, not at import: the exact
+forward and inverse paths never use them, and importing ``scipy.integrate``
+costs most of a cold start.  The ODE's right-hand side works on Python
+floats, with V' evaluated from coefficients converted once per problem, in
+the same order of float operations as an evaluation on numpy scalars.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import DataError
 from .factorization import factorize_scalar
@@ -42,19 +45,17 @@ class RadialProblem:
     inner_cutoff: float = 0.25
     rtol: float = 1e-12
     atol: float = 1e-10
+    #: V'(rho) = sum of a * rho ** p over these (p, a), in float
+    weight_prime_terms: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.rho_coeffs = tuple(mpq(c) for c in self.rho_coeffs)
         self.modes = tuple(int(k) for k in self.modes)
         if not 0 < self.inner_cutoff < 1:
             raise DataError("inner cutoff must lie in (0, 1)")
-
-    def weight_prime(self, rho: float) -> float:
-        acc = 0.0
-        for i, c in enumerate(self.rho_coeffs):
-            if i:
-                acc += i * float(c) * rho ** (i - 1)
-        return acc
+        self.weight_prime_terms = tuple(
+            (i - 1, i * float(c)) for i, c in enumerate(self.rho_coeffs) if i
+        )
 
     @property
     def is_trivial(self) -> bool:
@@ -69,11 +70,19 @@ def solve_mode(problem: RadialProblem, k: int) -> float:
     """
     if k < 1:
         raise DataError("mode number must be a positive integer")
+    from scipy.integrate import solve_ivp
+
     eps = problem.inner_cutoff
+    kk = k * k
+    terms = problem.weight_prime_terms
 
     def rhs(rho, y):
-        u = y[0]
-        return [k * k / (rho * rho) - u * u - u / rho + problem.weight_prime(rho) * u]
+        rho = float(rho)
+        u = float(y[0])
+        weight_prime = 0.0
+        for p, a in terms:
+            weight_prime += a * rho ** p
+        return [kk / (rho * rho) - u * u - u / rho + weight_prime * u]
 
     sol = solve_ivp(
         rhs,
@@ -174,6 +183,8 @@ def asymptotic_compare(problem: RadialProblem, depth: int) -> DiskComparison:
     discretisation floor, where a slope fit means nothing; that case reports
     success with the fit skipped.
     """
+    import numpy as np
+
     modes = sorted(set(problem.modes))
     if len(modes) < 2 or modes[-1] < 2 * modes[0]:
         raise DataError("mode list must span at least one octave")

@@ -25,8 +25,10 @@ first value listed being the default:
   rational}``, required by weight-gauge and volume-gauge, refused otherwise.
 - counterexample: ``depth`` the scenario's depth, at least 3.
 - validate-disk: ``modes`` "8:64" ("lo:hi" in steps of about sqrt 2, or a
-  list of integers >= 1); ``depth`` 2, at least 1; ``weight_rho`` ["1/2",
-  "-1", "1/2"], the rational coefficients of V(rho).
+  list of integers >= 1), whose distinct modes must span an octave: at
+  least two, the largest at least twice the smallest; ``depth`` 2, at least
+  1; ``weight_rho`` ["1/2", "-1", "1/2"], the rational coefficients of
+  V(rho).
 
 An integer field takes an integer or an integer string; a boolean or a
 fraction is refused rather than truncated.
@@ -410,12 +412,19 @@ def _parse_modes(spec, where) -> list:
             modes.append(k)
             k = max(k + 1, int(round(k * 2 ** 0.5)))
         modes.append(hi)
-        return modes
-    if isinstance(spec, list) and all(
+    elif isinstance(spec, list) and all(
         isinstance(k, int) and not isinstance(k, bool) and k >= 1 for k in spec
     ):
-        return list(spec)
-    raise ScenarioError("%s.modes must be 'lo:hi' or a list of integers >= 1" % where)
+        modes = list(spec)
+    else:
+        raise ScenarioError("%s.modes must be 'lo:hi' or a list of integers >= 1" % where)
+    # the decay fit needs two distinct modes, the largest at least twice the smallest
+    distinct = set(modes)
+    if len(distinct) < 2 or max(distinct) < 2 * min(distinct):
+        raise ScenarioError(
+            "%s.modes must span at least one octave, got %s" % (where, modes)
+        )
+    return modes
 
 
 def load_scenario(path: str) -> tuple:

@@ -1,6 +1,8 @@
 import json
 import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -278,17 +280,20 @@ def test_an_integer_field_refuses_bools_fractions_and_low_orders(tmp_path, capsy
         ({"kind": "validate-disk", "modes": [8, -16]}, r"tasks\[0\]\.modes must be"),
         ({"kind": "validate-disk", "depth": 0}, r"'tasks\[0\]\.depth' must be >= 1"),
         ({"kind": "validate-disk", "depth": -2}, r"'tasks\[0\]\.depth' must be >= 1"),
+        ({"kind": "validate-disk", "modes": "8:12"}, r"tasks\[0\]\.modes must span at least one octave"),
+        ({"kind": "validate-disk", "modes": [8, 8, 8]}, r"tasks\[0\]\.modes must span at least one octave"),
     ],
     ids=[
         "depth-0", "depth-2", "modes-true", "modes-0", "modes-negative",
-        "disk-depth-0", "disk-depth-negative",
+        "disk-depth-0", "disk-depth-negative", "modes-under-an-octave", "modes-repeated",
     ],
 )
 def test_a_low_counterexample_depth_or_mode_exits_two_naming_the_field(
     tmp_path, capsys, task, message
 ):
     # the counterexample recovers to order depth - 1, which must be >= 2, and
-    # the disk check compares factorisations of depth >= 1
+    # the disk check compares factorisations of depth >= 1 and fits a decay
+    # over modes spanning an octave
     assert main(["run", write_scenario(tmp_path, flat_scenario([task]))]) == 2
     err = capsys.readouterr().err
     assert err.startswith("input error: ")
@@ -646,3 +651,22 @@ def test_a_missing_unit_pivot_names_the_unknown_in_the_task_record(monkeypatch, 
     assert failed["failure"] == {
         "method": "metric_known_weight", "order": 1, "grade": 0, "unknown": 1
     }
+
+
+def test_an_exact_command_starts_without_numpy_or_scipy(tmp_path):
+    # only the numeric disk check needs them, and importing scipy.integrate
+    # took most of a cold start when diskcheck loaded it at import
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = (
+        "import sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "import dncalc, dncalc.cli\n"
+        "status = dncalc.cli.main(['factorize', '--depth', '2', '-o', sys.argv[2]])\n"
+        "loaded = [m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy')]\n"
+        "print(status, sorted(loaded))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code, src, str(tmp_path / "report.json")],
+        capture_output=True, text=True, check=True, timeout=120,
+    ).stdout
+    assert out.splitlines()[-1] == "0 []"

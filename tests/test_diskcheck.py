@@ -48,6 +48,16 @@ def test_quadratic_weight_symbol_values():
     assert partial2 == pytest.approx(-k + 1 / (4 * k))
 
 
+def test_cubic_weight_modes_are_pinned_bit_for_bit():
+    # V' has a rho^2 term here, which the default quadratic weight never
+    # reaches; the values are those of an evaluation on numpy scalars, and
+    # any change in the order of the float operations moves them
+    problem = RadialProblem(rho_coeffs=("1/3", "-1/2", "1/4", "-1/5"))
+    assert solve_mode(problem, 3) == -2.7816903270196423
+    assert solve_mode(problem, 8) == -7.738694920698451
+    assert solve_mode(problem, 21) == -20.71639049700287
+
+
 def test_numeric_matches_depth_two_expansion():
     problem = RadialProblem(rho_coeffs=(mpq(1, 2), mpq(-1), mpq(1, 2)))
     k = 32

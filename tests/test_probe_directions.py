@@ -107,16 +107,18 @@ def assert_directions_equal(used, full):
 @pytest.fixture
 def checked_orders(monkeypatch):
     """While the test runs, every order of every ``_drive`` call compares its
-    solve's coefficient columns with the full-candidate directions; the
-    list records (method, map kind, gauge tag, order, unknowns) per check."""
+    solve's coefficient columns with the full-candidate directions.  Yields
+    two lists: (method, map kind, gauge tag, order, unknowns) per check, and
+    (first order, last order) per ``_drive`` call."""
     real_drive, real_solve = reconstruction._drive, reconstruction.solve_linear_jets
-    solved, checked = [], []
+    solved, checked, drives = [], [], []
 
     def recording_solve(rows, nunknowns):
         solved.append(list(rows))
         return real_solve(rows, nunknowns)
 
     def checking_drive(method, dn, metric, weight, start, order, delta_known=None):
+        drives.append((start, order))
         for m in range(start, order + 1):
             full = full_candidate_directions(dn, metric, weight, m)
             solved.clear()
@@ -135,7 +137,7 @@ def checked_orders(monkeypatch):
     monkeypatch.setattr(reconstruction, "_drive", checking_drive)
     # the solve's base run repeats the full side's zero run: share it
     with shared_forward_runs():
-        yield checked
+        yield checked, drives
 
 
 class _Instance:
@@ -191,9 +193,9 @@ def _volume_scalar(inst, top):
 
 M, W, MW = ("metric",), ("weight",), ("metric", "weight")
 
-#: case -> (recovery, the (map kind, gauge tag, first order, unknowns) of
-#: each _drive call it makes, in order; each call runs to the top order
-#: unless its first order is also its last)
+#: case -> (recovery, calls): calls lists the (map kind, gauge tag, first
+#: order, unknowns, last order) of each _drive call the recovery makes, in
+#: order, where a last order of None stands for the top order
 CASES = {
     "first-order": (_first_order, [("lambda1", "sigma", 1, M, 1)]),
     "metric-known-weight-lambda0": (
@@ -204,7 +206,9 @@ CASES = {
         _metric_known_weight("sigma"), [("lambda1", "sigma", 1, M, None)]
     ),
     "weight-scalar": (_weight_scalar, [("lambda0", None, 1, W, None)]),
-    "weight-gauge-d1V": (_weight_gauge, [("lambda1", "s", 2, W, None)]),
+    "weight-gauge-d1V": (
+        _weight_gauge, [("lambda1", "s", 2, W, 2), ("lambda1", "s", 3, W, None)]
+    ),
     "volume-gauge-d1V": (
         _volume_gauge,
         [
@@ -225,10 +229,13 @@ def test_solve_directions_equal_the_full_candidate_ones(
     top = instances[n].depth - 1
     recover, calls = CASES[case]
     recover(instances[n], top)
-    method = checked_orders[0][0]
+    checked, drives = checked_orders
+    method = checked[0][0]
+    spans = [(first, top if last is None else last) for _, _, first, _, last in calls]
+    assert drives == spans
     expected = [
         (method, kind, tag, m, unknowns)
-        for kind, tag, first, unknowns, last in calls
-        for m in range(first, (top if last is None else last) + 1)
+        for (kind, tag, _, unknowns, _), (first, last) in zip(calls, spans)
+        for m in range(first, last + 1)
     ]
-    assert checked_orders == expected
+    assert checked == expected
