@@ -1,15 +1,19 @@
-import random
-
 import pytest
 
-from dncalc.dn import dn_symbol_gauge, dn_symbol_scalar, shared_forward_runs
+from dncalc.dn import (
+    DNSymbolData,
+    dn_symbol_gauge,
+    dn_symbol_scalar,
+    shared_forward_runs,
+)
 from dncalc.errors import DataError
-from dncalc.factorization import factorize_scalar
+from dncalc.factorization import factorize_gauge, factorize_scalar
 from dncalc.jets import JetSpace
 from dncalc.randomgen import random_instance
 from dncalc.scalars import mpq
-from dncalc.geometry import BoundaryMetricJet
-from dncalc.symbols import HomSymbol
+from dncalc.geometry import HALF, BoundaryMetricJet, gauge_s, gauge_sigma
+from dncalc.serialize import dn_to_json
+from dncalc.symbols import FormalSymbol, HomSymbol, compose
 
 
 KR, KY = 5, 4
@@ -165,3 +169,66 @@ def test_shared_runs_end_with_their_block(factorisations):
     assert factorisations[0] == 5
     dn_symbol_scalar(metric, weight, 2)
     assert factorisations[0] == 6
+
+
+def direct_dn_data(metric, weight, depth):
+    """Lambda0, Lambda1 s and Lambda1 sigma, each restricted to the boundary
+    from its own factorisation, with the squared densities of the paper."""
+    bmetric = metric.restricted_to_boundary()
+
+    def data(map_kind, tag, result, density_sq):
+        symbol = result.symbol.restricted_to_boundary(bmetric.ctx)
+        density_sq = density_sq.restricted_to_boundary()
+        return DNSymbolData(map_kind, tag, symbol, density_sq, bmetric, metric.n, depth)
+
+    s, sigma = gauge_s(metric, weight), gauge_sigma(metric, weight)
+    return (
+        data("lambda0", None, factorize_scalar(metric, weight, depth), s.density_sq),
+        data("lambda1", "s", factorize_gauge(metric, s, depth, weight=weight), s.density_sq),
+        data(
+            "lambda1",
+            "sigma",
+            factorize_gauge(metric, sigma, depth, weight=weight),
+            sigma.density_sq,
+        ),
+    )
+
+
+@pytest.mark.parametrize(
+    "seed, n, kr, ky, depth", [(11, 3, 5, 4, 4), (42, 4, 4, 3, 3)], ids=["n3", "n4"]
+)
+def test_the_three_data_kinds_are_one_conjugation_apart(seed, n, kr, ky, depth):
+    # Lambda1 s = e^{V/2} o Lambda1 sigma o e^{-V/2}, Lambda0 = Lambda1 s +
+    # d_r V / 2 at grade 0, and both weighted densities are e^{-2V} times
+    # sigma's, all at r = 0 and exactly; the derived data agree to the byte
+    metric, weight = random_instance(seed, n=n, kr=kr, ky=ky)
+    lam0, lam_s, lam_sigma = direct_dn_data(metric, weight, depth)
+    v0 = weight.restricted_to_boundary()
+    assert not (v0 - v0.constant_term()).is_zero  # the conjugation is not trivial
+    bctx, lo = lam_sigma.ctx, lam_sigma.symbol.lo
+
+    def conjugated(left, right):
+        left = FormalSymbol.single(HomSymbol.from_jet(bctx, left))
+        right = FormalSymbol.single(HomSymbol.from_jet(bctx, right))
+        return compose(compose(left, lam_sigma.symbol, lowest=lo), right, lowest=lo)
+
+    e_plus, e_minus = v0.scale(HALF).exp(), v0.scale(-HALF).exp()
+    twisted = conjugated(e_plus, e_minus)
+    shift = HomSymbol.from_jet(bctx, weight.partial(0).restricted_to_boundary().scale(HALF))
+    assert list(twisted.grades()) == list(lam_s.symbol.grades()) == list(lam0.symbol.grades())
+    for j in lam_s.symbol.grades():
+        assert twisted.grade(j) == lam_s.symbol.grade(j)
+        assert lam0.symbol.grade(j) == lam_s.symbol.grade(j) + (
+            shift if j == 0 else HomSymbol.zero(bctx, j)
+        )
+    assert lam0.density_sq == lam_s.density_sq == v0.scale(-2).exp() * lam_sigma.density_sq
+    untwisted = conjugated(e_minus, e_plus)
+    assert any(untwisted.grade(j) != lam_s.symbol.grade(j) for j in lam_s.symbol.grades())
+    with shared_forward_runs():
+        derived = (
+            dn_symbol_scalar(metric, weight, depth),
+            dn_symbol_gauge(metric, weight, depth, "s"),
+            dn_symbol_gauge(metric, weight, depth, "sigma"),
+        )
+    for got, want in zip(derived, (lam0, lam_s, lam_sigma)):
+        assert dn_to_json(got) == dn_to_json(want)
