@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from time import perf_counter
 
 from .diskcheck import RadialProblem, solve_mode
-from .dn import dn_symbol_gauge, dn_symbol_scalar
+from .dn import dn_symbol_gauge, dn_symbol_scalar, shared_forward_runs
 from .errors import DnCalcError
 from .factorization import (
     factorize_gauge,
@@ -54,14 +54,16 @@ def _failures(instances, depth, *tasks) -> list:
     """(label, what failed) for every runner record of ``tasks`` that does
     not pass on the (label, metric, weight) ``instances``, symbols to
     ``depth``.  What failed is the list of failed checks, or the mode of a
-    factorize record, which has none."""
+    factorize record, which has none.  The tasks on one instance share their
+    forward runs, as the tasks of a scenario run do."""
     bad = []
     for label, metric, weight in instances:
-        for task in tasks:
-            record = task_record(metric, weight, depth, task)
-            if record["status"] != "pass":
-                failed = [k for k, ok in record.get("checks", {}).items() if not ok]
-                bad.append((label, failed or task["mode"]))
+        with shared_forward_runs():
+            for task in tasks:
+                record = task_record(metric, weight, depth, task)
+                if record["status"] != "pass":
+                    failed = [k for k, ok in record.get("checks", {}).items() if not ok]
+                    bad.append((label, failed or task["mode"]))
     return bad
 
 

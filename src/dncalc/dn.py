@@ -16,30 +16,46 @@ the square is what every reconstruction formula consumes anyway.  A data
 object (symbol, density_sq) represents the observable symbol *
 sqrt(density_sq); the factorisation is not canonical, so honest consumers
 only use rescale-invariant combinations: squares of components times
-density_sq, and ratios of components.  ``rescaled`` realises the gauge
-freedom so invariance is testable.
+density_sq, and ratios of components.
 
-Inside a ``shared_forward_runs`` block, a forward run whose exact inputs
-(gauge tag, depth, and the representation of the weight and of every metric
-entry) repeat an earlier run of the same block returns the earlier
-DNSymbolData instead of factorising again.  The runner opens one block per
-scenario run, so every task of a scenario reads one DN data set of each kind,
-and probe runs that two recoveries have in common run once.  That holds across
-methods too: the unit-direction runs of a solve use a frozen model that only
-the boundary metric, the data kind and the order fix, so every recovery on
-one data kind shares them.  Outside any block every call factorises.
+The three kinds are one operator seen three ways.  The weight gauge s is the
+flat gauge sigma twisted by e^{V/2} (its connection is d(V/2)), and the
+scalar conormal derivative d_r exceeds the gauge one by d_r V / 2, so at
+r = 0, exactly and grade by grade:
+
+    Lambda1 s = e^{V/2} o Lambda1 sigma o e^{-V/2}
+    Lambda0   = Lambda1 s + d_r V / 2          (grade 0 only)
+    density_sq(Lambda0) = density_sq(Lambda1 s) = e^{-2V} density_sq(Lambda1 sigma)
+
+So only sigma is factorised, and the other two kinds are derived from its
+run by two compositions with the multipliers e^{+-V/2} at r = 0 (and the
+shift).  Sigma is the kind to run because it exists for every rational
+weight: its density has no exponential of V, and where V(0) != 0 takes
+e^{-2V} out of the rational field, the derived kinds fail on their density,
+which is formed first, with the error their own factorisations gave.
+
+Inside a ``shared_forward_runs`` block, data whose kind and exact inputs
+(depth, and the representation of the weight and of every metric entry)
+repeat earlier data of the same block are the earlier DNSymbolData: one
+sigma run per distinct input, and one derivation per kind on it.  The
+runner opens one block per scenario run, so every task of a scenario reads
+one DN data set of each kind, and probe runs that two recoveries have in
+common run once.  That holds across methods and data kinds too: the
+unit-direction runs of a solve use a frozen model that only the boundary
+metric and the order fix, so every recovery shares its sigma runs, whatever
+kind of data it reads.  Outside any block every call factorises.
 """
 
 from __future__ import annotations
 
 import contextlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import DataError, DepthError
-from .factorization import factorize_gauge, factorize_scalar
-from .geometry import BoundaryMetricJet, gauge_s, gauge_sigma
+from .factorization import check_budgets, factorize_gauge
+from .geometry import HALF, BoundaryMetricJet, gauge_s, gauge_sigma
 from .jets import Jet
-from .symbols import FormalSymbol, SymbolContext
+from .symbols import FormalSymbol, HomSymbol, SymbolContext, compose
 
 
 @dataclass(frozen=True)
@@ -103,18 +119,6 @@ class DNSymbolData:
         den = other.principal_square_eval(xi)
         return num * den.reciprocal()
 
-    # -- representation gauge -------------------------------------------------
-
-    def rescaled(self, unit: Jet) -> "DNSymbolData":
-        """Equivalent representation (s * t, density^2 / t^2); the observable
-        s * sqrt(density^2) is unchanged."""
-        if unit.constant_term() <= 0:
-            raise DataError("rescaling factor must be a positive unit jet")
-        t = unit.restricted_to_boundary()
-        sym = self.symbol.map_components(lambda s: s.scale(t))
-        dsq = self.density_sq * (t * t).reciprocal()
-        return replace(self, symbol=sym, density_sq=dsq)
-
     def agrees_with(self, other: "DNSymbolData") -> bool:
         """Exact equality of the stored representation, grade by grade."""
         if (
@@ -130,11 +134,6 @@ class DNSymbolData:
         return all(
             self.symbol.grade(j) == other.symbol.grade(j) for j in self.symbol.grades()
         )
-
-
-def _restrict(symbol: FormalSymbol, metric: BoundaryMetricJet) -> tuple:
-    bmetric = metric.restricted_to_boundary()
-    return symbol.restricted_to_boundary(bmetric.ctx), bmetric
 
 
 #: forward runs of the innermost open shared_forward_runs block, keyed on
@@ -161,34 +160,33 @@ def _exact(jet: Jet) -> tuple:
     return jet.space, jet.kr, jet.ky, jet.den, frozenset(jet.num.items())
 
 
-def _shared(run, metric: BoundaryMetricJet, weight: Jet, depth: int, *gauge_tag):
-    """run(metric, weight, depth, *gauge_tag), or inside a
-    shared_forward_runs block the block's earlier result on the same exact
-    inputs."""
+def _shared(kind: str, metric: BoundaryMetricJet, weight: Jet, depth: int):
+    """The DN data of ``kind`` ("lambda0", "s" or "sigma"), or inside a
+    shared_forward_runs block the block's earlier data of that kind on the
+    same exact inputs."""
     if _shared_runs is None:
-        return run(metric, weight, depth, *gauge_tag)
+        return _dn_data(kind, metric, weight, depth)
     key = (
-        gauge_tag,
+        kind,
         depth,
         _exact(weight),
         tuple(_exact(entry) for row in metric.g_lower for entry in row),
     )
     data = _shared_runs.get(key)
     if data is None:
-        data = _shared_runs[key] = run(metric, weight, depth, *gauge_tag)
+        data = _shared_runs[key] = _dn_data(kind, metric, weight, depth)
     return data
+
+
+def _dn_data(kind: str, metric: BoundaryMetricJet, weight: Jet, depth: int):
+    if kind == "sigma":
+        return _dn_sigma(metric, weight, depth)
+    return _dn_from_sigma(metric, weight, depth, kind)
 
 
 def dn_symbol_scalar(metric: BoundaryMetricJet, weight: Jet, depth: int) -> DNSymbolData:
     """Boundary symbol of the scalar DN map with density e^{-V} sqrt(delta)."""
-    return _shared(_dn_scalar, metric, weight, depth)
-
-
-def _dn_scalar(metric: BoundaryMetricJet, weight: Jet, depth: int) -> DNSymbolData:
-    result = factorize_scalar(metric, weight, depth)
-    sym, bmetric = _restrict(result.symbol, metric)
-    density_sq = (weight.scale(-2).exp() * metric.delta).restricted_to_boundary()
-    return DNSymbolData("lambda0", None, sym, density_sq, bmetric, metric.n, depth)
+    return _shared("lambda0", metric, weight, depth)
 
 
 def dn_symbol_gauge(
@@ -196,19 +194,44 @@ def dn_symbol_gauge(
 ) -> DNSymbolData:
     """Boundary symbol of the gauge DN map in one of the two distinguished
     trivialisations."""
-    return _shared(_dn_gauge, metric, weight, depth, gauge_tag)
-
-
-def _dn_gauge(
-    metric: BoundaryMetricJet, weight: Jet, depth: int, gauge_tag: str
-) -> DNSymbolData:
-    if gauge_tag == "s":
-        gauge = gauge_s(metric, weight)
-    elif gauge_tag == "sigma":
-        gauge = gauge_sigma(metric, weight)
-    else:
+    if gauge_tag not in ("s", "sigma"):
         raise DataError("gauge tag must be 's' or 'sigma', got %r" % gauge_tag)
+    return _shared(gauge_tag, metric, weight, depth)
+
+
+def _dn_sigma(metric: BoundaryMetricJet, weight: Jet, depth: int) -> DNSymbolData:
+    gauge = gauge_sigma(metric, weight)
     result = factorize_gauge(metric, gauge, depth, weight=weight)
-    sym, bmetric = _restrict(result.symbol, metric)
+    bmetric = metric.restricted_to_boundary()
+    sym = result.symbol.restricted_to_boundary(bmetric.ctx)
     density_sq = gauge.density_sq.restricted_to_boundary()
-    return DNSymbolData("lambda1", gauge_tag, sym, density_sq, bmetric, metric.n, depth)
+    return DNSymbolData("lambda1", "sigma", sym, density_sq, bmetric, metric.n, depth)
+
+
+def _dn_from_sigma(
+    metric: BoundaryMetricJet, weight: Jet, depth: int, kind: str
+) -> DNSymbolData:
+    """Lambda0 (kind "lambda0") or Lambda1 s (kind "s") from the sigma run on
+    the same inputs, by the identities of the module docstring."""
+    # first what the kind's own factorisation checks or builds first, so
+    # that inputs it refuses fail with its error
+    if kind == "lambda0":
+        check_budgets(metric, weight, depth)
+        density_sq = weight.scale(-2).exp() * metric.delta
+    else:
+        density_sq = gauge_s(metric, weight).density_sq
+    sigma = dn_symbol_gauge(metric, weight, depth, "sigma")
+    bctx, lo = sigma.ctx, sigma.symbol.lo
+    v0 = weight.restricted_to_boundary()
+    twist = FormalSymbol.single(HomSymbol.from_jet(bctx, v0.scale(HALF).exp()))
+    untwist = FormalSymbol.single(HomSymbol.from_jet(bctx, v0.scale(-HALF).exp()))
+    symbol = compose(compose(twist, sigma.symbol, lowest=lo), untwist, lowest=lo)
+    map_kind, gauge_tag = "lambda1", "s"
+    if kind == "lambda0":
+        shift = weight.partial(0).restricted_to_boundary().scale(HALF)
+        symbol = symbol + FormalSymbol.single(HomSymbol.from_jet(bctx, shift))
+        map_kind, gauge_tag = "lambda0", None
+    density_sq = density_sq.restricted_to_boundary()
+    return DNSymbolData(
+        map_kind, gauge_tag, symbol, density_sq, sigma.boundary_metric, metric.n, depth
+    )

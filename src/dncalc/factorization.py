@@ -132,7 +132,7 @@ class _Recursion:
         return FormalSymbol(ctx, dict(self.comps), 1, 2 - depth)
 
 
-def _check_budgets(metric: BoundaryMetricJet, weight: Jet | None, depth: int):
+def check_budgets(metric: BoundaryMetricJet, weight: Jet | None, depth: int):
     if depth < 1:
         raise DepthError("depth must be at least 1, got %d" % depth)
     if metric.kr < depth + 1 or metric.ky < depth:
@@ -159,7 +159,7 @@ def factorize_gauge(
     The retained grades run from 1 down to 2 - depth; the principal component
     is always -||xi'||.
     """
-    _check_budgets(metric, weight, depth)
+    check_budgets(metric, weight, depth)
     q = compute_q_symbols(metric, weight, gauge)
     drift = radial_drift(metric)
     sym = _Recursion(metric.ctx, *q, drift, gauge.a_r).solve(depth)
@@ -170,7 +170,7 @@ def factorize_scalar(
     metric: BoundaryMetricJet, weight: Jet, depth: int
 ) -> FactorizationResult:
     """Solve the scalar-mode recursion (the weight lives in the drift)."""
-    _check_budgets(metric, weight, depth)
+    check_budgets(metric, weight, depth)
     q = compute_q_symbols(metric, weight, None)
     drift = radial_drift(metric, weight)
     sym = _Recursion(metric.ctx, *q, drift, None).solve(depth)

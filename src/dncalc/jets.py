@@ -230,15 +230,6 @@ class Jet:
         ky = ky if ky < other.ky else other.ky
         return self.truncated(kr, ky), other.truncated(kr, ky), kr, ky
 
-    def with_budgets(self, kr: int, ky: int) -> "Jet":
-        """Re-declare truncation orders.  Raising an order asserts that the
-        dropped tail is genuinely zero; only callers constructing functions
-        from known coefficients may do that."""
-        _check_orders(kr, ky)
-        if kr < self.kr or ky < self.ky:
-            return self.truncated(kr, ky)
-        return Jet._make(self.space, kr, ky, self.den, self.num)
-
     @property
     def is_zero(self) -> bool:
         return not self.num

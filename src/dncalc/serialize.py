@@ -40,12 +40,12 @@ import hashlib
 import json
 
 from .dn import DNSymbolData
-from .errors import BackendError, DataError, DnCalcError, ScenarioError
+from .errors import DnCalcError, ScenarioError
 from .geometry import BoundaryMetricJet
 from .jets import Jet, JetSpace
 from .randomgen import random_metric, random_weight
 from .scalars import mpq
-from .symbols import FormalSymbol, HomSymbol, SymbolContext, XiPoly
+from .symbols import HomSymbol, XiPoly
 
 SCHEMA_VERSION = 1
 
@@ -86,19 +86,6 @@ def coeff_to_json(jet: Jet, imag: bool) -> dict:
     return {"re": jet_to_json(jet)}
 
 
-def coeff_from_json(space: JetSpace, data: dict) -> tuple[Jet, bool]:
-    """The real jet of a coefficient and whether it is imaginary; one part
-    must vanish, since every symbol here is real or imaginary coefficient by
-    coefficient."""
-    re = jet_from_json(space, data["re"])
-    im = jet_from_json(space, data["im"]) if "im" in data else None
-    if im is None or im.is_zero:
-        return re, False
-    if not re.is_zero:
-        raise DataError("coefficient has nonzero real and imaginary parts")
-    return im, True
-
-
 # ---------------------------------------------------------------------------
 # symbols and DN data
 
@@ -113,18 +100,6 @@ def _poly_to_json(poly: XiPoly) -> dict:
     }
 
 
-def _poly_from_json(space: JetSpace, nxi: int, data: dict) -> XiPoly:
-    coeffs, phases = {}, set()
-    for term in data.get("terms", []):
-        jet, imag = coeff_from_json(space, term["coeff"])
-        if not jet.is_zero:
-            coeffs[tuple(term["xi"])] = jet
-            phases.add(imag)
-    if len(phases) > 1:
-        raise DataError("polynomial mixes real and imaginary coefficients")
-    return XiPoly(nxi, int(data["degree"]), coeffs, True in phases)
-
-
 def homsymbol_to_json(sym: HomSymbol) -> dict:
     return {
         "degree": sym.degree,
@@ -132,17 +107,6 @@ def homsymbol_to_json(sym: HomSymbol) -> dict:
         "even": _poly_to_json(sym.a),
         "odd": _poly_to_json(sym.b),
     }
-
-
-def homsymbol_from_json(ctx: SymbolContext, data: dict) -> HomSymbol:
-    space = ctx.space
-    return HomSymbol(
-        ctx,
-        int(data["degree"]),
-        _poly_from_json(space, ctx.nxi, data["even"]),
-        _poly_from_json(space, ctx.nxi, data["odd"]),
-        int(data["denominator_power"]),
-    )
 
 
 def metric_upper_to_json(metric: BoundaryMetricJet) -> list:
@@ -164,28 +128,6 @@ def dn_to_json(dn: DNSymbolData) -> dict:
             str(j): homsymbol_to_json(dn.symbol.grade(j)) for j in dn.symbol.grades()
         },
     }
-
-
-def dn_from_json(data: dict) -> DNSymbolData:
-    n = int(data["dimension"])
-    backend = data.get("backend", "rational")
-    if backend != "rational":
-        raise BackendError("unknown scalar backend %r" % (backend,))
-    space = JetSpace(n, data.get("base_point", "p0"))
-    upper = [
-        [jet_from_json(space, cell) for cell in row]
-        for row in data["boundary_metric_upper"]
-    ]
-    bmetric = BoundaryMetricJet.from_upper(upper)
-    depth = int(data["depth"])
-    comps = {}
-    for key, rec in data["grades"].items():
-        comps[int(key)] = homsymbol_from_json(bmetric.ctx, rec)
-    symbol = FormalSymbol(bmetric.ctx, comps, 1, 2 - depth)
-    density_sq = jet_from_json(space, data["density_sq"])
-    return DNSymbolData(
-        data["map"], data.get("gauge"), symbol, density_sq, bmetric, n, depth
-    )
 
 
 # ---------------------------------------------------------------------------

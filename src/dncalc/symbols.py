@@ -759,15 +759,6 @@ class HomSymbol:
                 bv = bv * inv
         return av.truncated(kr, ky), bv.truncated(kr, ky)
 
-    def eval_pair(self, xi) -> tuple[XiPoly, XiPoly]:
-        """(even, odd) parts at a rational fibre point as degree-0
-        polynomials, which carry the phase: the symbol value is
-        even + odd * w(xi)."""
-        ev, od = self.eval_jets(xi)
-        nxi = self.ctx.nxi
-        e0 = (0,) * nxi
-        return XiPoly(nxi, 0, {e0: ev}, self.a.imag), XiPoly(nxi, 0, {e0: od}, self.b.imag)
-
     def eval_at_base(self, xi) -> complex:
         """Numeric value at the base point (r=0, y=0) of the fibre point xi."""
         ev, od = self.eval_jets(xi)

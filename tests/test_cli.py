@@ -16,16 +16,15 @@ from dncalc.serialize import (
     RECONSTRUCTION_METHODS,
     VALID_TASK_KINDS,
     Scenario,
-    dn_from_json,
     dn_to_json,
-    homsymbol_from_json,
     homsymbol_to_json,
     jet_from_json,
     jet_to_json,
 )
+from dncalc.dn import DNSymbolData
 from dncalc.errors import DataError, ScenarioError
 from dncalc.jets import JetSpace
-from dncalc.symbols import HomSymbol, XiPoly
+from dncalc.symbols import FormalSymbol, HomSymbol, XiPoly
 
 
 def write_scenario(tmp_path, raw, name="scenario.json"):
@@ -57,6 +56,66 @@ def strip_timestamp(report):
     report = json.loads(json.dumps(report))
     report["provenance"].pop("generated_at", None)
     return report
+
+
+# ---------------------------------------------------------------------------
+# a reader for the DN data records that reports carry; the package writes
+# them and never reads them back
+
+
+def coeff_from_json(space, data):
+    """The real jet of a coefficient and whether it is imaginary; one part
+    must vanish, since every symbol is real or imaginary coefficient by
+    coefficient."""
+    re = jet_from_json(space, data["re"])
+    im = jet_from_json(space, data["im"]) if "im" in data else None
+    if im is None or im.is_zero:
+        return re, False
+    if not re.is_zero:
+        raise DataError("coefficient has nonzero real and imaginary parts")
+    return im, True
+
+
+def poly_from_json(space, nxi, data):
+    coeffs, phases = {}, set()
+    for term in data.get("terms", []):
+        jet, imag = coeff_from_json(space, term["coeff"])
+        if not jet.is_zero:
+            coeffs[tuple(term["xi"])] = jet
+            phases.add(imag)
+    if len(phases) > 1:
+        raise DataError("polynomial mixes real and imaginary coefficients")
+    return XiPoly(nxi, int(data["degree"]), coeffs, True in phases)
+
+
+def homsymbol_from_json(ctx, data):
+    return HomSymbol(
+        ctx,
+        int(data["degree"]),
+        poly_from_json(ctx.space, ctx.nxi, data["even"]),
+        poly_from_json(ctx.space, ctx.nxi, data["odd"]),
+        int(data["denominator_power"]),
+    )
+
+
+def dn_from_json(data):
+    n = int(data["dimension"])
+    space = JetSpace(n, data.get("base_point", "p0"))
+    upper = [
+        [jet_from_json(space, cell) for cell in row]
+        for row in data["boundary_metric_upper"]
+    ]
+    bmetric = BoundaryMetricJet.from_upper(upper)
+    depth = int(data["depth"])
+    comps = {
+        int(key): homsymbol_from_json(bmetric.ctx, rec)
+        for key, rec in data["grades"].items()
+    }
+    symbol = FormalSymbol(bmetric.ctx, comps, 1, 2 - depth)
+    density_sq = jet_from_json(space, data["density_sq"])
+    return DNSymbolData(
+        data["map"], data.get("gauge"), symbol, density_sq, bmetric, n, depth
+    )
 
 
 def test_jet_serialization_roundtrip():
@@ -337,6 +396,26 @@ def test_a_malformed_jet_or_metric_table_exits_two_naming_the_field(
     assert re.search(message, err)
 
 
+def test_a_weight_with_a_nonzero_constant_fails_where_its_density_is_formed(tmp_path):
+    # e^{-2V} leaves the rational field when V(0) = 1, so Lambda0, Lambda1 s
+    # and the recoveries from them fail on the density, while Lambda1 sigma,
+    # whose density is sqrt(delta), passes
+    weight = _jet(([0, 0, 0], "1"), ([1, 0, 0], "1/2"))
+    tasks = [
+        {"kind": "dn", "map": "lambda0"},
+        {"kind": "dn", "map": "lambda1", "gauge": "s"},
+        {"kind": "dn", "map": "lambda1", "gauge": "sigma"},
+        {"kind": "reconstruct", "method": "weight-scalar"},
+    ]
+    raw = flat_scenario(tasks, depth=2, kr=3, ky=2, weight=weight)
+    out = str(tmp_path / "report.json")
+    assert main(["run", write_scenario(tmp_path, raw), "-o", out]) == 1
+    records = read_report(out)["tasks"]
+    density = "BackendError: exp of nonzero constant term -2 leaves the rational field"
+    assert [r.get("error") for r in records] == [density, density, None, density]
+    assert [r["status"] for r in records] == ["error", "error", "pass", "error"]
+
+
 def test_reconstruct_order_defaults_to_the_scenario_schema(tmp_path):
     # no --order: the task gets min(3, depth - 1), here 1
     out = str(tmp_path / "report.json")
@@ -501,8 +580,9 @@ def test_roundtrip_report_matches_golden(tmp_path):
 
 
 def test_a_scenario_run_factorises_each_distinct_forward_run_once(factorisations):
-    # 90 calls of dn_symbol_* make the golden report, 42 of them distinct;
-    # a second run starts with nothing shared, and neither does a call after
+    # the golden report asks for DN data 90 times, on 42 distinct inputs,
+    # all derived from 26 sigma runs; a second run starts with nothing
+    # shared, and neither does a call after
     with open(os.path.join(DATA, "golden-reconstruct.json")) as fh:
         scenario = Scenario(json.load(fh))
     counts = []
@@ -510,9 +590,9 @@ def test_a_scenario_run_factorises_each_distinct_forward_run_once(factorisations
         before = factorisations[0]
         run_scenario(scenario, "golden")
         counts.append(factorisations[0] - before)
-    assert counts == [42, 42]
+    assert counts == [26, 26]
     dn_symbol_scalar(scenario.metric, scenario.weight, scenario.depth)
-    assert factorisations[0] == 85
+    assert factorisations[0] == 53
 
 
 def test_runner_table_covers_every_reconstruct_method():

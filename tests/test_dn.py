@@ -14,6 +14,7 @@ from dncalc.scalars import mpq
 from dncalc.geometry import HALF, BoundaryMetricJet, gauge_s, gauge_sigma
 from dncalc.serialize import dn_to_json
 from dncalc.symbols import FormalSymbol, HomSymbol, compose
+from helpers import rescaled
 
 
 KR, KY = 5, 4
@@ -92,7 +93,7 @@ def test_rescale_invariance_of_honest_accessors():
     dn = dn_symbol_gauge(metric, weight, 4, "s")
     sp = metric.space
     unit = sp.one(KR, KY) + sp.coordinate(1, KR, KY).scale(mpq(1, 3))
-    scaled = dn.rescaled(unit)
+    scaled = rescaled(dn, unit)
     xi = (mpq(1), mpq(2))
     assert dn.principal_square_eval(xi) == scaled.principal_square_eval(xi)
     for j in (0, -1, -2):
@@ -139,15 +140,16 @@ def test_shared_runs_key_on_the_exact_inputs(factorisations):
         dn_symbol_scalar(metric, truncated, 2)
         dn_symbol_scalar(metric, weight, 3)
         dn_symbol_gauge(metric, weight, 2, "s")
+        assert factorisations[0] == 3  # Lambda1 s reads the sigma run of Lambda0
         dn_symbol_gauge(metric, weight, 2, "sigma")
-        assert factorisations[0] == 5
+        assert factorisations[0] == 3
         assert dn_symbol_gauge(metric, weight, 2, "s").gauge_tag == "s"
         # the same flat metric and zero weight over another base point
         dn_symbol_scalar(flat_metric(), flat_metric().space.zero(KR, KY), 2)
         dn_symbol_scalar(
             BoundaryMetricJet.flat(other, KR, KY), other.zero(KR, KY), 2
         )
-        assert factorisations[0] == 7
+        assert factorisations[0] == 5
 
 
 def test_shared_runs_end_with_their_block(factorisations):
@@ -232,3 +234,23 @@ def test_the_three_data_kinds_are_one_conjugation_apart(seed, n, kr, ky, depth):
         )
     for got, want in zip(derived, (lam0, lam_s, lam_sigma)):
         assert dn_to_json(got) == dn_to_json(want)
+
+
+def test_rescaling_derived_data_keeps_its_ratios():
+    # the data are a representation up to a positive unit factor; Lambda1 s,
+    # derived from the sigma run, must leave the rescale-invariant ratios
+    # where rescaling its representation leaves them
+    metric, weight = random_instance(11)
+    with shared_forward_runs():
+        dn_s = dn_symbol_gauge(metric, weight, 4, "s")
+        dn_sig = dn_symbol_gauge(metric, weight, 4, "sigma")
+    sp = metric.space
+    unit = sp.one(KR, KY) + sp.coordinate(2, KR, KY).scale(mpq(2, 7))
+    scaled = rescaled(dn_s, unit)
+    assert not scaled.agrees_with(dn_s)
+    factor = weight.restricted_to_boundary().scale(-2).exp()
+    for xi in ((mpq(1), mpq(2)), (mpq(-3), mpq(1, 2))):
+        assert scaled.density_ratio_sq(dn_sig, xi) == dn_s.density_ratio_sq(dn_sig, xi)
+        assert dn_s.density_ratio_sq(dn_sig, xi) == factor
+        for j in dn_s.symbol.grades():
+            assert scaled.grade_ratio_eval(j, xi) == dn_s.grade_ratio_eval(j, xi)

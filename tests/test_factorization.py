@@ -16,6 +16,7 @@ from dncalc.jets import JetSpace
 from dncalc.randomgen import random_instance
 from dncalc.scalars import mpq
 from dncalc.symbols import HomSymbol, SymbolContext, XiPoly
+from helpers import eval_pair
 
 
 KR, KY = 5, 4
@@ -111,8 +112,8 @@ def test_components_are_homogeneous():
     lxi = tuple(lam * x for x in xi)
     for j in res.symbol.grades():
         s = res.symbol.grade(j)
-        ev, od = s.eval_pair(xi)
-        lev, lod = s.eval_pair(lxi)
+        ev, od = eval_pair(s, xi)
+        lev, lod = eval_pair(s, lxi)
         assert lev == ev.scale(lam**j)
         assert lod == od.scale(lam ** (j - 1))
 

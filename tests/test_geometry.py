@@ -17,6 +17,7 @@ from dncalc.jets import Jet, JetSpace
 from dncalc.randomgen import random_instance
 from dncalc.scalars import mpq
 from dncalc.symbols import HomSymbol
+from helpers import with_budgets
 
 
 KR, KY = 5, 4
@@ -137,7 +138,7 @@ def test_every_construction_matches_the_one_from_g_lower(make):
     assert exact_fields(BoundaryMetricJet.from_upper(m.g_upper)) == exact_fields(m)
     # an entry of higher orders is cut to the common orders of the block
     upper = [list(row) for row in m.g_upper]
-    upper[0][0] = upper[0][0].with_budgets(m.kr + 1, m.ky + 1)
+    upper[0][0] = with_budgets(upper[0][0], m.kr + 1, m.ky + 1)
     assert exact_fields(BoundaryMetricJet.from_upper(upper)) == exact_fields(m)
     for kr, ky in ((m.kr - 1, m.ky - 1), (m.kr + 1, m.ky - 1)):
         expected = rebuilt(lambda j: j.truncated(kr, ky))

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dncalc.jets import JetSpace
+from helpers import with_budgets
 
 SPACES = {n: JetSpace(n) for n in (2, 3, 4)}
 
@@ -156,7 +157,7 @@ def test_equal_jets_from_different_routes_hash_equal(pair, data):
         ((a + b) * c, a * c + b * c),
         (a * b, b * a),
         (a + a, a.scale(2)),
-        (a, a.with_budgets(akr + 1, aky + 2)),
+        (a, with_budgets(a, akr + 1, aky + 2)),
         (a.truncated(0, 0), sp.constant(a.constant_term(), 3, 1)),
         (sp.one(akr, aky) * a, a),
         ((a - b) + b, a.truncated(bkr, bky)),

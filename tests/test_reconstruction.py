@@ -20,6 +20,7 @@ from dncalc.reconstruction import (
 from dncalc.runner import true_metric_order
 from dncalc.scalars import mpq
 from dncalc.symbols import FormalSymbol, HomSymbol, XiPoly
+from helpers import rescaled
 
 
 KR, KY = 5, 4
@@ -134,7 +135,7 @@ def test_first_order_rescale_invariance():
     dn_sig = dn_symbol_gauge(metric, weight, 4, "sigma")
     unit = sp.one(KR, KY) + sp.coordinate(2, KR, KY).scale(mpq(1, 5))
     rep_plain = recover_first_order(dn_s, dn_sig)
-    rep_scaled = recover_first_order(dn_s.rescaled(unit), dn_sig.rescaled(unit))
+    rep_scaled = recover_first_order(rescaled(dn_s, unit), rescaled(dn_sig, unit))
     assert_matrix_equal(rep_plain.metric_orders[0], rep_scaled.metric_orders[0])
     assert_matrix_equal(rep_plain.metric_orders[1], rep_scaled.metric_orders[1])
     assert_jet_equal(rep_plain.weight_orders[0], rep_scaled.weight_orders[0])
