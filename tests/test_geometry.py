@@ -282,6 +282,35 @@ def test_gauge_difference_vanishes_for_radial_weight():
         assert q0s == q0o
 
 
+@pytest.mark.parametrize(
+    "seed, kwargs",
+    [(31, dict(n=3)), (32, dict(n=3)), (41, dict(n=4, kr=4, ky=3))],
+    ids=["n3-31", "n3-32", "n4-41"],
+)
+def test_scalar_q1_matches_direct_formula_on_y_dependent_instances(seed, kwargs):
+    # q1 = i(-div_b + sum_a g^{ab} d_a V) xi_b with
+    # div_b = d_a g^{ab} + g^{ab} d_a delta / (2 delta), written out here
+    # from the metric block alone; the weight depends on y, so the gauge
+    # part of the drift is live
+    g, v = random_instance(seed, **kwargs)
+    nt = g.n - 1
+    assert any(not v.partial(a + 1).is_zero for a in range(nt))
+    delta_inv = g.delta.reciprocal()
+    drift = []
+    for b in range(nt):
+        acc = g.space.zero(g.kr, g.ky)
+        for a in range(nt):
+            gab = g.g_upper[a][b]
+            div = gab.partial(a + 1) + (
+                gab * g.delta.partial(a + 1) * delta_inv
+            ).scale(mpq(1, 2))
+            acc = acc - div + gab * v.partial(a + 1)
+        drift.append(acc)
+    _, q1, q0 = compute_q_symbols(g, v, None)
+    assert q1 == HomSymbol.linear_form(g.ctx, drift).times_i()
+    assert q0.is_zero
+
+
 def radial_trace(g):
     """h = g_{ab} d_r g^{ab}, the trace of the first radial derivative."""
     nt = g.n - 1
