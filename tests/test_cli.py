@@ -569,13 +569,19 @@ def test_reconstruct_report_matches_golden(tmp_path):
     )
 
 
-def test_roundtrip_report_matches_golden(tmp_path):
-    # the benchmark's roundtrip scenario: factorize, dn, all six reconstruct
-    # methods, counterexample and validate-disk tasks on an (4,3) instance
+@pytest.mark.parametrize(
+    "name",
+    sorted(f[: -len(".json")] for f in os.listdir(SCENARIOS) if f.endswith(".json")),
+)
+def test_roundtrip_report_matches_golden(tmp_path, name):
+    # every benchmark scenario: roundtrip runs factorize, dn, all six
+    # reconstruct methods, counterexample and validate-disk tasks on an (4,3)
+    # instance, and dense-* and deep-* the factorize tasks of the forward
+    # workloads
     assert_report_matches(
         tmp_path,
-        os.path.join(SCENARIOS, "roundtrip.json"),
-        os.path.join(DATA, "roundtrip.report.json"),
+        os.path.join(SCENARIOS, name + ".json"),
+        os.path.join(DATA, name + ".report.json"),
     )
 
 
