@@ -137,7 +137,7 @@ def dichotomy_and_counterexample():
     v = r + (r * r * r).scale(mpq(1, 6))
     dn = dn_symbol_gauge(g, v, 4, "s")
     rep = recover_weight_gauge(dn, g, ("d2V", 0), 3)
-    roots = [b.root_constant for b in rep.branches]
+    roots = [b.root.constant_term() for b in rep.branches]
     notes = ["roots %r" % [str(x) for x in roots]]
     ce = task_record(g, v, 4, {"kind": "counterexample", "depth": 4})
     if ce["status"] != "pass":

@@ -36,23 +36,28 @@ from .jets import JetSpace
 from .scalars import mpq
 
 
+def mode_ladder(lo: int, hi: int) -> list:
+    """Modes from lo to hi, both included, in steps of about sqrt 2."""
+    modes = []
+    k = lo
+    while k < hi:
+        modes.append(k)
+        k = max(k + 1, int(round(k * 2 ** 0.5)))
+    modes.append(hi)
+    return modes
+
+
 @dataclass
 class RadialProblem:
-    """Radial weight V(rho) = sum_i rho_coeffs[i] rho^i with solver controls."""
+    """Radial weight V(rho) = sum_i rho_coeffs[i] rho^i and its Fourier modes."""
 
     rho_coeffs: tuple = ()
-    modes: tuple = (8, 11, 16, 23, 32, 45, 64)
-    inner_cutoff: float = 0.25
-    rtol: float = 1e-12
-    atol: float = 1e-10
+    modes: tuple = tuple(mode_ladder(8, 64))
     #: V'(rho) = sum of a * rho ** p over these (p, a), in float
     weight_prime_terms: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.rho_coeffs = tuple(mpq(c) for c in self.rho_coeffs)
-        self.modes = tuple(int(k) for k in self.modes)
-        if not 0 < self.inner_cutoff < 1:
-            raise DataError("inner cutoff must lie in (0, 1)")
         self.weight_prime_terms = tuple(
             (i - 1, i * float(c)) for i, c in enumerate(self.rho_coeffs) if i
         )
@@ -72,7 +77,7 @@ def solve_mode(problem: RadialProblem, k: int) -> float:
         raise DataError("mode number must be a positive integer")
     from scipy.integrate import solve_ivp
 
-    eps = problem.inner_cutoff
+    eps = 0.25
     kk = k * k
     terms = problem.weight_prime_terms
 
@@ -89,8 +94,8 @@ def solve_mode(problem: RadialProblem, k: int) -> float:
         (eps, 1.0),
         [k / eps],
         method="DOP853",
-        rtol=problem.rtol,
-        atol=problem.atol,
+        rtol=1e-12,
+        atol=1e-10,
         dense_output=False,
     )
     if not sol.success:
@@ -101,11 +106,11 @@ def solve_mode(problem: RadialProblem, k: int) -> float:
     return -u_boundary
 
 
-def disk_geometry(depth: int, kr: int | None = None, ky: int | None = None):
+def disk_geometry(depth: int):
     """Rational collar data of the unit disk: one tangential direction with
-    g_{theta theta} = (1 - r)^2."""
-    kr = kr if kr is not None else depth + 2
-    ky = ky if ky is not None else depth + 1
+    g_{theta theta} = (1 - r)^2, at the truncation orders a factorisation to
+    depth + 1 needs."""
+    kr, ky = depth + 2, depth + 1
     sp = JetSpace(2)
     one = sp.one(kr, ky)
     r = sp.coordinate(0, kr, ky)
@@ -129,12 +134,9 @@ def disk_weight_jet(problem: RadialProblem, metric: BoundaryMetricJet):
     return acc
 
 
-def symbol_partial_sum(problem: RadialProblem, depth: int, k: int,
-                       factorization=None) -> float:
-    """Sum of the boundary symbol components of grades 1 down to 1 - depth at
-    the fibre point xi' = k."""
-    if factorization is None:
-        factorization = disk_factorization(problem, depth)
+def symbol_partial_sum(factorization, depth: int, k: int) -> float:
+    """Sum of the boundary symbol components of a disk factorisation, grades
+    1 down to 1 - depth, at the fibre point xi' = k."""
     total = 0.0 + 0.0j
     for j in range(1, -depth, -1):
         sym = factorization.symbol.grade(j)
@@ -192,7 +194,7 @@ def asymptotic_compare(problem: RadialProblem, depth: int) -> DiskComparison:
     out = DiskComparison(depth=depth, slope_bound=-(depth - 0.3))
     for k in modes:
         numeric = solve_mode(problem, k)
-        partial = symbol_partial_sum(problem, depth, k, factorization=fact)
+        partial = symbol_partial_sum(fact, depth, k)
         out.rows.append(ModeComparison(k, numeric, partial))
     errors = np.array([abs(row.error) for row in out.rows], dtype=float)
     ks = np.array(modes, dtype=float)

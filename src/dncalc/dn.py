@@ -179,9 +179,22 @@ def _shared(kind: str, metric: BoundaryMetricJet, weight: Jet, depth: int):
 
 
 def _dn_data(kind: str, metric: BoundaryMetricJet, weight: Jet, depth: int):
-    if kind == "sigma":
-        return _dn_sigma(metric, weight, depth)
-    return _dn_from_sigma(metric, weight, depth, kind)
+    """The sigma run, or the data of another kind derived from it."""
+    if kind != "sigma":
+        return _dn_from_sigma(metric, weight, depth, kind)
+    gauge = gauge_sigma(metric, weight)
+    result = factorize_gauge(metric, gauge, depth, weight=weight)
+    bmetric = metric.restricted_to_boundary()
+    sym = result.symbol.restricted_to_boundary(bmetric.ctx)
+    density_sq = gauge.density_sq.restricted_to_boundary()
+    return DNSymbolData("lambda1", "sigma", sym, density_sq, bmetric, metric.n, depth)
+
+
+def dn_symbol(metric: BoundaryMetricJet, weight: Jet, depth: int, kind: str) -> DNSymbolData:
+    """The DN data of ``kind``: "lambda0", or the gauge tag of lambda1."""
+    if kind == "lambda0":
+        return dn_symbol_scalar(metric, weight, depth)
+    return dn_symbol_gauge(metric, weight, depth, kind)
 
 
 def dn_symbol_scalar(metric: BoundaryMetricJet, weight: Jet, depth: int) -> DNSymbolData:
@@ -197,15 +210,6 @@ def dn_symbol_gauge(
     if gauge_tag not in ("s", "sigma"):
         raise DataError("gauge tag must be 's' or 'sigma', got %r" % gauge_tag)
     return _shared(gauge_tag, metric, weight, depth)
-
-
-def _dn_sigma(metric: BoundaryMetricJet, weight: Jet, depth: int) -> DNSymbolData:
-    gauge = gauge_sigma(metric, weight)
-    result = factorize_gauge(metric, gauge, depth, weight=weight)
-    bmetric = metric.restricted_to_boundary()
-    sym = result.symbol.restricted_to_boundary(bmetric.ctx)
-    density_sq = gauge.density_sq.restricted_to_boundary()
-    return DNSymbolData("lambda1", "sigma", sym, density_sq, bmetric, metric.n, depth)
 
 
 def _dn_from_sigma(

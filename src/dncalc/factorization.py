@@ -24,15 +24,13 @@ of the identity minus one), so a corrupted s_j trips the verifier at label j.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from itertools import combinations_with_replacement
 
 from .errors import BudgetExhaustedError, DepthError
 from .geometry import BoundaryMetricJet, GaugeData, compute_q_symbols, radial_drift
 from .jets import Jet
-from .symbols import FormalSymbol, HomSymbol, SymbolContext, XiPoly, compose
+from .symbols import FormalSymbol, HomSymbol, SymbolContext, XiPoly, compose, inv_factorial
 
 
 @dataclass(frozen=True)
@@ -40,7 +38,6 @@ class FactorizationResult:
     mode: str  # "gauge" | "scalar"
     symbol: FormalSymbol
     metric: BoundaryMetricJet
-    weight: Jet | None
     gauge: GaugeData | None
     depth: int
     q: tuple  # (q2, q1, q0), the full symbol of the tangential operator
@@ -70,13 +67,6 @@ class _Recursion:
             self._ar_dy[key] = val
         return val
 
-    @staticmethod
-    def _inv_factorial(key: tuple) -> Fraction:
-        mult = 1
-        for a in set(key):
-            mult *= math.factorial(key.count(a))
-        return Fraction(1, mult)
-
     def known_grade(self, gamma: int) -> HomSymbol:
         """Grade-gamma component of the defining identity over the components
         computed so far (the yet-unknown component never enters because it is
@@ -103,7 +93,7 @@ class _Recursion:
                     right, imag = self.ar_deriv(key)
                     if right.is_zero:
                         continue
-                    term = left.scale(right).scale(self._inv_factorial(key))
+                    term = left.scale(right).scale(inv_factorial(key))
                     terms.append(term.times_i() if imag else term)
         for m in self.comps:
             for l in self.comps:
@@ -119,7 +109,7 @@ class _Recursion:
                         continue
                     term = left * right
                     if k:
-                        term = term.scale(self._inv_factorial(key))
+                        term = term.scale(inv_factorial(key))
                     terms.append(term)
         return HomSymbol.sum(terms, ctx, gamma)
 
@@ -132,7 +122,7 @@ class _Recursion:
         return FormalSymbol(ctx, dict(self.comps), 1, 2 - depth)
 
 
-def check_budgets(metric: BoundaryMetricJet, weight: Jet | None, depth: int):
+def check_budgets(metric: BoundaryMetricJet, weight: Jet, depth: int):
     if depth < 1:
         raise DepthError("depth must be at least 1, got %d" % depth)
     if metric.kr < depth + 1 or metric.ky < depth:
@@ -141,7 +131,7 @@ def check_budgets(metric: BoundaryMetricJet, weight: Jet | None, depth: int):
             "(need radial >= %d, tangential >= %d)"
             % (metric.kr, metric.ky, depth, depth + 1, depth)
         )
-    if weight is not None and (weight.kr < depth + 1 or weight.ky < depth):
+    if weight.kr < depth + 1 or weight.ky < depth:
         raise BudgetExhaustedError(
             "weight truncation orders (%d, %d) cannot support depth %d"
             % (weight.kr, weight.ky, depth)
@@ -149,21 +139,19 @@ def check_budgets(metric: BoundaryMetricJet, weight: Jet | None, depth: int):
 
 
 def factorize_gauge(
-    metric: BoundaryMetricJet,
-    gauge: GaugeData,
-    depth: int,
-    weight: Jet | None = None,
+    metric: BoundaryMetricJet, gauge: GaugeData, depth: int, weight: Jet
 ) -> FactorizationResult:
     """Solve the gauge-mode recursion to the requested depth.
 
-    The retained grades run from 1 down to 2 - depth; the principal component
-    is always -||xi'||.
+    ``weight`` is the one the gauge was built from, and like the metric it
+    must be truncated deep enough for the depth.  The retained grades run
+    from 1 down to 2 - depth; the principal component is always -||xi'||.
     """
     check_budgets(metric, weight, depth)
     q = compute_q_symbols(metric, weight, gauge)
     drift = radial_drift(metric)
     sym = _Recursion(metric.ctx, *q, drift, gauge.a_r).solve(depth)
-    return FactorizationResult("gauge", sym, metric, weight, gauge, depth, q, drift)
+    return FactorizationResult("gauge", sym, metric, gauge, depth, q, drift)
 
 
 def factorize_scalar(
@@ -174,7 +162,7 @@ def factorize_scalar(
     q = compute_q_symbols(metric, weight, None)
     drift = radial_drift(metric, weight)
     sym = _Recursion(metric.ctx, *q, drift, None).solve(depth)
-    return FactorizationResult("scalar", sym, metric, weight, None, depth, q, drift)
+    return FactorizationResult("scalar", sym, metric, None, depth, q, drift)
 
 
 def _defining_expression(result: FactorizationResult) -> FormalSymbol:

@@ -166,21 +166,26 @@ class BoundaryMetricJet:
             return self
         return self._mapped(lambda j: j.truncated(kr, ky))
 
-    def divergence_upper(self) -> list:
-        """delta^{-1/2} d_a (delta^{1/2} g^{ab}) = d_a g^{ab} + g^{ab} d_a log(delta)/2
-        for each b (tangential sums; a drift coefficient of the tangential
-        operator)."""
-        nt = self.n - 1
+    def raised(self, covector) -> list:
+        """The vector field g^{ab} w_a, component b for each b, of a
+        tangential covector field w given by its components w_a."""
         out = []
-        for b in range(nt):
+        for column in zip(*self.g_upper):
             acc = None
-            for a in range(nt):
-                term = self.g_upper[a][b].partial(a + 1) + (
-                    self.g_upper[a][b] * self.dlog_delta(a + 1)
-                ).scale(HALF)
+            for g, w in zip(column, covector):
+                term = g * w
                 acc = term if acc is None else acc + term
             out.append(acc)
         return out
+
+    def divergence(self, vec) -> Jet:
+        """delta^{-1/2} d_a (delta^{1/2} X^a) = d_a X^a + X^a d_a log(delta)/2
+        of a tangential vector field X given by its components X^a."""
+        acc = None
+        for a, x in enumerate(vec):
+            term = x.partial(a + 1) + (x * self.dlog_delta(a + 1)).scale(HALF)
+            acc = term if acc is None else acc + term
+        return acc
 
 
 def radial_drift(metric: BoundaryMetricJet, weight: Jet | None = None) -> Jet:
@@ -196,25 +201,19 @@ def radial_drift(metric: BoundaryMetricJet, weight: Jet | None = None) -> Jet:
 
 
 def laplace_beltrami(metric: BoundaryMetricJet, f: Jet) -> Jet:
-    """Laplace-Beltrami operator of dr^2 + g applied to a collar jet."""
-    acc = f.partial(0).partial(0) + (metric.dlog_delta(0) * f.partial(0)).scale(HALF)
-    nt = metric.n - 1
-    div = metric.divergence_upper()
-    for b in range(nt):
-        fb = f.partial(b + 1)
-        acc = acc + div[b] * fb
-        for a in range(nt):
-            acc = acc + metric.g_upper[a][b] * f.partial(a + 1).partial(b + 1)
-    return acc
+    """Laplace-Beltrami operator of dr^2 + g applied to a collar jet: the
+    divergence of its gradient, radial part first."""
+    fr = f.partial(0)
+    grad = metric.raised([f.partial(a + 1) for a in range(metric.n - 1)])
+    return fr.partial(0) + (metric.dlog_delta(0) * fr).scale(HALF) + metric.divergence(grad)
 
 
 def gradient_square(metric: BoundaryMetricJet, f: Jet) -> Jet:
     """g(df, df) in normal coordinates."""
+    df = [f.partial(a + 1) for a in range(metric.n - 1)]
     acc = f.partial(0) * f.partial(0)
-    nt = metric.n - 1
-    for a in range(nt):
-        for b in range(nt):
-            acc = acc + metric.g_upper[a][b] * f.partial(a + 1) * f.partial(b + 1)
+    for x, w in zip(metric.raised(df), df):
+        acc = acc + x * w
     return acc
 
 
@@ -232,7 +231,6 @@ class GaugeData:
     trivialisation.  ``density_sq`` is the square of the factor multiplying
     the conormal derivative in the DN map."""
 
-    tag: str
     a_r: Jet
     a_tan: tuple
     potential: Jet
@@ -246,65 +244,41 @@ def gauge_s(metric: BoundaryMetricJet, weight: Jet) -> GaugeData:
     a_tan = tuple(weight.partial(a + 1).scale(HALF) for a in range(metric.n - 1))
     u = schroedinger_potential(metric, weight)
     density_sq = (weight.scale(-2)).exp() * metric.delta
-    return GaugeData("s", a_r, a_tan, u, density_sq)
+    return GaugeData(a_r, a_tan, u, density_sq)
 
 
 def gauge_sigma(metric: BoundaryMetricJet, weight: Jet) -> GaugeData:
     """Flat trivialisation: vanishing connection form, density sqrt(delta)."""
-    sp = metric.space
-    kr, ky = metric.kr, metric.ky
-    zero = sp.zero(kr, ky)
+    zero = metric.space.zero(metric.kr, metric.ky)
     u = schroedinger_potential(metric, weight)
-    return GaugeData("sigma", zero, tuple(zero for _ in range(metric.n - 1)), u, metric.delta)
+    return GaugeData(zero, tuple(zero for _ in range(metric.n - 1)), u, metric.delta)
 
 
-def compute_q_symbols(
-    metric: BoundaryMetricJet, weight: Jet | None = None, gauge: GaugeData | None = None
-):
+def compute_q_symbols(metric: BoundaryMetricJet, weight: Jet, gauge: GaugeData | None = None):
     """Full symbol (q2, q1, q0) of the tangential operator.
 
-    With a gauge: q2 = g^{ab} xi_a xi_b,
+    In a gauge with tangential potential components A_a:
+    q2 = g^{ab} xi_a xi_b,
     q1 = i(-delta^{-1/2} d_a(g^{ab} delta^{1/2}) + 2 A^b) xi_b,
     q0 = U + delta^{-1/2} d_a(delta^{1/2} A^a) - A_a A^a.
 
-    Without a gauge (scalar mode): the drift picks up the weight,
-    q1 = i(-delta^{-1/2} d_a(g^{ab} delta^{1/2}) + g^{ab} d_a V) xi_b, q0 = 0.
+    Without a gauge (scalar mode) the weight lives in the drift: q1 is that of
+    the weight gauge, A = dV/2, and q0 = 0.
     """
     ctx = metric.ctx
-    nt = metric.n - 1
     q2 = HomSymbol.q2_symbol(ctx)
-    div = metric.divergence_upper()
-
     if gauge is None:
-        if weight is None:
-            raise MetricError("scalar-mode symbols need the weight")
-        drift = []
-        for b in range(nt):
-            acc = -div[b]
-            for a in range(nt):
-                acc = acc + metric.g_upper[a][b] * weight.partial(a + 1)
-            drift.append(acc)
-        q1 = HomSymbol.linear_form(ctx, drift).times_i()
-        q0 = HomSymbol.zero(ctx, 0)
-        return q2, q1, q0
-
-    a_up = []
-    for b in range(nt):
-        acc = None
-        for a in range(nt):
-            term = metric.g_upper[a][b] * gauge.a_tan[a]
-            acc = term if acc is None else acc + term
-        a_up.append(acc)
-    drift = []
-    for b in range(nt):
-        drift.append(-div[b] + a_up[b].scale(2))
+        a_tan = [weight.partial(a + 1).scale(HALF) for a in range(metric.n - 1)]
+    else:
+        a_tan = gauge.a_tan
+    a_up = metric.raised(a_tan)
+    columns = zip(*metric.g_upper)
+    drift = [-metric.divergence(column) + x.scale(2) for column, x in zip(columns, a_up)]
     q1 = HomSymbol.linear_form(ctx, drift).times_i()
+    if gauge is None:
+        return q2, q1, HomSymbol.zero(ctx, 0)
 
-    q0_jet = gauge.potential
-    for a in range(nt):
-        q0_jet = q0_jet + a_up[a].partial(a + 1) + (
-            a_up[a] * metric.dlog_delta(a + 1)
-        ).scale(HALF)
-        q0_jet = q0_jet - gauge.a_tan[a] * a_up[a]
-    q0 = HomSymbol.from_jet(ctx, q0_jet)
-    return q2, q1, q0
+    q0_jet = gauge.potential + metric.divergence(a_up)
+    for w, x in zip(a_tan, a_up):
+        q0_jet = q0_jet - w * x
+    return q2, q1, HomSymbol.from_jet(ctx, q0_jet)

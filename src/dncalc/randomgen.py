@@ -41,13 +41,12 @@ def random_weight(
     space: JetSpace,
     kr: int,
     ky: int,
-    terms: int = 6,
     tangential_degree: int = 2,
 ) -> Jet:
     """Random weight jet with V(base point) = 0 and a nonzero pure-radial
     coefficient r^m for every m = 1..kr."""
     coeffs = {}
-    for _ in range(terms):
+    for _ in range(6):
         idx = _random_index(rng, space.n, kr, ky, tangential_degree)
         if idx == (0,) * space.n:
             continue
@@ -65,7 +64,6 @@ def random_metric(
     space: JetSpace,
     kr: int,
     ky: int,
-    terms: int = 5,
     tangential_degree: int = 2,
 ) -> BoundaryMetricJet:
     nt = space.n - 1
@@ -73,7 +71,7 @@ def random_metric(
     for a in range(nt):
         for b in range(a, nt):
             coeffs = {}
-            for _ in range(terms):
+            for _ in range(5):
                 idx = _random_index(rng, space.n, kr, ky, tangential_degree)
                 if idx == (0,) * space.n:
                     continue

@@ -47,7 +47,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .dn import DNSymbolData, dn_symbol_gauge, dn_symbol_scalar
+from .dn import DNSymbolData, dn_symbol, dn_symbol_gauge
 from .errors import DataError, DepthError, ReconstructionError
 from .geometry import HALF, BoundaryMetricJet, det
 from .jets import Jet, collar_from_radial_orders
@@ -164,7 +164,6 @@ def _prescribed(prescription: tuple, dn: DNSymbolData):
 class Branch:
     """One consistent continuation of the weight in a two-root recovery."""
 
-    root_constant: object
     root: Jet
     weight_orders: list
     residuals: dict = field(default_factory=dict)
@@ -196,9 +195,7 @@ def _forward(dn: DNSymbolData, metric, weight, depth: int) -> DNSymbolData:
     if isinstance(weight, list):
         weight = collar_from_radial_orders(space, weight, kr, ky)
     metric, weight = metric.truncated(kr, ky), weight.truncated(kr, ky)
-    if dn.map_kind == "lambda0":
-        return dn_symbol_scalar(metric, weight, depth)
-    return dn_symbol_gauge(metric, weight, depth, dn.gauge_tag)
+    return dn_symbol(metric, weight, depth, dn.gauge_tag or dn.map_kind)
 
 
 def _probe(fn, nparams: int):
@@ -530,7 +527,7 @@ def _extend_branches(report, dn, metric, starts, order, delta_known=None):
         morders = list(metric) if isinstance(metric, list) else metric
         _drive(report.method, dn, morders, worders, len(worders), order, delta_known)
         worders = worders[: order + 1]
-        branch = Branch(worders[1].constant_term(), worders[1], worders)
+        branch = Branch(worders[1], worders)
         _resynthesise(dn, morders, worders, order, branch.residuals)
         if isinstance(metric, list):
             if not report.branches:

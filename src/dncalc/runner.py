@@ -20,7 +20,7 @@ from typing import Callable, NamedTuple
 
 from . import __version__
 from .diskcheck import RadialProblem, asymptotic_compare
-from .dn import dn_symbol_gauge, dn_symbol_scalar, shared_forward_runs
+from .dn import dn_symbol, shared_forward_runs
 from .errors import DnCalcError, ReconstructionError
 from .factorization import factorize_gauge, factorize_scalar, verify_residual
 from .geometry import gauge_s, gauge_sigma
@@ -109,16 +109,9 @@ def _task_factorize(metric, weight, depth: int, task: dict) -> dict:
     return out
 
 
-def _dn_data(metric, weight, depth: int, kind: str):
-    """The DN data to ``depth``: "lambda0", or lambda1 in the gauge ``kind``."""
-    if kind == "lambda0":
-        return dn_symbol_scalar(metric, weight, depth)
-    return dn_symbol_gauge(metric, weight, depth, kind)
-
-
 def _task_dn(metric, weight, depth: int, task: dict) -> dict:
     kind = "lambda0" if task["map"] == "lambda0" else task["gauge"]
-    return {"status": "pass", "data": dn_to_json(_dn_data(metric, weight, depth, kind))}
+    return {"status": "pass", "data": dn_to_json(dn_symbol(metric, weight, depth, kind))}
 
 
 def _prescription(weight, task: dict):
@@ -242,7 +235,7 @@ def _task_reconstruct(metric, weight, depth: int, task: dict) -> dict:
     """The DN data of ``metric`` and ``weight`` to ``depth``, inverted by
     the task's method to its order and checked against them."""
     method = RECONSTRUCT[task["method"]]
-    data = [_dn_data(metric, weight, depth, kind) for kind in method.data]
+    data = [dn_symbol(metric, weight, depth, kind) for kind in method.data]
     rep = method.recover(data, metric, weight, task)
     out = {"method": task["method"], "order": task["order"]}
     out.update((name, _FIELDS[name](rep)) for name in method.fields)

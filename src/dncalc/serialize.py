@@ -24,7 +24,7 @@ first value listed being the default:
   and 0 otherwise; ``prescribe`` ``{"d1V" or "d2V": "true" or a
   rational}``, required by weight-gauge and volume-gauge, refused otherwise.
 - counterexample: ``depth`` the scenario's depth, at least 3.
-- validate-disk: ``modes`` "8:64" ("lo:hi" in steps of about sqrt 2, or a
+- validate-disk: ``modes`` "8:64" ("lo:hi", expanded by ``mode_ladder``, or a
   list of integers >= 1), whose distinct modes must span an octave: at
   least two, the largest at least twice the smallest; ``depth`` 2, at least
   1; ``weight_rho`` ["1/2", "-1", "1/2"], the rational coefficients of
@@ -39,6 +39,7 @@ from __future__ import annotations
 import hashlib
 import json
 
+from .diskcheck import mode_ladder
 from .dn import DNSymbolData
 from .errors import DnCalcError, ScenarioError
 from .geometry import BoundaryMetricJet
@@ -348,12 +349,7 @@ def _parse_modes(spec, where) -> list:
             ) from None
         if lo < 1 or hi <= lo:
             raise ScenarioError("%s.modes range is empty" % where)
-        modes = []
-        k = lo
-        while k < hi:
-            modes.append(k)
-            k = max(k + 1, int(round(k * 2 ** 0.5)))
-        modes.append(hi)
+        modes = mode_ladder(lo, hi)
     elif isinstance(spec, list) and all(
         isinstance(k, int) and not isinstance(k, bool) and k >= 1 for k in spec
     ):

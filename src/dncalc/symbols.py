@@ -660,17 +660,25 @@ class HomSymbol:
 
     # -- calculus -----------------------------------------------------------------
 
+    def _quotient_rule(self, degree: int, da: XiPoly, db: XiPoly, dq2: XiPoly,
+                       kr: int, ky: int) -> "HomSymbol":
+        """The derivative of (A + B w)/q2^p, given those of A, B and q2, as a
+        symbol of ``degree`` over q2^(p+1) with budgets (kr, ky)."""
+        ctx = self.ctx
+        # B w / q2^p: w gives B dq2 w / (2 q2), and q2^-p gives -p B dq2 w / q2
+        na = da * ctx.q2
+        nb = db * ctx.q2 + (self.b * dq2).scale(Fraction(1 - 2 * self.p, 2))
+        if self.p:
+            na = na - (self.a * dq2).scale(self.p)
+        return HomSymbol(ctx, degree, na, nb, self.p + 1, kr, ky).normalized()
+
     def xi_partial(self, a: int) -> "HomSymbol":
         """d/d xi_a; the degree drops by one."""
         ctx = self.ctx
-        q2d = ctx.q2_xi[a]
-        # B w / q2^p: w gives B q2d w / (2 q2), and q2^-p gives -p B q2d w / q2
-        na = self.a.xi_partial(a) * ctx.q2
-        nb = self.b.xi_partial(a) * ctx.q2 + (self.b * q2d).scale(Fraction(1 - 2 * self.p, 2))
-        if self.p:
-            na = na - (self.a * q2d).scale(self.p)
-        kr, ky = min(self.kr, ctx.kr), min(self.ky, ctx.ky)
-        return HomSymbol(ctx, self.degree - 1, na, nb, self.p + 1, kr, ky).normalized()
+        return self._quotient_rule(
+            self.degree - 1, self.a.xi_partial(a), self.b.xi_partial(a), ctx.q2_xi[a],
+            min(self.kr, ctx.kr), min(self.ky, ctx.ky),
+        )
 
     def base_partial(self, direction: int) -> "HomSymbol":
         """d/dr or d/dy; hits jet coefficients and the metric inside w, q2."""
@@ -683,14 +691,10 @@ class HomSymbol:
             if min(self.ky, ctx.ky) == 0:
                 raise BudgetExhaustedError("tangential symbol budget exhausted")
             kr, ky = min(self.kr, ctx.kr), min(self.ky, ctx.ky) - 1
-        q2b = ctx.q2_base_partial(direction)
-        da = self.a.base_partial(direction)
-        db = self.b.base_partial(direction)
-        na = da * ctx.q2
-        nb = db * ctx.q2 + (self.b * q2b).scale(Fraction(1 - 2 * self.p, 2))
-        if self.p:
-            na = na - (self.a * q2b).scale(self.p)
-        return HomSymbol(ctx, self.degree, na, nb, self.p + 1, kr, ky).normalized()
+        return self._quotient_rule(
+            self.degree, self.a.base_partial(direction), self.b.base_partial(direction),
+            ctx.q2_base_partial(direction), kr, ky,
+        )
 
     def d_y(self, a: int) -> "HomSymbol":
         """D_{y^a} = -i d/dy^a (tangential direction a is jet direction a+1)."""
@@ -806,8 +810,9 @@ class FormalSymbol:
             self.comps[j] = s if s is not None else HomSymbol.zero(ctx, j)
 
     @classmethod
-    def single(cls, sym: HomSymbol, tail_exact=True) -> "FormalSymbol":
-        return cls(sym.ctx, {sym.degree: sym}, sym.degree, sym.degree, tail_exact)
+    def single(cls, sym: HomSymbol) -> "FormalSymbol":
+        """The one homogeneous symbol ``sym``, every other grade exactly zero."""
+        return cls(sym.ctx, {sym.degree: sym}, sym.degree, sym.degree, True)
 
     @property
     def depth(self) -> int:
@@ -825,10 +830,9 @@ class FormalSymbol:
     def grades(self):
         return range(self.hi, self.lo - 1, -1)
 
-    def map_components(self, fn, tail_exact=None) -> "FormalSymbol":
+    def map_components(self, fn) -> "FormalSymbol":
         out = {j: fn(s) for j, s in self.comps.items()}
-        te = self.tail_exact if tail_exact is None else tail_exact
-        return FormalSymbol(self.ctx, out, self.hi, self.lo, te)
+        return FormalSymbol(self.ctx, out, self.hi, self.lo, self.tail_exact)
 
     def d_r(self) -> "FormalSymbol":
         return self.map_components(HomSymbol.d_r)
@@ -887,6 +891,14 @@ class FormalSymbol:
         )
 
 
+def inv_factorial(key) -> Fraction:
+    """1/K! for the multi-index K that lists its directions in ``key``."""
+    mult = 1
+    for a in set(key):
+        mult *= math.factorial(key.count(a))
+    return Fraction(1, mult)
+
+
 def compose(f: FormalSymbol, g: FormalSymbol, lowest: int | None = None) -> FormalSymbol:
     """Asymptotic composition sum_K 1/K! d^K_xi f D^K_y g.
 
@@ -937,10 +949,7 @@ def compose(f: FormalSymbol, g: FormalSymbol, lowest: int | None = None) -> Form
                         continue
                     term = left * right
                     if k:
-                        mult = 1
-                        for a in set(key):
-                            mult *= math.factorial(key.count(a))
-                        term = term.scale(Fraction(1, mult))
+                        term = term.scale(inv_factorial(key))
                     out[grade].append(term)
     comps = {j: HomSymbol.sum(terms, ctx, j) for j, terms in out.items()}
     return FormalSymbol(ctx, comps, hi, lo, tail_exact)

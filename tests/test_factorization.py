@@ -135,8 +135,8 @@ def test_residual_passes_custom_gauge():
     a_r = weight * weight  # arbitrary radial potential
     a_tan = tuple(weight.partial(i + 1) for i in range(metric.n - 1))
     pot = weight.scale(3)
-    gauge = GaugeData("custom", a_r, a_tan, pot, metric.delta)
-    res = factorize_gauge(metric, gauge, 4)
+    gauge = GaugeData(a_r, a_tan, pot, metric.delta)
+    res = factorize_gauge(metric, gauge, 4, weight)
     assert verify_residual(res) is None
 
 

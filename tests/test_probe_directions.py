@@ -13,7 +13,7 @@ forward model; the other side is read off the rows ``_drive`` hands to
 import pytest
 
 import dncalc.reconstruction as reconstruction
-from dncalc.dn import dn_symbol_gauge, dn_symbol_scalar, shared_forward_runs
+from dncalc.dn import dn_symbol, shared_forward_runs
 from dncalc.geometry import BoundaryMetricJet
 from dncalc.jets import collar_from_radial_orders
 from dncalc.randomgen import random_instance
@@ -34,13 +34,6 @@ INSTANCES = {
     3: (dict(seed=3004, kr=6, ky=5), 5),
     4: (dict(seed=41, n=4, kr=4, ky=3), 3),
 }
-
-
-def _forward(kind, metric, weight, depth):
-    """DN data of kind "lambda0", or lambda1 in the gauge tag kind."""
-    if kind == "lambda0":
-        return dn_symbol_scalar(metric, weight, depth)
-    return dn_symbol_gauge(metric, weight, depth, kind)
 
 
 def full_candidate_directions(dn, metric, weight, m):
@@ -78,7 +71,7 @@ def full_candidate_directions(dn, metric, weight, m):
             w = collar_from_radial_orders(space, weight + trial[-1:], kr, ky)
         else:
             w = weight.truncated(kr, ky)
-        data = _forward(dn.gauge_tag or "lambda0", g, w, m + 1)
+        data = dn_symbol(g, w, m + 1, dn.gauge_tag or "lambda0")
         return [part for xi in _samples(nxi) for part in data.grade_ratio_eval(1 - m, xi)]
 
     base = run([0] * nparams)
@@ -151,7 +144,7 @@ class _Instance:
 
     def __getitem__(self, kind):
         if kind not in self.data:
-            self.data[kind] = _forward(kind, self.metric, self.weight, self.depth)
+            self.data[kind] = dn_symbol(self.metric, self.weight, self.depth, kind)
         return self.data[kind]
 
 

@@ -217,7 +217,7 @@ def test_weight_gauge_dichotomy_flat():
     v = r + (r * r * r).scale(mpq(1, 6))
     dn = dn_symbol_gauge(g, v, 4, "s")
     rep = recover_weight_gauge(dn, g, ("d2V", 0), 3)
-    roots = [b.root_constant for b in rep.branches]
+    roots = [b.root.constant_term() for b in rep.branches]
     assert roots == [mpq(-1), mpq(1)]
     for b in rep.branches:
         assert all(val == 0.0 for val in b.residuals.values())
@@ -229,7 +229,7 @@ def test_weight_gauge_double_root():
     dn = dn_symbol_gauge(g, v, 4, "s")
     rep = recover_weight_gauge(dn, g, ("d2V", 0), 3)
     assert len(rep.branches) == 1
-    assert rep.branches[0].root_constant == 0
+    assert rep.branches[0].root.constant_term() == 0
 
 
 def test_weight_gauge_branch_soundness_random():
@@ -306,7 +306,7 @@ def test_volume_gauge_dichotomy_and_unique_metric():
     truth = true_metric_orders(metric, 3)
     for m in range(4):
         assert_matrix_equal(rep.metric_orders[m], truth[m])
-    roots = {b.root_constant for b in rep.branches}
+    roots = {b.root.constant_term() for b in rep.branches}
     assert weight.radial_derivative_at_zero(1).constant_term() in roots
 
 
