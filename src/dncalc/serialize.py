@@ -13,12 +13,14 @@ Optional: ``backend`` "rational" (the only one), ``base_point`` (default
 "p0"), ``seed`` (an integer, default 0), ``name`` (not read), ``metric``
 "flat" (default), "random" or a table ``{"a,b": jet}`` of g_ab entries,
 1-based, the identity's where left out, and ``weight`` "zero" (default),
-"random" or a jet.  Each task has a ``kind``; its other fields follow, the
-first value listed being the default:
+"random" or a jet.  Each task has a ``kind``, and only the fields its kind
+reads (``TASK_FIELDS``); any other field is refused.  They follow, the first
+value listed being the default:
 
-- factorize: ``mode`` "scalar" or "gauge"; ``gauge`` "s" or "sigma" (gauge
-  mode only); ``verify`` true.
-- dn: ``map`` "lambda0" or "lambda1"; ``gauge`` "s" or "sigma" (lambda1 only).
+- factorize: ``mode`` "scalar" or "gauge"; ``gauge`` "s" or "sigma", refused
+  in scalar mode; ``verify`` true or false.
+- dn: ``map`` "lambda0" or "lambda1"; ``gauge`` "s" or "sigma", refused for
+  lambda0.
 - reconstruct: ``method``, required, one of ``RECONSTRUCTION_METHODS``;
   ``order`` min(3, depth - 1), at least 2 for weight-gauge and volume-gauge
   and 0 otherwise; ``prescribe`` ``{"d1V" or "d2V": "true" or a
@@ -135,13 +137,16 @@ def dn_to_json(dn: DNSymbolData) -> dict:
 # scenarios
 
 
-VALID_TASK_KINDS = (
-    "factorize",
-    "dn",
-    "reconstruct",
-    "counterexample",
-    "validate-disk",
-)
+#: task kind -> the fields a task of that kind may carry besides ``kind``
+TASK_FIELDS = {
+    "factorize": ("mode", "gauge", "verify"),
+    "dn": ("map", "gauge"),
+    "reconstruct": ("method", "order", "prescribe"),
+    "counterexample": ("depth",),
+    "validate-disk": ("modes", "depth", "weight_rho"),
+}
+
+VALID_TASK_KINDS = tuple(TASK_FIELDS)
 
 RECONSTRUCTION_METHODS = (
     "first-order",
@@ -260,19 +265,27 @@ class Scenario:
             raise ScenarioError(
                 "%s.kind must be one of %s, got %r" % (where, VALID_TASK_KINDS, kind)
             )
+        for name in task:
+            if name != "kind" and name not in TASK_FIELDS[kind]:
+                raise ScenarioError("%s.%s is not a field of a %s task" % (where, name, kind))
         task = dict(task)
         if kind == "factorize":
             mode = task.setdefault("mode", "scalar")
             if mode not in ("gauge", "scalar"):
                 raise ScenarioError("%s.mode must be 'gauge' or 'scalar'" % where)
+            if mode == "scalar" and "gauge" in task:
+                raise ScenarioError("%s.gauge only applies to gauge mode" % where)
             gauge = task.setdefault("gauge", "s" if mode == "gauge" else None)
             if mode == "gauge" and gauge not in ("s", "sigma"):
                 raise ScenarioError("%s.gauge must be 's' or 'sigma'" % where)
-            task.setdefault("verify", True)
+            if not isinstance(task.setdefault("verify", True), bool):
+                raise ScenarioError("%s.verify must be true or false" % where)
         elif kind == "dn":
             map_kind = task.setdefault("map", "lambda0")
             if map_kind not in ("lambda0", "lambda1"):
                 raise ScenarioError("%s.map must be 'lambda0' or 'lambda1'" % where)
+            if map_kind == "lambda0" and "gauge" in task:
+                raise ScenarioError("%s.gauge only applies to lambda1" % where)
             gauge = task.setdefault("gauge", "s" if map_kind == "lambda1" else None)
             if map_kind == "lambda1" and gauge not in ("s", "sigma"):
                 raise ScenarioError("%s.gauge must be 's' or 'sigma'" % where)

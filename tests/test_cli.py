@@ -359,6 +359,32 @@ def test_a_low_counterexample_depth_or_mode_exits_two_naming_the_field(
     assert re.search(message, err)
 
 
+@pytest.mark.parametrize(
+    "task, message",
+    [
+        (
+            {"kind": "reconstruct", "method": "weight-scalar", "ordr": 1},
+            r"tasks\[0\]\.ordr is not a field of a reconstruct task",
+        ),
+        (
+            {"kind": "factorize", "mode": "scalar", "gauge": "sigma"},
+            r"tasks\[0\]\.gauge only applies to gauge mode",
+        ),
+        ({"kind": "dn", "map": "lambda0", "gauge": "s"}, r"tasks\[0\]\.gauge only applies to lambda1"),
+        ({"kind": "factorize", "verify": "no"}, r"tasks\[0\]\.verify must be true or false"),
+        ({"kind": "factorize", "verify": 0}, r"tasks\[0\]\.verify must be true or false"),
+    ],
+    ids=["unknown-field", "gauge-on-scalar-factorize", "gauge-on-lambda0", "verify-string", "verify-zero"],
+)
+def test_a_field_the_task_kind_does_not_read_exits_two_naming_it(tmp_path, capsys, task, message):
+    # a misspelt or inapplicable field would otherwise be ignored, and the
+    # task would run on defaults the scenario did not ask for
+    assert main(["run", write_scenario(tmp_path, flat_scenario([task]))]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ")
+    assert re.search(message, err)
+
+
 def _jet(*terms):
     """A jet record at truncation (3, 2) with the (index, value) terms."""
     return {
