@@ -442,6 +442,73 @@ def test_a_weight_with_a_nonzero_constant_fails_where_its_density_is_formed(tmp_
     assert [r["status"] for r in records] == ["error", "error", "pass", "error"]
 
 
+GEOMETRY = {
+    "dimension": 3,
+    "truncation": {"radial": 4, "tangential": 3},
+    "depth": 3,
+    "metric": "random",
+    "weight": "random",
+    "seed": 5,
+}
+GEOMETRY_FLAGS = [
+    "--dimension", "3", "--radial-order", "4", "--tangential-order", "3",
+    "--depth", "3", "--metric", "random", "--weight", "random", "--seed", "5",
+]
+
+
+@pytest.mark.parametrize(
+    "argv, raw",
+    [
+        (
+            ["factorize", "--mode", "gauge", "--gauge", "sigma", *GEOMETRY_FLAGS],
+            {**GEOMETRY, "tasks": [{"kind": "factorize", "mode": "gauge", "gauge": "sigma"}]},
+        ),
+        (
+            ["factorize", "--no-verify", *GEOMETRY_FLAGS],
+            {**GEOMETRY, "tasks": [{"kind": "factorize", "verify": False}]},
+        ),
+        (
+            ["dn", "--map", "lambda1", "--gauge", "sigma", *GEOMETRY_FLAGS],
+            {**GEOMETRY, "tasks": [{"kind": "dn", "map": "lambda1", "gauge": "sigma"}]},
+        ),
+        (
+            ["reconstruct", "--method", "weight-gauge", "--prescribe", "d1V=true", *GEOMETRY_FLAGS],
+            {
+                **GEOMETRY,
+                "tasks": [
+                    {"kind": "reconstruct", "method": "weight-gauge", "prescribe": {"d1V": "true"}}
+                ],
+            },
+        ),
+        (["counterexample", *GEOMETRY_FLAGS], {**GEOMETRY, "tasks": [{"kind": "counterexample"}]}),
+        (
+            ["validate-disk", "--modes", "8,16,32", "--depth", "2"],
+            {
+                "dimension": 2,
+                "truncation": {"radial": 4, "tangential": 3},
+                "depth": 2,
+                "tasks": [{"kind": "validate-disk", "modes": [8, 16, 32], "depth": 2}],
+            },
+        ),
+    ],
+    ids=["factorize-sigma", "factorize-no-verify", "dn-sigma", "reconstruct", "counterexample", "validate-disk"],
+)
+def test_a_one_task_subcommand_reports_what_run_reports_on_its_scenario(tmp_path, argv, raw):
+    # a subcommand is a one-task scenario written as flags; only the input
+    # digest and the time of the report may differ
+    sub, run = str(tmp_path / "sub.json"), str(tmp_path / "run.json")
+    path = write_scenario(tmp_path, {"schema_version": 1, **raw})
+    assert main([*argv, "-o", sub]) == main(["run", path, "-o", run])
+
+    def stripped(path):
+        report = strip_timestamp(read_report(path))
+        del report["provenance"]["input_sha256"]
+        return report
+
+    assert stripped(sub) == stripped(run)
+    assert stripped(sub)["tasks"][0]["status"] == "pass"
+
+
 def test_reconstruct_order_defaults_to_the_scenario_schema(tmp_path):
     # no --order: the task gets min(3, depth - 1), here 1
     out = str(tmp_path / "report.json")
