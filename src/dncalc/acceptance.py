@@ -30,7 +30,7 @@ from .randomgen import random_instance
 from .reconstruction import recover_weight_gauge
 from .runner import task_record
 from .scalars import mpq
-from .serialize import jet_from_json
+from .serialize import jet_from_json, task_from_json
 from .symbols import HomSymbol
 
 
@@ -53,9 +53,11 @@ def _seeds(first, count, kr=5, ky=4):
 def _failures(instances, depth, *tasks) -> list:
     """(label, what failed) for every runner record of ``tasks`` that does
     not pass on the (label, metric, weight) ``instances``, symbols to
-    ``depth``.  What failed is the list of failed checks, or the mode of a
-    factorize record, which has none.  The tasks on one instance share their
-    forward runs, as the tasks of a scenario run do."""
+    ``depth``.  Each task holds only the fields that differ from the
+    scenario schema's defaults.  What failed is the list of failed checks,
+    or the mode of a factorize record, which has none.  The tasks on one
+    instance share their forward runs, as the tasks of a scenario run do."""
+    tasks = [task_from_json(task, 0, depth) for task in tasks]
     bad = []
     for label, metric, weight in instances:
         with shared_forward_runs():
@@ -72,17 +74,14 @@ def _verdict(text, bad):
     return not bad, text + ("; failures %r" % bad if bad else "")
 
 
-def _reconstruct(method, order, **extra):
-    return {"kind": "reconstruct", "method": method, "order": order, **extra}
+def _reconstruct(method, **fields):
+    return {"kind": "reconstruct", "method": method, **fields}
 
 
 def exact_residuals():
     """25 random rational instances (n=3, orders (5,4), depth 4): the defining
     identity of both factorisations vanishes on every reliable grade."""
-    tasks = (
-        {"kind": "factorize", "mode": "gauge", "gauge": "s"},
-        {"kind": "factorize", "mode": "scalar"},
-    )
+    tasks = ({"kind": "factorize", "mode": "gauge"}, {"kind": "factorize"})
     return _verdict("25 instances x 2 modes", _failures(_seeds(1000, 25), 4, *tasks))
 
 
@@ -116,14 +115,14 @@ def flat_baseline():
 def first_order_roundtrip():
     """10 random instances: boundary metric and first radial derivative exact,
     weight exact modulo its additive constant."""
-    bad = _failures(_seeds(2000, 10), 4, _reconstruct("first-order", 1))
+    bad = _failures(_seeds(2000, 10), 4, _reconstruct("first-order", order=1))
     return _verdict("10 instances", bad)
 
 
 def weight_scalar_roundtrip():
     """10 random instances at depth 5: with the metric known, the scalar DN
     symbol returns d_r^m V exactly for m = 0..4 (absolute boundary value)."""
-    bad = _failures(_seeds(3000, 10, 6, 5), 5, _reconstruct("weight-scalar", 4))
+    bad = _failures(_seeds(3000, 10, 6, 5), 5, _reconstruct("weight-scalar", order=4))
     return _verdict("10 instances", bad)
 
 
@@ -139,7 +138,7 @@ def dichotomy_and_counterexample():
     rep = recover_weight_gauge(dn, g, ("d2V", 0), 3)
     roots = [b.root.constant_term() for b in rep.branches]
     notes = ["roots %r" % [str(x) for x in roots]]
-    ce = task_record(g, v, 4, {"kind": "counterexample", "depth": 4})
+    ce = task_record(g, v, 4, task_from_json({"kind": "counterexample"}, 0, 4))
     if ce["status"] != "pass":
         notes.append("counterexample dn_matches %(dn_matches)s, distinct %(distinct)s" % ce)
     root = jet_from_json(sp, ce["alternate_root"])
@@ -153,13 +152,13 @@ def known_volume_roundtrips():
     prescribed true d_r V), the scalar recovery returns both jets to order 4
     (10 instances), and on the flat example with V = a r it returns both
     jets to order 1, so d_r V = a."""
-    gauge = _reconstruct("volume-gauge", 3, prescribe={"d1V": "true"})
+    gauge = _reconstruct("volume-gauge", prescribe={"d1V": "true"})
     bad = _failures(_seeds(4000, 10), 4, gauge)
-    bad += _failures(_seeds(5000, 10, 6, 5), 5, _reconstruct("volume-scalar", 4))
+    bad += _failures(_seeds(5000, 10, 6, 5), 5, _reconstruct("volume-scalar", order=4))
     # hand example: flat metric, V = a r with a = 3/4, n = 3
     g = BoundaryMetricJet.flat(JetSpace(3), 5, 4)
     v = g.space.coordinate(0, 5, 4).scale(mpq(3, 4))
-    bad += _failures([("flat-example", g, v)], 4, _reconstruct("volume-scalar", 1))
+    bad += _failures([("flat-example", g, v)], 4, _reconstruct("volume-scalar", order=1))
     return _verdict("20 instances + hand example", bad)
 
 
@@ -176,12 +175,7 @@ def disk_asymptotics():
             ok = False
             notes.append("mode %d ratio %.12f" % (k, ratio))
     for depth in (2, 3):
-        task = {
-            "kind": "validate-disk",
-            "modes": RadialProblem.modes,
-            "depth": depth,
-            "weight_rho": (mpq(1, 2), mpq(-1), mpq(1, 2)),
-        }
+        task = task_from_json({"kind": "validate-disk", "depth": depth}, 0, depth)
         record = task_record(None, None, depth, task)
         notes.append("J=%d slope %.3f" % (depth, record["slope"]))
         if record["status"] != "pass":

@@ -2,8 +2,11 @@
 
 ``dncalc run scenario.json`` executes a scenario file and writes a JSON
 report; the other subcommands are thin wrappers that assemble a one-task
-scenario from flags.  Exit status: 0 when every task passed, 1 when a task
-failed or errored, 2 on input problems (bad flags, malformed scenario).
+scenario from flags.  A wrapper copies into its scenario only the flags it
+was given, so every field left out takes the default of the scenario schema
+(``serialize``), as in a scenario file.  Exit status: 0 when every task
+passed, 1 when a task failed or errored, 2 on input problems (bad flags,
+malformed scenario).
 
 All arithmetic is exact rational: no flag or environment variable picks a
 scalar backend, and a scenario's optional "backend" field must be "rational".
@@ -19,6 +22,7 @@ from .errors import DnCalcError, ScenarioError
 from .serialize import (
     RECONSTRUCTION_METHODS,
     SCHEMA_VERSION,
+    TASK_FIELDS,
     Scenario,
     dump_report,
     load_scenario,
@@ -29,8 +33,13 @@ EXIT_OK = 0
 EXIT_TASK_FAILED = 1
 EXIT_INPUT_ERROR = 2
 
+#: the geometry of a validate-disk scenario, which its task does not read
+_DISK_GEOMETRY = {"dimension": 2, "truncation": {"radial": 4, "tangential": 3}, "depth": 2}
+
 
 def _add_geometry_flags(parser):
+    # dimension, truncation and depth are required scenario fields, so their
+    # defaults are these flags'; depth's dest leaves "depth" to task fields
     parser.add_argument("--dimension", type=int, default=3, help="ambient dimension n")
     parser.add_argument(
         "--radial-order", type=int, default=5, help="radial truncation order"
@@ -38,41 +47,35 @@ def _add_geometry_flags(parser):
     parser.add_argument(
         "--tangential-order", type=int, default=4, help="tangential truncation order"
     )
-    parser.add_argument("--depth", type=int, default=4, help="symbol depth")
     parser.add_argument(
-        "--metric",
-        default="flat",
-        help="'flat', 'random', or a JSON file with the metric coefficient table",
+        "--depth", dest="symbol_depth", type=int, default=4, help="symbol depth"
     )
     parser.add_argument(
-        "--weight",
-        default="zero",
-        help="'zero', 'random', or a JSON file with the weight jet",
+        "--metric", help="'flat', 'random', or a JSON file with the metric coefficient table"
     )
-    parser.add_argument("--seed", type=int, default=0, help="seed for random geometry")
-    parser.add_argument("--output", "-o", help="write the JSON report here")
+    parser.add_argument("--weight", help="'zero', 'random', or a JSON file with the weight jet")
+    parser.add_argument("--seed", type=int, help="seed for random geometry")
 
 
-def _geometry_scenario(args, tasks):
-    def resolve(spec):
-        if spec in ("flat", "zero", "random"):
-            return spec
-        with open(spec) as fh:
-            return json.load(fh)
-
-    return {
-        "schema_version": SCHEMA_VERSION,
+def _geometry(args):
+    raw = {
         "dimension": args.dimension,
         "truncation": {
             "radial": args.radial_order,
             "tangential": args.tangential_order,
         },
-        "depth": args.depth,
-        "seed": args.seed,
-        "metric": resolve(args.metric),
-        "weight": resolve(args.weight),
-        "tasks": tasks,
+        "depth": args.symbol_depth,
     }
+    if args.seed is not None:
+        raw["seed"] = args.seed
+    for name in ("metric", "weight"):
+        spec = getattr(args, name)
+        if spec in ("flat", "zero", "random"):
+            raw[name] = spec
+        elif spec is not None:
+            with open(spec) as fh:
+                raw[name] = json.load(fh)
+    return raw
 
 
 def _emit(report, output):
@@ -84,90 +87,38 @@ def _emit(report, output):
     return EXIT_OK if report["status"] == "pass" else EXIT_TASK_FAILED
 
 
-def _run_inline(raw, output):
-    report = run_scenario(Scenario(raw), "inline")
-    return _emit(report, output)
-
-
 def _cmd_run(args):
-    scenario, digest = load_scenario(args.scenario)
-    report = run_scenario(scenario, digest)
-    return _emit(report, args.output)
+    return _emit(run_scenario(*load_scenario(args.scenario)), args.output)
 
 
-def _cmd_factorize(args):
-    task = {
-        "kind": "factorize",
-        "mode": args.mode,
-        "verify": not args.no_verify,
-    }
-    if args.mode == "gauge":
-        task["gauge"] = args.gauge
-    return _run_inline(_geometry_scenario(args, [task]), args.output)
+def _cmd_task(args):
+    """The one-task scenario of a subcommand: its task holds the task-field
+    flags that were given, each flag's dest being its field."""
+    task = {"kind": args.command}
+    for field in TASK_FIELDS[args.command]:
+        if getattr(args, field, None) is not None:
+            task[field] = getattr(args, field)
+    geometry = _DISK_GEOMETRY if args.command == "validate-disk" else _geometry(args)
+    raw = {"schema_version": SCHEMA_VERSION, **geometry, "tasks": [task]}
+    return _emit(run_scenario(Scenario(raw), "inline"), args.output)
 
 
-def _cmd_dn(args):
-    task = {"kind": "dn", "map": args.map}
-    if args.map == "lambda1":
-        task["gauge"] = args.gauge
-    return _run_inline(_geometry_scenario(args, [task]), args.output)
-
-
-def _parse_prescription(text):
-    if text is None:
-        return None
-    try:
-        key, value = text.split("=", 1)
-    except ValueError:
-        raise ScenarioError(
-            "prescription must look like d1V=<value> or d2V=<value>"
-        ) from None
-    if key not in ("d1V", "d2V"):
-        raise ScenarioError("prescription key must be d1V or d2V, got %r" % key)
+def _prescription(text):
+    """'key=value' as the task field {key: value}, which the schema checks."""
+    key, _, value = text.partition("=")
     return {key: value}
 
 
-def _cmd_reconstruct(args):
-    prescribe = _parse_prescription(args.prescribe)
-    task = {"kind": "reconstruct", "method": args.method}
-    if args.order is not None:  # else the scenario schema's default
-        task["order"] = args.order
-    if prescribe:
-        task["prescribe"] = prescribe
-    return _run_inline(_geometry_scenario(args, [task]), args.output)
-
-
-def _cmd_counterexample(args):
-    task = {"kind": "counterexample", "depth": args.depth}
-    return _run_inline(_geometry_scenario(args, [task]), args.output)
-
-
-def _cmd_validate_disk(args):
-    modes = args.modes
-    if "," in modes:
-        try:
-            modes = [int(x) for x in modes.split(",")]
-        except ValueError:
-            raise ScenarioError(
-                "--modes must be 'lo:hi' or a comma list of integers, got %r" % modes
-            ) from None
-    task = {
-        "kind": "validate-disk",
-        "modes": modes,
-        "depth": args.depth,
-        "weight_rho": args.weight_rho.split(",") if args.weight_rho else [],
-    }
-    raw = {
-        "schema_version": SCHEMA_VERSION,
-        "dimension": 2,
-        "truncation": {"radial": args.depth + 2, "tangential": args.depth + 1},
-        "depth": args.depth,
-        "backend": "rational",
-        "metric": "flat",
-        "weight": "zero",
-        "tasks": [task],
-    }
-    return _run_inline(raw, args.output)
+def _modes(text):
+    """'lo:hi' as it is, or a comma list as integers."""
+    if "," not in text:
+        return text
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError:
+        raise ScenarioError(
+            "--modes must be 'lo:hi' or a comma list of integers, got %r" % text
+        ) from None
 
 
 def _cmd_selftest(args):
@@ -211,46 +162,42 @@ def build_parser():
     p.add_argument("--output", "-o")
     p.set_defaults(fn=_cmd_run)
 
-    p = sub.add_parser("factorize", help="solve a factorisation and verify it")
-    _add_geometry_flags(p)
-    p.add_argument("--mode", choices=("gauge", "scalar"), default="scalar")
-    p.add_argument("--gauge", choices=("s", "sigma"), default="s")
-    p.add_argument("--no-verify", action="store_true")
-    p.set_defaults(fn=_cmd_factorize)
+    def task_parser(name, help):
+        p = sub.add_parser(name, help=help)
+        p.add_argument("--output", "-o", help="write the JSON report here")
+        p.set_defaults(fn=_cmd_task)
+        return p
 
-    p = sub.add_parser("dn", help="assemble boundary DN symbol data")
+    p = task_parser("factorize", "solve a factorisation and verify it")
     _add_geometry_flags(p)
-    p.add_argument("--map", choices=("lambda0", "lambda1"), default="lambda0")
-    p.add_argument("--gauge", choices=("s", "sigma"), default="s")
-    p.set_defaults(fn=_cmd_dn)
+    p.add_argument("--mode", choices=("gauge", "scalar"))
+    p.add_argument("--gauge", choices=("s", "sigma"), help="gauge mode only")
+    p.add_argument("--no-verify", dest="verify", action="store_false", default=None)
 
-    p = sub.add_parser("reconstruct", help="round-trip a reconstruction method")
+    p = task_parser("dn", "assemble boundary DN symbol data")
     _add_geometry_flags(p)
+    p.add_argument("--map", choices=("lambda0", "lambda1"))
+    p.add_argument("--gauge", choices=("s", "sigma"), help="lambda1 only")
+
+    p = task_parser("reconstruct", "round-trip a reconstruction method")
+    _add_geometry_flags(p)
+    p.add_argument("--method", required=True, choices=RECONSTRUCTION_METHODS)
+    p.add_argument("--order", type=int, help="recovery order")
     p.add_argument(
-        "--method",
-        required=True,
-        choices=RECONSTRUCTION_METHODS,
+        "--prescribe", type=_prescription, help="d1V=<value|true> or d2V=<value|true>"
     )
-    p.add_argument("--order", type=int, help="recovery order (default min(3, depth - 1))")
-    p.add_argument("--prescribe", help="d1V=<value|true> or d2V=<value|true>")
-    p.set_defaults(fn=_cmd_reconstruct)
 
-    p = sub.add_parser(
-        "counterexample", help="construct an indistinguishable second weight"
-    )
+    p = task_parser("counterexample", "construct an indistinguishable second weight")
     _add_geometry_flags(p)
-    p.set_defaults(fn=_cmd_counterexample)
 
-    p = sub.add_parser("validate-disk", help="numeric disk check of the expansion")
-    p.add_argument("--modes", default="8:64", help="'lo:hi' or comma list")
-    p.add_argument("--depth", type=int, default=3)
+    p = task_parser("validate-disk", "numeric disk check of the expansion")
+    p.add_argument("--modes", type=_modes, help="'lo:hi' or comma list")
+    p.add_argument("--depth", type=int, help="depth J of the partial sum")
     p.add_argument(
         "--weight-rho",
-        default="1/2,-1,1/2",
+        type=lambda text: text.split(",") if text else [],
         help="comma-separated rational coefficients of V(rho)",
     )
-    p.add_argument("--output", "-o")
-    p.set_defaults(fn=_cmd_validate_disk)
 
     p = sub.add_parser("selftest", help="run the acceptance criteria")
     p.add_argument("--criteria", help="comma list of criterion numbers (default all)")
@@ -260,9 +207,9 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        # inside the try: a flag's converter may raise a ScenarioError
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except ScenarioError as exc:
         print("input error: %s" % exc, file=sys.stderr)

@@ -94,14 +94,14 @@ def _task_factorize(metric, weight, depth: int, task: dict) -> dict:
     boundary = result.symbol.restricted_to_boundary(bctx)
     out = {
         "mode": result.mode,
-        "gauge": task.get("gauge"),
+        "gauge": task["gauge"],
         "depth": result.depth,
         "boundary_grades": {
             str(j): homsymbol_to_json(boundary.grade(j)) for j in boundary.grades()
         },
         "status": "pass",
     }
-    if task.get("verify", True):
+    if task["verify"]:
         violated = verify_residual(result)
         out["residual"] = "PASS" if violated is None else violated
         if violated is not None:

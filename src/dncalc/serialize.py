@@ -5,8 +5,11 @@ trip; a jet is ``{"radial_order", "tangential_order", "terms": [{"index",
 "value"}]}``, a sparse list carrying its truncation orders.
 
 A scenario declares the geometry once and a list of tasks.  ``Scenario``
-validates it with messages that name the field, and stores each task with
-its defaults filled in and its values converted.  Required:
+validates it with messages that name the field, and stores each task as
+``task_from_json`` returns it: with its defaults filled in and its values
+converted.  This module is the one place that knows a task's fields,
+defaults and checks; the one-task subcommands and the selftest build their
+tasks through ``task_from_json`` too.  Required:
 ``schema_version`` 1, ``dimension`` n >= 2, ``truncation`` ``{"radial",
 "tangential"}`` (both >= 0), ``depth`` >= 1 and a non-empty list ``tasks``.
 Optional: ``backend`` "rational" (the only one), ``base_point`` (default
@@ -170,13 +173,13 @@ class Scenario:
                 "unsupported schema_version %r (expected %d)" % (version, SCHEMA_VERSION)
             )
         self.raw = raw
-        self.n = self._int_field(raw, "dimension", minimum=2)
+        self.n = _int_field(raw, "dimension", minimum=2)
         trunc = raw.get("truncation")
         if not isinstance(trunc, dict):
             raise ScenarioError("field 'truncation' must be an object")
-        self.kr = self._int_field(trunc, "radial", minimum=0, where="truncation")
-        self.ky = self._int_field(trunc, "tangential", minimum=0, where="truncation")
-        self.depth = self._int_field(raw, "depth", minimum=1)
+        self.kr = _int_field(trunc, "radial", minimum=0, where="truncation")
+        self.ky = _int_field(trunc, "tangential", minimum=0, where="truncation")
+        self.depth = _int_field(raw, "depth", minimum=1)
         backend = raw.get("backend", "rational")
         if backend != "rational":
             raise ScenarioError(
@@ -185,33 +188,14 @@ class Scenario:
             )
         self.backend = backend
         self.base_point = str(raw.get("base_point", "p0"))
-        self.seed = self._int_field(raw, "seed") if "seed" in raw else 0
+        self.seed = _int_field(raw, "seed") if "seed" in raw else 0
         self.space = JetSpace(self.n, self.base_point)
         self.metric = self._parse_metric(raw.get("metric", "flat"))
         self.weight = self._parse_weight(raw.get("weight", "zero"))
         tasks = raw.get("tasks")
         if not isinstance(tasks, list) or not tasks:
             raise ScenarioError("field 'tasks' must be a non-empty list")
-        self.tasks = []
-        for i, task in enumerate(tasks):
-            self.tasks.append(self._validate_task(task, i))
-
-    @staticmethod
-    def _int_field(obj, name, minimum=None, where=None):
-        label = "%s.%s" % (where, name) if where else name
-        if name not in obj:
-            raise ScenarioError("missing field %r" % label)
-        raw = obj[name]
-        try:
-            # int() would silently truncate a bool or a fraction
-            if isinstance(raw, bool) or isinstance(raw, float) and not raw.is_integer():
-                raise TypeError
-            value = int(raw)
-        except (TypeError, ValueError):
-            raise ScenarioError("field %r must be an integer" % label) from None
-        if minimum is not None and value < minimum:
-            raise ScenarioError("field %r must be >= %d" % (label, minimum))
-        return value
+        self.tasks = [task_from_json(task, i, self.depth) for i, task in enumerate(tasks)]
 
     def _rng(self):
         import random as _random
@@ -256,83 +240,104 @@ class Scenario:
             return _named("weight", jet_from_json, sp, spec)
         raise ScenarioError("weight must be 'zero', 'random' or a jet record")
 
-    def _validate_task(self, task, index) -> dict:
-        where = "tasks[%d]" % index
-        if not isinstance(task, dict):
-            raise ScenarioError("%s must be an object" % where)
-        kind = task.get("kind")
-        if kind not in VALID_TASK_KINDS:
+
+def task_from_json(task, index: int, depth: int) -> dict:
+    """Task ``index`` of a scenario whose symbols run to ``depth``, checked
+    and stored with its defaults filled in and its values converted: the
+    form in which ``runner.task_record`` reads a task."""
+    where = "tasks[%d]" % index
+    if not isinstance(task, dict):
+        raise ScenarioError("%s must be an object" % where)
+    kind = task.get("kind")
+    if kind not in VALID_TASK_KINDS:
+        raise ScenarioError(
+            "%s.kind must be one of %s, got %r" % (where, VALID_TASK_KINDS, kind)
+        )
+    for name in task:
+        if name != "kind" and name not in TASK_FIELDS[kind]:
+            raise ScenarioError("%s.%s is not a field of a %s task" % (where, name, kind))
+    task = dict(task)
+    if kind == "factorize":
+        mode = task.setdefault("mode", "scalar")
+        if mode not in ("gauge", "scalar"):
+            raise ScenarioError("%s.mode must be 'gauge' or 'scalar'" % where)
+        if mode == "scalar" and "gauge" in task:
+            raise ScenarioError("%s.gauge only applies to gauge mode" % where)
+        gauge = task.setdefault("gauge", "s" if mode == "gauge" else None)
+        if mode == "gauge" and gauge not in ("s", "sigma"):
+            raise ScenarioError("%s.gauge must be 's' or 'sigma'" % where)
+        if not isinstance(task.setdefault("verify", True), bool):
+            raise ScenarioError("%s.verify must be true or false" % where)
+    elif kind == "dn":
+        map_kind = task.setdefault("map", "lambda0")
+        if map_kind not in ("lambda0", "lambda1"):
+            raise ScenarioError("%s.map must be 'lambda0' or 'lambda1'" % where)
+        if map_kind == "lambda0" and "gauge" in task:
+            raise ScenarioError("%s.gauge only applies to lambda1" % where)
+        gauge = task.setdefault("gauge", "s" if map_kind == "lambda1" else None)
+        if map_kind == "lambda1" and gauge not in ("s", "sigma"):
+            raise ScenarioError("%s.gauge must be 's' or 'sigma'" % where)
+    elif kind == "reconstruct":
+        method = task.get("method")
+        if method not in RECONSTRUCTION_METHODS:
             raise ScenarioError(
-                "%s.kind must be one of %s, got %r" % (where, VALID_TASK_KINDS, kind)
+                "%s.method must be one of %s" % (where, RECONSTRUCTION_METHODS)
             )
-        for name in task:
-            if name != "kind" and name not in TASK_FIELDS[kind]:
-                raise ScenarioError("%s.%s is not a field of a %s task" % (where, name, kind))
-        task = dict(task)
-        if kind == "factorize":
-            mode = task.setdefault("mode", "scalar")
-            if mode not in ("gauge", "scalar"):
-                raise ScenarioError("%s.mode must be 'gauge' or 'scalar'" % where)
-            if mode == "scalar" and "gauge" in task:
-                raise ScenarioError("%s.gauge only applies to gauge mode" % where)
-            gauge = task.setdefault("gauge", "s" if mode == "gauge" else None)
-            if mode == "gauge" and gauge not in ("s", "sigma"):
-                raise ScenarioError("%s.gauge must be 's' or 'sigma'" % where)
-            if not isinstance(task.setdefault("verify", True), bool):
-                raise ScenarioError("%s.verify must be true or false" % where)
-        elif kind == "dn":
-            map_kind = task.setdefault("map", "lambda0")
-            if map_kind not in ("lambda0", "lambda1"):
-                raise ScenarioError("%s.map must be 'lambda0' or 'lambda1'" % where)
-            if map_kind == "lambda0" and "gauge" in task:
-                raise ScenarioError("%s.gauge only applies to lambda1" % where)
-            gauge = task.setdefault("gauge", "s" if map_kind == "lambda1" else None)
-            if map_kind == "lambda1" and gauge not in ("s", "sigma"):
-                raise ScenarioError("%s.gauge must be 's' or 'sigma'" % where)
-        elif kind == "reconstruct":
-            method = task.get("method")
-            if method not in RECONSTRUCTION_METHODS:
+        task.setdefault("order", min(3, depth - 1))
+        gauge_method = method in ("weight-gauge", "volume-gauge")
+        task["order"] = _int_field(
+            task, "order", minimum=2 if gauge_method else 0, where=where
+        )
+        presc = task.get("prescribe")
+        if gauge_method:
+            if not isinstance(presc, dict) or len(presc) != 1:
                 raise ScenarioError(
-                    "%s.method must be one of %s" % (where, RECONSTRUCTION_METHODS)
+                    "%s.prescribe must fix exactly one of d1V, d2V" % where
                 )
-            task.setdefault("order", min(3, self.depth - 1))
-            gauge_method = method in ("weight-gauge", "volume-gauge")
-            task["order"] = self._int_field(
-                task, "order", minimum=2 if gauge_method else 0, where=where
-            )
-            presc = task.get("prescribe")
-            if gauge_method:
-                if not isinstance(presc, dict) or len(presc) != 1:
-                    raise ScenarioError(
-                        "%s.prescribe must fix exactly one of d1V, d2V" % where
-                    )
-                key = next(iter(presc))
-                if key not in ("d1V", "d2V"):
-                    raise ScenarioError("%s.prescribe key must be d1V or d2V" % where)
-                value = presc[key]
-                if value != "true":
-                    label = "%s.prescribe.%s" % (where, key)
-                    value = _rational(value, label, "'true' or a rational")
-                task["prescribe"] = {key: value}
-            elif presc is not None:
-                raise ScenarioError("%s.prescribe only applies to gauge methods" % where)
-        elif kind == "counterexample":
-            task.setdefault("depth", self.depth)
-            # the two-root recovery behind it runs to order depth - 1 >= 2
-            task["depth"] = self._int_field(task, "depth", minimum=3, where=where)
-        elif kind == "validate-disk":
-            task.setdefault("depth", 2)
-            task["depth"] = self._int_field(task, "depth", minimum=1, where=where)
-            modes = task.get("modes", "8:64")
-            task["modes"] = _parse_modes(modes, where)
-            rho = task.setdefault("weight_rho", ["1/2", "-1", "1/2"])
-            if not isinstance(rho, list):
-                raise ScenarioError("%s.weight_rho must be a list of rationals" % where)
-            task["weight_rho"] = [
-                _rational(c, "%s.weight_rho[%d]" % (where, i), "a rational")
-                for i, c in enumerate(rho)
-            ]
-        return task
+            key = next(iter(presc))
+            if key not in ("d1V", "d2V"):
+                raise ScenarioError("%s.prescribe key must be d1V or d2V" % where)
+            value = presc[key]
+            if value != "true":
+                label = "%s.prescribe.%s" % (where, key)
+                value = _rational(value, label, "'true' or a rational")
+            task["prescribe"] = {key: value}
+        elif presc is not None:
+            raise ScenarioError("%s.prescribe only applies to gauge methods" % where)
+    elif kind == "counterexample":
+        task.setdefault("depth", depth)
+        # the two-root recovery behind it runs to order depth - 1 >= 2
+        task["depth"] = _int_field(task, "depth", minimum=3, where=where)
+    elif kind == "validate-disk":
+        task.setdefault("depth", 2)
+        task["depth"] = _int_field(task, "depth", minimum=1, where=where)
+        modes = task.get("modes", "8:64")
+        task["modes"] = _parse_modes(modes, where)
+        rho = task.setdefault("weight_rho", ["1/2", "-1", "1/2"])
+        if not isinstance(rho, list):
+            raise ScenarioError("%s.weight_rho must be a list of rationals" % where)
+        task["weight_rho"] = [
+            _rational(c, "%s.weight_rho[%d]" % (where, i), "a rational")
+            for i, c in enumerate(rho)
+        ]
+    return task
+
+
+def _int_field(obj, name, minimum=None, where=None):
+    label = "%s.%s" % (where, name) if where else name
+    if name not in obj:
+        raise ScenarioError("missing field %r" % label)
+    raw = obj[name]
+    try:
+        # int() would silently truncate a bool or a fraction
+        if isinstance(raw, bool) or isinstance(raw, float) and not raw.is_integer():
+            raise TypeError
+        value = int(raw)
+    except (TypeError, ValueError):
+        raise ScenarioError("field %r must be an integer" % label) from None
+    if minimum is not None and value < minimum:
+        raise ScenarioError("field %r must be >= %d" % (label, minimum))
+    return value
 
 
 def _named(label, build, *args):

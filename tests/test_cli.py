@@ -7,13 +7,14 @@ from fractions import Fraction
 
 import pytest
 
-from dncalc.cli import main
+from dncalc.cli import build_parser, main
 from dncalc.dn import dn_symbol_gauge, dn_symbol_scalar
 from dncalc.randomgen import random_instance
 from dncalc.geometry import BoundaryMetricJet
 from dncalc.runner import RECONSTRUCT, TASKS, run_scenario
 from dncalc.serialize import (
     RECONSTRUCTION_METHODS,
+    TASK_FIELDS,
     VALID_TASK_KINDS,
     Scenario,
     dn_to_json,
@@ -284,6 +285,10 @@ def test_schema_validation_messages():
             ["reconstruct", "--method", "weight-gauge", "--prescribe", "d1V=abc"],
             r"prescribe\.d1V",
         ),
+        (
+            ["reconstruct", "--method", "weight-gauge", "--prescribe", "d1V"],
+            r"prescribe\.d1V",
+        ),
         (["selftest", "--criteria", "9"], "--criteria"),
         (["selftest", "--criteria", "2,9"], "--criteria"),
         (["selftest", "--criteria", "x"], "--criteria"),
@@ -383,6 +388,35 @@ def test_a_field_the_task_kind_does_not_read_exits_two_naming_it(tmp_path, capsy
     err = capsys.readouterr().err
     assert err.startswith("input error: ")
     assert re.search(message, err)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["factorize", "--mode", "scalar", "--gauge", "sigma"], r"tasks\[0\]\.gauge only applies to gauge mode"),
+        (["dn", "--gauge", "sigma"], r"tasks\[0\]\.gauge only applies to lambda1"),
+    ],
+    ids=["factorize-scalar-gauge", "dn-lambda0-gauge"],
+)
+def test_a_flag_the_task_kind_does_not_read_exits_two_naming_it(capsys, argv, message):
+    # a subcommand hands its flags to the scenario schema, which refuses a
+    # gauge on the scalar map rather than running without it
+    assert main([*argv, "--depth", "2", "--radial-order", "3", "--tangential-order", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ")
+    assert re.search(message, err)
+
+
+def test_a_task_field_flag_has_no_default_of_its_own():
+    # a flag left out leaves its field, and the metric, weight and seed of
+    # the geometry, to the scenario schema's defaults
+    parser = build_parser()
+    required = {"dimension", "radial_order", "tangential_order", "symbol_depth"}
+    for kind in VALID_TASK_KINDS:
+        args = vars(parser.parse_args([kind, "--method", "first-order"] if kind == "reconstruct" else [kind]))
+        fields = set(args) - required - {"command", "fn", "output", "method"}
+        assert fields <= {*TASK_FIELDS[kind], "metric", "weight", "seed"}, kind
+        assert {args[name] for name in fields} <= {None}, kind
 
 
 def _jet(*terms):
