@@ -584,20 +584,25 @@ class HomSymbol:
     @staticmethod
     def sum(terms, ctx: SymbolContext, degree: int) -> "HomSymbol":
         """Sum of same-degree symbols with one final normalisation instead of
-        one per pairwise addition."""
-        terms = [t for t in terms if not t.is_zero]
-        if not terms:
-            return HomSymbol.zero(ctx, degree)
-        p = max(t.p for t in terms)
-        kr = min(t.kr for t in terms)
-        ky = min(t.ky for t in terms)
-        acc_a = None
-        acc_b = None
+        one per pairwise addition.  Its budgets are the least of every
+        term's, a zero term's included (see the class docstring)."""
+        kr = ky = UNRESTRICTED
+        nonzero = []
         for t in terms:
             if t.degree != degree:
                 raise IncompatibleJetsError(
                     "sum mixes degrees %d and %d" % (t.degree, degree)
                 )
+            kr, ky = min(kr, t.kr), min(ky, t.ky)
+            if not t.is_zero:
+                nonzero.append(t)
+        if not nonzero:
+            zero = XiPoly(ctx.nxi, degree, {}), XiPoly(ctx.nxi, degree - 1, {})
+            return HomSymbol(ctx, degree, *zero, 0, kr, ky)
+        p = max(t.p for t in nonzero)
+        acc_a = None
+        acc_b = None
+        for t in nonzero:
             r = t._raise_p(p)
             acc_a = r.a if acc_a is None else acc_a + r.a
             acc_b = r.b if acc_b is None else acc_b + r.b
@@ -616,15 +621,7 @@ class HomSymbol:
 
     def __add__(self, other: "HomSymbol") -> "HomSymbol":
         self._check(other)
-        if self.degree != other.degree:
-            raise IncompatibleJetsError(
-                "cannot add symbols of degrees %d and %d" % (self.degree, other.degree)
-            )
-        p = max(self.p, other.p)
-        x = self._raise_p(p)
-        y = other._raise_p(p)
-        kr, ky = self._budgets_with(other)
-        return HomSymbol(self.ctx, self.degree, x.a + y.a, x.b + y.b, p, kr, ky).normalized()
+        return HomSymbol.sum((self, other), self.ctx, self.degree)
 
     def __neg__(self):
         return self._like(-self.a, -self.b)

@@ -254,6 +254,23 @@ def test_degree_mismatch_raises():
         HomSymbol.xi_norm(ctx) + HomSymbol.q2_symbol(ctx)
 
 
+def test_a_zero_term_keeps_its_budgets_in_a_sum():
+    # a truncated term that cancels to zero still bounds the precision of
+    # the sum, as it does in a + b
+    rng = random.Random(19)
+    ctx = euclidean_ctx()
+    a = random_symbol(rng, ctx, 0)
+    low = HomSymbol.from_jet(ctx, ctx.space.one(2, 1))
+    zero = low - low
+    assert zero.is_zero and (zero.kr, zero.ky) == (2, 1)
+    assert (a.kr, a.ky) == (4, 3)
+    total = HomSymbol.sum([a, zero], ctx, 0)
+    assert (total.kr, total.ky) == ((a + zero).kr, (a + zero).ky) == (2, 1)
+    assert total == a + zero
+    only_zero = HomSymbol.sum([zero], ctx, 0)
+    assert only_zero.is_zero and (only_zero.kr, only_zero.ky) == (2, 1)
+
+
 def test_compose_with_identity():
     rng = random.Random(18)
     ctx = random_ctx(rng)
