@@ -30,9 +30,10 @@ r = 0, exactly and grade by grade:
 So only sigma is factorised, and the other two kinds are derived from its
 run by two compositions with the multipliers e^{+-V/2} at r = 0 (and the
 shift).  Sigma is the kind to run because it exists for every rational
-weight: its density has no exponential of V, and where V(0) != 0 takes
-e^{-2V} out of the rational field, the derived kinds fail on their density,
-which is formed first, with the error their own factorisations gave.
+weight: its density has no exponential of V.  The derived kinds check the
+truncation budgets and form their common density e^{-2V} delta before the
+sigma run, so where V(0) != 0 takes e^{-2V} out of the rational field, both
+fail on it.
 
 Inside a ``shared_forward_runs`` block, data whose kind and exact inputs
 (depth, and the representation of the weight and of every metric entry)
@@ -53,7 +54,7 @@ from dataclasses import dataclass
 
 from .errors import DataError, DepthError
 from .factorization import check_budgets, factorize_gauge
-from .geometry import HALF, BoundaryMetricJet, gauge_s, gauge_sigma
+from .geometry import HALF, BoundaryMetricJet, gauge_sigma
 from .jets import Jet
 from .symbols import FormalSymbol, HomSymbol, SymbolContext, compose
 
@@ -217,13 +218,8 @@ def _dn_from_sigma(
 ) -> DNSymbolData:
     """Lambda0 (kind "lambda0") or Lambda1 s (kind "s") from the sigma run on
     the same inputs, by the identities of the module docstring."""
-    # first what the kind's own factorisation checks or builds first, so
-    # that inputs it refuses fail with its error
-    if kind == "lambda0":
-        check_budgets(metric, weight, depth)
-        density_sq = weight.scale(-2).exp() * metric.delta
-    else:
-        density_sq = gauge_s(metric, weight).density_sq
+    check_budgets(metric, weight, depth)
+    density_sq = weight.scale(-2).exp() * metric.delta
     sigma = dn_symbol_gauge(metric, weight, depth, "sigma")
     bctx, lo = sigma.ctx, sigma.symbol.lo
     v0 = weight.restricted_to_boundary()
