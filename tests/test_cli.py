@@ -289,6 +289,9 @@ def test_schema_validation_messages():
             ["reconstruct", "--method", "weight-gauge", "--prescribe", "d1V"],
             r"prescribe\.d1V",
         ),
+        # the schema refuses a gauge on the scalar map rather than run without it
+        (["factorize", "--mode", "scalar", "--gauge", "sigma"], r"tasks\[0\]\.gauge only applies to gauge"),
+        (["dn", "--gauge", "sigma"], r"tasks\[0\]\.gauge only applies to lambda1"),
         (["selftest", "--criteria", "9"], "--criteria"),
         (["selftest", "--criteria", "2,9"], "--criteria"),
         (["selftest", "--criteria", "x"], "--criteria"),
@@ -385,23 +388,6 @@ def test_a_field_the_task_kind_does_not_read_exits_two_naming_it(tmp_path, capsy
     # a misspelt or inapplicable field would otherwise be ignored, and the
     # task would run on defaults the scenario did not ask for
     assert main(["run", write_scenario(tmp_path, flat_scenario([task]))]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("input error: ")
-    assert re.search(message, err)
-
-
-@pytest.mark.parametrize(
-    "argv, message",
-    [
-        (["factorize", "--mode", "scalar", "--gauge", "sigma"], r"tasks\[0\]\.gauge only applies to gauge mode"),
-        (["dn", "--gauge", "sigma"], r"tasks\[0\]\.gauge only applies to lambda1"),
-    ],
-    ids=["factorize-scalar-gauge", "dn-lambda0-gauge"],
-)
-def test_a_flag_the_task_kind_does_not_read_exits_two_naming_it(capsys, argv, message):
-    # a subcommand hands its flags to the scenario schema, which refuses a
-    # gauge on the scalar map rather than running without it
-    assert main([*argv, "--depth", "2", "--radial-order", "3", "--tangential-order", "2"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("input error: ")
     assert re.search(message, err)
