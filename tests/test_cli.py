@@ -285,6 +285,9 @@ def test_schema_validation_messages():
             ["reconstruct", "--method", "weight-gauge", "--prescribe", "d1V=abc"],
             r"prescribe\.d1V",
         ),
+        (["selftest", "--criteria", "9"], "--criteria"),
+        (["selftest", "--criteria", "2,9"], "--criteria"),
+        (["selftest", "--criteria", "x"], "--criteria"),
         (
             ["reconstruct", "--method", "weight-gauge", "--prescribe", "d1V"],
             r"prescribe\.d1V",
@@ -292,9 +295,6 @@ def test_schema_validation_messages():
         # the schema refuses a gauge on the scalar map rather than run without it
         (["factorize", "--mode", "scalar", "--gauge", "sigma"], r"tasks\[0\]\.gauge only applies to gauge"),
         (["dn", "--gauge", "sigma"], r"tasks\[0\]\.gauge only applies to lambda1"),
-        (["selftest", "--criteria", "9"], "--criteria"),
-        (["selftest", "--criteria", "2,9"], "--criteria"),
-        (["selftest", "--criteria", "x"], "--criteria"),
     ],
 )
 def test_a_malformed_flag_value_exits_two_naming_the_field(argv, field, capsys):
