@@ -48,10 +48,12 @@ def _add_geometry_flags(parser):
         "--tangential-order", type=int, default=4, help="tangential truncation order"
     )
     parser.add_argument(
-        "--depth", dest="symbol_depth", type=int, default=4, help="symbol depth"
+        "--depth", dest="symbol_depth", metavar="DEPTH", type=int, default=4,
+        help="symbol depth",
     )
     parser.add_argument(
-        "--metric", help="'flat', 'random', or a JSON file with the metric coefficient table"
+        "--metric",
+        help="'flat', 'random', or a JSON file with the metric coefficient table",
     )
     parser.add_argument("--weight", help="'zero', 'random', or a JSON file with the weight jet")
     parser.add_argument("--seed", type=int, help="seed for random geometry")
