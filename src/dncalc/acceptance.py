@@ -13,6 +13,7 @@ solver, whose tolerances are stated inline.  Both the test suite and the CLI
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from time import perf_counter
 
 from .diskcheck import RadialProblem, solve_mode
@@ -29,7 +30,6 @@ from .jets import JetSpace
 from .randomgen import random_instance
 from .reconstruction import recover_weight_gauge
 from .runner import task_record
-from .scalars import mpq
 from .serialize import jet_from_json, task_from_json
 from .symbols import HomSymbol
 
@@ -133,7 +133,7 @@ def dichotomy_and_counterexample():
     g = BoundaryMetricJet.flat(JetSpace(3), 5, 4)
     sp = g.space
     r = sp.coordinate(0, 5, 4)
-    v = r + (r * r * r).scale(mpq(1, 6))
+    v = r + (r * r * r).scale(Fraction(1, 6))
     dn = dn_symbol_gauge(g, v, 4, "s")
     rep = recover_weight_gauge(dn, g, ("d2V", 0), 3)
     roots = [b.root.constant_term() for b in rep.branches]
@@ -143,7 +143,7 @@ def dichotomy_and_counterexample():
         notes.append("counterexample dn_matches %(dn_matches)s, distinct %(distinct)s" % ce)
     root = jet_from_json(sp, ce["alternate_root"])
     notes.append("alternate root %s" % root.constant_term())
-    return roots == [mpq(-1), mpq(1)] and ce["status"] == "pass", "; ".join(notes)
+    return roots == [Fraction(-1), Fraction(1)] and ce["status"] == "pass", "; ".join(notes)
 
 
 def known_volume_roundtrips():
@@ -157,7 +157,7 @@ def known_volume_roundtrips():
     bad += _failures(_seeds(5000, 10, 6, 5), 5, _reconstruct("volume-scalar", order=4))
     # hand example: flat metric, V = a r with a = 3/4, n = 3
     g = BoundaryMetricJet.flat(JetSpace(3), 5, 4)
-    v = g.space.coordinate(0, 5, 4).scale(mpq(3, 4))
+    v = g.space.coordinate(0, 5, 4).scale(Fraction(3, 4))
     bad += _failures([("flat-example", g, v)], 4, _reconstruct("volume-scalar", order=1))
     return _verdict("20 instances + hand example", bad)
 

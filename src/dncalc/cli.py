@@ -8,8 +8,8 @@ was given, so every field left out takes the default of the scenario schema
 passed, 1 when a task failed or errored, 2 on input problems (bad flags,
 malformed scenario).
 
-All arithmetic is exact rational: no flag or environment variable picks a
-scalar backend, and a scenario's optional "backend" field must be "rational".
+All arithmetic is in the rational field: no flag or environment variable
+changes that, and a scenario's optional "backend" field must be "rational".
 """
 
 from __future__ import annotations

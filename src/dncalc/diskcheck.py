@@ -28,12 +28,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from .errors import DataError
 from .factorization import factorize_scalar
 from .geometry import BoundaryMetricJet
 from .jets import JetSpace
-from .scalars import mpq
 
 
 def mode_ladder(lo: int, hi: int) -> list:
@@ -57,7 +57,7 @@ class RadialProblem:
     weight_prime_terms: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.rho_coeffs = tuple(mpq(c) for c in self.rho_coeffs)
+        self.rho_coeffs = tuple(Fraction(c) for c in self.rho_coeffs)
         self.weight_prime_terms = tuple(
             (i - 1, i * float(c)) for i, c in enumerate(self.rho_coeffs) if i
         )

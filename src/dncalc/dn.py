@@ -11,7 +11,7 @@ a positive density:
     factorisation, whose radial potential is a_r = d_r V / 2),
   * gauge version along the flat gauge: density sqrt(delta).
 
-Densities are stored squared so the exact backend never needs sqrt(delta);
+Densities are stored squared, since sqrt(delta) is not a rational jet in general;
 the square is what every reconstruction formula consumes anyway.  A data
 object (symbol, density_sq) represents the observable symbol *
 sqrt(density_sq); the factorisation is not canonical, so honest consumers
@@ -187,8 +187,7 @@ def _dn_data(kind: str, metric: BoundaryMetricJet, weight: Jet, depth: int):
     result = factorize_gauge(metric, gauge, depth, weight=weight)
     bmetric = metric.restricted_to_boundary()
     sym = result.symbol.restricted_to_boundary(bmetric.ctx)
-    density_sq = gauge.density_sq.restricted_to_boundary()
-    return DNSymbolData("lambda1", "sigma", sym, density_sq, bmetric, metric.n, depth)
+    return DNSymbolData("lambda1", "sigma", sym, bmetric.delta, bmetric, metric.n, depth)
 
 
 def dn_symbol(metric: BoundaryMetricJet, weight: Jet, depth: int, kind: str) -> DNSymbolData:

@@ -15,7 +15,9 @@ class BudgetExhaustedError(DnCalcError):
 
 
 class BackendError(DnCalcError):
-    """Operation not representable in the active scalar backend."""
+    """Operation whose result leaves the rational field: a float input, the
+    root of a constant term that is not a rational power, or exp or log at a
+    constant term other than 0 or 1."""
 
 
 class NotInvertibleError(DnCalcError):

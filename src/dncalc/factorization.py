@@ -78,7 +78,7 @@ class _Recursion:
         if q is not None:
             terms.append(-q)
         bg = self.comps.get(gamma)
-        if bg is not None and not bg.is_zero:
+        if bg is not None:
             terms.append(-bg.scale(self.drift))
             terms.append(bg.d_r())
         if self.a_r is not None:
@@ -86,28 +86,19 @@ class _Recursion:
                 m = gamma + k
                 if m not in self.comps:
                     continue
+                left = self.comps[m]
                 for key in combinations_with_replacement(range(nxi), k):
-                    left = self.comps[m].xi_derivative(key)
-                    if left.is_zero:
-                        continue
                     right, imag = self.ar_deriv(key)
-                    if right.is_zero:
-                        continue
-                    term = left.scale(right).scale(inv_factorial(key))
+                    term = left.xi_derivative(key).scale(right).scale(inv_factorial(key))
                     terms.append(term.times_i() if imag else term)
         for m in self.comps:
             for l in self.comps:
                 k = m + l - gamma
                 if k < 0:
                     continue
+                left, right = self.comps[m], self.comps[l]
                 for key in combinations_with_replacement(range(nxi), k):
-                    left = self.comps[m].xi_derivative(key)
-                    if left.is_zero:
-                        continue
-                    right = self.comps[l].dy_derivative(key)
-                    if right.is_zero:
-                        continue
-                    term = left * right
+                    term = left.xi_derivative(key) * right.dy_derivative(key)
                     if k:
                         term = term.scale(inv_factorial(key))
                     terms.append(term)

@@ -9,7 +9,7 @@ trivialisations.
 
 Square roots of delta never appear explicitly: the recursions only need
 logarithmic derivatives of delta, and boundary densities are carried as
-their squares, which keeps the exact rational backend closed.
+their squares, which keeps every quantity in the rational field.
 """
 
 from __future__ import annotations
@@ -227,31 +227,26 @@ def schroedinger_potential(metric: BoundaryMetricJet, weight: Jet) -> Jet:
 
 @dataclass(frozen=True)
 class GaugeData:
-    """Connection potential, zeroth-order potential and boundary density of a
-    trivialisation.  ``density_sq`` is the square of the factor multiplying
-    the conormal derivative in the DN map."""
+    """Connection potential and zeroth-order potential of a trivialisation."""
 
     a_r: Jet
     a_tan: tuple
     potential: Jet
-    density_sq: Jet
 
 
 def gauge_s(metric: BoundaryMetricJet, weight: Jet) -> GaugeData:
     """Trivialisation in which the operator keeps its weighted-Laplacian form:
-    potential components A_i = d_i V / 2, density e^{-V} sqrt(delta)."""
+    potential components A_i = d_i V / 2."""
     a_r = weight.partial(0).scale(HALF)
     a_tan = tuple(weight.partial(a + 1).scale(HALF) for a in range(metric.n - 1))
-    u = schroedinger_potential(metric, weight)
-    density_sq = (weight.scale(-2)).exp() * metric.delta
-    return GaugeData(a_r, a_tan, u, density_sq)
+    return GaugeData(a_r, a_tan, schroedinger_potential(metric, weight))
 
 
 def gauge_sigma(metric: BoundaryMetricJet, weight: Jet) -> GaugeData:
-    """Flat trivialisation: vanishing connection form, density sqrt(delta)."""
+    """Flat trivialisation: vanishing connection form."""
     zero = metric.space.zero(metric.kr, metric.ky)
     u = schroedinger_potential(metric, weight)
-    return GaugeData(zero, tuple(zero for _ in range(metric.n - 1)), u, metric.delta)
+    return GaugeData(zero, tuple(zero for _ in range(metric.n - 1)), u)
 
 
 def compute_q_symbols(metric: BoundaryMetricJet, weight: Jet, gauge: GaugeData | None = None):

@@ -21,6 +21,12 @@ radial derivative returns a jet whose radial order is one lower, and
 combining jets of different orders truncates to the common (minimum) orders.
 Jets from different spaces (dimension or base point) never combine.
 
+Every coefficient is an exact rational, which is what makes the residual
+and round-trip checks zero-tolerance.  So a value that would leave the
+rational field is refused rather than approximated: a float input, the
+root of a constant term that is not a rational power, exp at a nonzero
+constant term and log at a constant term other than 1.
+
 All values are immutable after construction and all operations are pure.
 """
 
@@ -31,8 +37,12 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
-from .errors import BudgetExhaustedError, IncompatibleJetsError, NotInvertibleError
-from . import scalars
+from .errors import (
+    BackendError,
+    BudgetExhaustedError,
+    IncompatibleJetsError,
+    NotInvertibleError,
+)
 
 #: width of one field of a packed monomial key
 KEY_BITS = 8
@@ -47,6 +57,27 @@ MAX_ORDER = _GUARD - 1
 #: testing every pair slows the large products of dense ones; any value
 #: from 64 to 4096 times about the same
 _DIRECT_PAIRS = 256
+
+
+def rational(value) -> Fraction:
+    """Coerce ints, 'p/q' strings and rational-like values to ``Fraction``."""
+    if isinstance(value, float):
+        raise BackendError("float value %r not allowed in the rational backend" % value)
+    return Fraction(value)
+
+
+def _int_nth_root(n: int, k: int) -> int | None:
+    """Exact integer k-th root of n >= 0, or None if n is not a k-th power."""
+    if n in (0, 1) or k == 1:
+        return n
+    # Newton iteration on integers.
+    x = 1 << (-(-n.bit_length() // k))
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            break
+        x = y
+    return x if x**k == n else None
 
 
 class JetSpace:
@@ -115,7 +146,7 @@ class JetSpace:
 
     def constant(self, value, kr: int, ky: int) -> "Jet":
         _check_orders(kr, ky)
-        v = scalars.rational(value)
+        v = rational(value)
         if not v:
             return Jet._make(self, kr, ky, 1, {})
         return Jet._make(self, kr, ky, v.denominator, {0: v.numerator})
@@ -139,7 +170,7 @@ class JetSpace:
                 raise IncompatibleJetsError(
                     "index %r exceeds truncation orders (%d, %d)" % (idx, kr, ky)
                 )
-            v = scalars.rational(val)
+            v = rational(val)
             if v:
                 values[self._key(idx)] = v
         # over the lcm of the reduced denominators the numerators are coprime
@@ -376,7 +407,7 @@ class Jet:
     __rmul__ = __mul__
 
     def scale(self, value) -> "Jet":
-        v = scalars.rational(value)
+        v = rational(value)
         p, q = v.numerator, v.denominator
         if not p or not self.num:
             return Jet._make(self.space, self.kr, self.ky, 1, {})
@@ -465,22 +496,20 @@ class Jet:
 
     def sqrt(self) -> "Jet":
         """Square root; the constant term must be a positive rational square."""
-        c0 = self.constant_term()
-        if c0 <= 0:
-            raise NotInvertibleError("sqrt of a jet with non-positive constant term")
-        s0 = scalars.sqrt(c0)
-        return self._binomial_series(s0, c0, 2)
+        return self.nth_root(2)
 
     def nth_root(self, k: int) -> "Jet":
         """k-th root; the constant term must be a positive rational k-th power."""
         c0 = self.constant_term()
         if c0 <= 0:
             raise NotInvertibleError("root of a jet with non-positive constant term")
-        s0 = scalars.nth_root(c0, k)
-        return self._binomial_series(s0, c0, k)
-
-    def _binomial_series(self, s0, c0, k: int) -> "Jet":
+        num = _int_nth_root(c0.numerator, k)
+        den = _int_nth_root(c0.denominator, k)
+        if num is None or den is None:
+            power = "square" if k == 2 else "%d-th power" % k
+            raise BackendError("%s is not a perfect rational %s" % (c0, power))
         # (c0 + u)^(1/k) = s0 * sum C(1/k, j) (u/c0)^j
+        s0 = Fraction(num, den)
         alpha = Fraction(1, k)
         inv0 = 1 / c0
         coeffs = []
@@ -493,7 +522,10 @@ class Jet:
     def exp(self) -> "Jet":
         """Truncated exponential; needs a zero constant term so the result
         stays in the rational field."""
-        acc = scalars.exp(self.constant_term())
+        c0 = self.constant_term()
+        if c0:
+            raise BackendError("exp of nonzero constant term %s leaves the rational field" % c0)
+        acc = Fraction(1)
         coeffs = []
         for j in range(self._series_order()):
             coeffs.append(acc)
@@ -501,15 +533,14 @@ class Jet:
         return self._series(coeffs)
 
     def log(self) -> "Jet":
-        """Truncated logarithm; needs constant term 1."""
+        """Truncated logarithm; needs constant term 1, where the series
+        coefficients are (-1)^(j+1)/j."""
         c0 = self.constant_term()
         if not c0:
             raise NotInvertibleError("log of a jet with non-positive constant term")
-        l0 = scalars.log(c0)
-        inv0 = 1 / c0
-        coeffs = [l0]
-        for j in range(1, self._series_order()):
-            coeffs.append((-1) ** (j + 1) * inv0**j / j)
+        if c0 != 1:
+            raise BackendError("log of constant term %s != 1 leaves the rational field" % c0)
+        coeffs = [0] + [Fraction((-1) ** (j + 1), j) for j in range(1, self._series_order())]
         return self._series(coeffs)
 
     # -- display ---------------------------------------------------------------

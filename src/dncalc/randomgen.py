@@ -2,10 +2,11 @@
 
 Metric blocks are identity-dominated symmetric jets (strict diagonal
 dominance of the constant term keeps them positive definite); weights are
-random jets vanishing at the base point, which the exact backend requires of
-anything that gets exponentiated.  Tangential content is kept at low degree:
-truncation budgets gate derivatives, not content, so this keeps property
-runs fast without weakening any identity being tested.
+random jets vanishing at the base point, as anything that gets exponentiated
+must be for its exponential to stay in the rational field.  Tangential
+content is kept at low degree: truncation budgets gate derivatives, not
+content, so this keeps property runs fast without weakening any identity
+being tested.
 
 Genericity contract: every random weight has a nonzero pure-radial
 coefficient r^m for each m = 1..kr, so d_r V, d_r^2 V, ... are nonzero at
@@ -18,14 +19,14 @@ other weight terms do not depend on them.
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 from .geometry import BoundaryMetricJet
 from .jets import Jet, JetSpace
-from .scalars import mpq
 
 
 def _random_value(rng: random.Random):
-    return mpq(rng.randint(-2, 2), rng.randint(1, 4))
+    return Fraction(rng.randint(-2, 2), rng.randint(1, 4))
 
 
 def _random_index(rng: random.Random, n: int, kr: int, ky: int, tangential_degree: int):
@@ -52,7 +53,7 @@ def random_weight(
             continue
         coeffs[idx] = _random_value(rng)
     for m in range(1, kr + 1):
-        value = mpq(rng.choice((-2, -1, 1, 2)), rng.randint(1, 4))
+        value = Fraction(rng.choice((-2, -1, 1, 2)), rng.randint(1, 4))
         idx = (m,) + (0,) * (space.n - 1)
         if not coeffs.get(idx):
             coeffs[idx] = value
@@ -77,8 +78,8 @@ def random_metric(
                     continue
                 # small perturbations keep the constant term diagonally dominant
                 coeffs[idx] = _random_value(rng) / 4
-            base = mpq(1) if a == b else mpq(0)
-            coeffs[(0,) * space.n] = base + mpq(rng.randint(-1, 1), 8)
+            base = Fraction(1) if a == b else Fraction(0)
+            coeffs[(0,) * space.n] = base + Fraction(rng.randint(-1, 1), 8)
             rows[a][b] = space.jet(coeffs, kr, ky)
             rows[b][a] = rows[a][b]
     return BoundaryMetricJet(rows)

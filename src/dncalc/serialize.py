@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from fractions import Fraction
 
 from .diskcheck import mode_ladder
 from .dn import DNSymbolData
@@ -50,7 +51,6 @@ from .errors import DnCalcError, ScenarioError
 from .geometry import BoundaryMetricJet
 from .jets import Jet, JetSpace
 from .randomgen import random_metric, random_weight
-from .scalars import mpq
 from .symbols import HomSymbol, XiPoly
 
 SCHEMA_VERSION = 1
@@ -72,13 +72,18 @@ def jet_to_json(jet: Jet) -> dict:
 
 
 def jet_from_json(space: JetSpace, data: dict) -> Jet:
+    """The jet of a record; its orders and index entries follow the integer
+    rule of a scenario's fields."""
     try:
-        kr = int(data["radial_order"])
-        ky = int(data["tangential_order"])
-        coeffs = {
-            tuple(term["index"]): mpq(str(term["value"]))
-            for term in data.get("terms", [])
-        }
+        kr = _integer(data["radial_order"], "radial_order")
+        ky = _integer(data["tangential_order"], "tangential_order")
+        coeffs = {}
+        for i, term in enumerate(data.get("terms", [])):
+            index = tuple(
+                _integer(e, "terms[%d].index[%d]" % (i, a))
+                for a, e in enumerate(term["index"])
+            )
+            coeffs[index] = Fraction(str(term["value"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise ScenarioError("malformed jet record: %s" % exc) from None
     return space.jet(coeffs, kr, ky)
@@ -327,7 +332,10 @@ def _int_field(obj, name, minimum=None, where=None):
     label = "%s.%s" % (where, name) if where else name
     if name not in obj:
         raise ScenarioError("missing field %r" % label)
-    raw = obj[name]
+    return _integer(obj[name], label, minimum)
+
+
+def _integer(raw, label, minimum=None):
     try:
         # int() would silently truncate a bool or a fraction
         if isinstance(raw, bool) or isinstance(raw, float) and not raw.is_integer():
@@ -352,7 +360,7 @@ def _named(label, build, *args):
 def _rational(value, label, expected):
     """``value`` as a rational; else an error: field ``label`` must be ``expected``."""
     try:
-        return mpq(str(value))
+        return Fraction(str(value))
     except (ValueError, ZeroDivisionError):
         raise ScenarioError("field %r must be %s" % (label, expected)) from None
 

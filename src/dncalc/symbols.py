@@ -60,8 +60,7 @@ from itertools import combinations_with_replacement
 from operator import add
 
 from .errors import BudgetExhaustedError, DepthError, IncompatibleJetsError
-from .jets import Jet, JetSpace
-from .scalars import rational
+from .jets import Jet, JetSpace, rational
 
 
 class XiPoly:
@@ -515,9 +514,11 @@ class HomSymbol:
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def zero(cls, ctx: SymbolContext, degree: int) -> "HomSymbol":
+    def zero(
+        cls, ctx: SymbolContext, degree: int, kr: int = UNRESTRICTED, ky: int = UNRESTRICTED
+    ) -> "HomSymbol":
         nxi = ctx.nxi
-        return cls(ctx, degree, XiPoly(nxi, degree, {}), XiPoly(nxi, degree - 1, {}), 0)
+        return cls(ctx, degree, XiPoly(nxi, degree, {}), XiPoly(nxi, degree - 1, {}), 0, kr, ky)
 
     @classmethod
     def from_jet(cls, ctx: SymbolContext, value: Jet) -> "HomSymbol":
@@ -597,8 +598,7 @@ class HomSymbol:
             if not t.is_zero:
                 nonzero.append(t)
         if not nonzero:
-            zero = XiPoly(ctx.nxi, degree, {}), XiPoly(ctx.nxi, degree - 1, {})
-            return HomSymbol(ctx, degree, *zero, 0, kr, ky)
+            return HomSymbol.zero(ctx, degree, kr, ky)
         p = max(t.p for t in nonzero)
         acc_a = None
         acc_b = None
@@ -632,9 +632,11 @@ class HomSymbol:
     def __mul__(self, other: "HomSymbol") -> "HomSymbol":
         self._check(other)
         deg = self.degree + other.degree
+        kr, ky = self._budgets_with(other)
+        if self.is_zero or other.is_zero:
+            return HomSymbol.zero(self.ctx, deg, kr, ky)
         a = self.a * other.a + (self.b * other.b) * self.ctx.q2
         b = self.a * other.b + self.b * other.a
-        kr, ky = self._budgets_with(other)
         return HomSymbol(self.ctx, deg, a, b, self.p + other.p, kr, ky).normalized()
 
     def scale(self, factor) -> "HomSymbol":
@@ -926,25 +928,15 @@ def compose(f: FormalSymbol, g: FormalSymbol, lowest: int | None = None) -> Form
     nxi = ctx.nxi
     for j1 in f.grades():
         s1 = f.comps[j1]
-        if s1.is_zero:
-            continue
         for j2 in g.grades():
             s2 = g.comps[j2]
-            if s2.is_zero:
-                continue
             kmax = j1 + j2 - lo
             for k in range(0, kmax + 1):
                 grade = j1 + j2 - k
                 if grade > hi:
                     continue
                 for key in combinations_with_replacement(range(nxi), k):
-                    left = s1.xi_derivative(key)
-                    if left.is_zero:
-                        continue
-                    right = s2.dy_derivative(key)
-                    if right.is_zero:
-                        continue
-                    term = left * right
+                    term = s1.xi_derivative(key) * s2.dy_derivative(key)
                     if k:
                         term = term.scale(inv_factorial(key))
                     out[grade].append(term)

@@ -429,8 +429,27 @@ def _jet(*terms):
             {"metric": {"1,1": _jet(([0, 0, 0], "-1"))}},
             r"metric: constant term of the metric block is not positive definite",
         ),
+        (
+            {"weight": _jet(([0.5, 0, 0], "1"))},
+            r"weight: field 'terms\[0\]\.index\[0\]' must be an integer",
+        ),
+        (
+            {"weight": _jet(([0, 0, 0], "1"), ([True, 0, 0], "1"))},
+            r"weight: field 'terms\[1\]\.index\[0\]' must be an integer",
+        ),
+        (
+            {"metric": {"1,1": {**_jet(([0, 0, 0], "1")), "radial_order": 2.5}}},
+            r"metric entry '1,1': field 'radial_order' must be an integer",
+        ),
     ],
-    ids=["weight-index", "metric-entry-order", "metric-not-positive"],
+    ids=[
+        "weight-index",
+        "metric-entry-order",
+        "metric-not-positive",
+        "fractional-index",
+        "boolean-index",
+        "fractional-order",
+    ],
 )
 def test_a_malformed_jet_or_metric_table_exits_two_naming_the_field(
     tmp_path, capsys, geometry, message
@@ -445,21 +464,23 @@ def test_a_malformed_jet_or_metric_table_exits_two_naming_the_field(
 def test_a_weight_with_a_nonzero_constant_fails_where_its_density_is_formed(tmp_path):
     # e^{-2V} leaves the rational field when V(0) = 1, so Lambda0, Lambda1 s
     # and the recoveries from them fail on the density, while Lambda1 sigma,
-    # whose density is sqrt(delta), passes
+    # whose density is sqrt(delta), passes, and so does the gauge-s
+    # factorisation, which forms no density
     weight = _jet(([0, 0, 0], "1"), ([1, 0, 0], "1/2"))
     tasks = [
         {"kind": "dn", "map": "lambda0"},
         {"kind": "dn", "map": "lambda1", "gauge": "s"},
         {"kind": "dn", "map": "lambda1", "gauge": "sigma"},
         {"kind": "reconstruct", "method": "weight-scalar"},
+        {"kind": "factorize", "mode": "gauge", "gauge": "s"},
     ]
     raw = flat_scenario(tasks, depth=2, kr=3, ky=2, weight=weight)
     out = str(tmp_path / "report.json")
     assert main(["run", write_scenario(tmp_path, raw), "-o", out]) == 1
     records = read_report(out)["tasks"]
     density = "BackendError: exp of nonzero constant term -2 leaves the rational field"
-    assert [r.get("error") for r in records] == [density, density, None, density]
-    assert [r["status"] for r in records] == ["error", "error", "pass", "error"]
+    assert [r.get("error") for r in records] == [density, density, None, density, None]
+    assert [r["status"] for r in records] == ["error", "error", "pass", "error", "pass"]
 
 
 GEOMETRY = {

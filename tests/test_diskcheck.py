@@ -10,7 +10,7 @@ from dncalc.diskcheck import (
     symbol_partial_sum,
 )
 from dncalc.errors import DataError
-from dncalc.scalars import mpq
+from fractions import Fraction as mpq
 
 
 def test_harmonic_modes_reproduce_minus_k():

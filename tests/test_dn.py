@@ -10,7 +10,7 @@ from dncalc.errors import DataError
 from dncalc.factorization import factorize_gauge, factorize_scalar
 from dncalc.jets import JetSpace
 from dncalc.randomgen import random_instance
-from dncalc.scalars import mpq
+from fractions import Fraction as mpq
 from dncalc.geometry import HALF, BoundaryMetricJet, gauge_s, gauge_sigma
 from dncalc.serialize import dn_to_json
 from dncalc.symbols import FormalSymbol, HomSymbol, compose
@@ -184,14 +184,15 @@ def direct_dn_data(metric, weight, depth):
         return DNSymbolData(map_kind, tag, symbol, density_sq, bmetric, metric.n, depth)
 
     s, sigma = gauge_s(metric, weight), gauge_sigma(metric, weight)
+    weighted = weight.scale(-2).exp() * metric.delta
     return (
-        data("lambda0", None, factorize_scalar(metric, weight, depth), s.density_sq),
-        data("lambda1", "s", factorize_gauge(metric, s, depth, weight=weight), s.density_sq),
+        data("lambda0", None, factorize_scalar(metric, weight, depth), weighted),
+        data("lambda1", "s", factorize_gauge(metric, s, depth, weight=weight), weighted),
         data(
             "lambda1",
             "sigma",
             factorize_gauge(metric, sigma, depth, weight=weight),
-            sigma.density_sq,
+            metric.delta,
         ),
     )
 

@@ -14,7 +14,7 @@ from dncalc.factorization import (
 from dncalc.geometry import BoundaryMetricJet, GaugeData, gauge_s, gauge_sigma
 from dncalc.jets import JetSpace
 from dncalc.randomgen import random_instance
-from dncalc.scalars import mpq
+from fractions import Fraction as mpq
 from dncalc.symbols import HomSymbol, SymbolContext, XiPoly
 from helpers import eval_pair
 
@@ -135,7 +135,7 @@ def test_residual_passes_custom_gauge():
     a_r = weight * weight  # arbitrary radial potential
     a_tan = tuple(weight.partial(i + 1) for i in range(metric.n - 1))
     pot = weight.scale(3)
-    gauge = GaugeData(a_r, a_tan, pot, metric.delta)
+    gauge = GaugeData(a_r, a_tan, pot)
     res = factorize_gauge(metric, gauge, 4, weight)
     assert verify_residual(res) is None
 
@@ -171,6 +171,23 @@ def test_gauge_and_scalar_agree_for_tangentially_constant_data():
     res_o = factorize_gauge(metric, gauge_sigma(metric, weight), 4, weight=weight)
     for j in res_s.symbol.grades():
         assert res_s.symbol.grade(j) == res_o.symbol.grade(j)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_a_grade_claims_no_more_tangential_order_than_its_terms_carry(n):
+    # s_j comes from a grade whose terms include D_y^K s_1 with |K| = 1 - j,
+    # of tangential budget ky - 1 + j; on y-independent data that derivative
+    # is zero, and its budget must still bound the grade
+    metric, weight = random_instance(3, n=n, kr=5, ky=4, tangentially_constant=True)
+    results = {
+        "scalar": factorize_scalar(metric, weight, 4),
+        "s": factorize_gauge(metric, gauge_s(metric, weight), 4, weight=weight),
+        "sigma": factorize_gauge(metric, gauge_sigma(metric, weight), 4, weight=weight),
+    }
+    for name, res in results.items():
+        for j in res.symbol.grades():
+            if j <= 0:
+                assert res.symbol.grade(j).ky == 4 - 1 + j, (name, j)
 
 
 def test_early_refusal_of_q2_divisions_changes_no_symbol(monkeypatch):

@@ -15,7 +15,7 @@ from dncalc.geometry import (
 )
 from dncalc.jets import Jet, JetSpace
 from dncalc.randomgen import random_instance
-from dncalc.scalars import mpq
+from fractions import Fraction as mpq
 from dncalc.symbols import HomSymbol
 from helpers import with_budgets
 

@@ -10,7 +10,7 @@ from dncalc.errors import (
     NotInvertibleError,
 )
 from dncalc.jets import MAX_ORDER, Jet, JetSpace, collar_from_radial_orders
-from dncalc.scalars import mpq
+from fractions import Fraction as mpq
 from helpers import with_budgets
 
 

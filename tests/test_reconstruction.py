@@ -18,7 +18,7 @@ from dncalc.reconstruction import (
     solve_linear_jets,
 )
 from dncalc.runner import true_metric_order
-from dncalc.scalars import mpq
+from fractions import Fraction as mpq
 from dncalc.symbols import FormalSymbol, HomSymbol, XiPoly
 from helpers import rescaled
 

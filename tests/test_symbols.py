@@ -5,7 +5,7 @@ import pytest
 
 from dncalc.errors import IncompatibleJetsError
 from dncalc.jets import JetSpace
-from dncalc.scalars import mpq
+from fractions import Fraction as mpq
 from dncalc.symbols import FormalSymbol, HomSymbol, SymbolContext, XiPoly, compose
 from helpers import eval_pair
 
