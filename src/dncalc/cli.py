@@ -172,14 +172,14 @@ def build_parser():
 
     p = task_parser("factorize", "solve a factorisation and verify it")
     _add_geometry_flags(p)
-    p.add_argument("--mode", choices=("gauge", "scalar"))
-    p.add_argument("--gauge", choices=("s", "sigma"), help="gauge mode only")
+    p.add_argument("--mode", help="'gauge' or 'scalar'")
+    p.add_argument("--gauge", help="'s' or 'sigma', gauge mode only")
     p.add_argument("--no-verify", dest="verify", action="store_false", default=None)
 
     p = task_parser("dn", "assemble boundary DN symbol data")
     _add_geometry_flags(p)
-    p.add_argument("--map", choices=("lambda0", "lambda1"))
-    p.add_argument("--gauge", choices=("s", "sigma"), help="lambda1 only")
+    p.add_argument("--map", help="'lambda0' or 'lambda1'")
+    p.add_argument("--gauge", help="'s' or 'sigma', lambda1 only")
 
     p = task_parser("reconstruct", "round-trip a reconstruction method")
     _add_geometry_flags(p)

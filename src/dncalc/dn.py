@@ -24,7 +24,7 @@ scalar conormal derivative d_r exceeds the gauge one by d_r V / 2, so at
 r = 0, exactly and grade by grade:
 
     Lambda1 s = e^{V/2} o Lambda1 sigma o e^{-V/2}
-    Lambda0   = Lambda1 s + d_r V / 2          (grade 0 only)
+    Lambda0   = Lambda1 s + d_r V / 2          (grade 0 only, when retained)
     density_sq(Lambda0) = density_sq(Lambda1 s) = e^{-2V} density_sq(Lambda1 sigma)
 
 So only sigma is factorised, and the other two kinds are derived from its
@@ -227,8 +227,11 @@ def _dn_from_sigma(
     symbol = compose(compose(twist, sigma.symbol, lowest=lo), untwist, lowest=lo)
     map_kind, gauge_tag = "lambda1", "s"
     if kind == "lambda0":
-        shift = weight.partial(0).restricted_to_boundary().scale(HALF)
-        symbol = symbol + FormalSymbol.single(HomSymbol.from_jet(bctx, shift))
+        if lo <= 0:
+            shift = weight.partial(0).restricted_to_boundary().scale(HALF)
+            comps = dict(symbol.comps)
+            comps[0] = comps[0] + HomSymbol.from_jet(bctx, shift)
+            symbol = FormalSymbol(bctx, comps, symbol.hi, lo)
         map_kind, gauge_tag = "lambda0", None
     density_sq = density_sq.restricted_to_boundary()
     return DNSymbolData(

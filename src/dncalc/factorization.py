@@ -14,9 +14,9 @@ K = 0 products s_1 s_j, and division by 2 s_1 = -2 ||xi'|| stays inside the
 symbol ring.  The solver below extracts each grade of the identity directly,
 which keeps every multi-index bound and combinatorial factor tied to one
 place; the verifier recombines the identity through the full asymptotic
-composition, with its own products and sums (the components' derivatives
-are memoised on them, so it shares those), and demands that every reliable
-grade vanish.
+composition, with its own products and one sum per grade (the components'
+derivatives are memoised on them, so it shares those), and demands that
+every reliable grade vanish.
 
 Residual grades are labelled by the component they determine (label = grade
 of the identity minus one), so a corrupted s_j trips the verifier at label j.
@@ -156,22 +156,33 @@ def factorize_scalar(
     return FactorizationResult("scalar", sym, metric, None, depth, q, drift)
 
 
-def _defining_expression(result: FactorizationResult) -> FormalSymbol:
+def _defining_expression(result: FactorizationResult) -> dict[int, HomSymbol]:
     """The identity recombined with the full asymptotic composition, over the
-    q symbols and the drift the recursion consumed."""
+    q symbols and the drift the recursion consumed: its reliable grades
+    2, ..., 3 - depth, each the one sum of that grade's terms."""
     ctx = result.metric.ctx
     b = result.symbol
-    lo_check = 3 - result.depth
-    q2, q1, q0 = result.q
-    q_formal = FormalSymbol(ctx, {2: q2, 1: q1, 0: q0}, 2, 0, tail_exact=True)
-    expr = b.d_r() - b.scale_jet(result.drift) - q_formal
-    expr = expr + compose(b, b, lowest=lo_check)
-    if result.gauge is not None and not result.gauge.a_r.is_zero:
-        ar_sym = FormalSymbol.single(HomSymbol.from_jet(ctx, result.gauge.a_r))
-        full = compose(b, ar_sym, lowest=lo_check)
-        pointwise = b.scale_jet(result.gauge.a_r)
-        expr = expr + full - pointwise
-    return expr.truncated_below(lo_check)
+    lo = 3 - result.depth
+    q = dict(zip((2, 1, 0), result.q))
+    square = compose(b, b, lowest=lo)
+    a_r = result.gauge.a_r if result.gauge is not None else None
+    coupled = None
+    # b # a_r has no grade above b.hi, so at depth 1 none is reliable
+    if a_r is not None and not a_r.is_zero and b.hi >= lo:
+        ar_sym = FormalSymbol.single(HomSymbol.from_jet(ctx, a_r))
+        coupled = compose(b, ar_sym, lowest=lo)
+    expr = {}
+    for gamma in range(2, lo - 1, -1):
+        terms = [square.grade(gamma)]
+        if gamma in q:
+            terms.append(-q[gamma])
+        if gamma <= b.hi:
+            bg = b.grade(gamma)
+            terms += [bg.d_r(), -bg.scale(result.drift)]
+            if coupled is not None:
+                terms += [coupled.grade(gamma), -bg.scale(a_r)]
+        expr[gamma] = HomSymbol.sum(terms, ctx, gamma)
+    return expr
 
 
 def verify_residual(result: FactorizationResult) -> int | None:
@@ -181,9 +192,8 @@ def verify_residual(result: FactorizationResult) -> int | None:
     violated label, where a grade-gamma identity component is labelled
     gamma - 1 (the index of the symbol component it determines).
     """
-    expr = _defining_expression(result)
-    for gamma in expr.grades():
-        if not expr.grade(gamma).is_zero:
+    for gamma, residual in _defining_expression(result).items():
+        if not residual.is_zero:
             return gamma - 1
     return None
 

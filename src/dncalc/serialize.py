@@ -73,7 +73,7 @@ def jet_to_json(jet: Jet) -> dict:
 
 def jet_from_json(space: JetSpace, data: dict) -> Jet:
     """The jet of a record; its orders and index entries follow the integer
-    rule of a scenario's fields."""
+    rule of a scenario's fields, and no two terms share an index."""
     try:
         kr = _integer(data["radial_order"], "radial_order")
         ky = _integer(data["tangential_order"], "tangential_order")
@@ -83,6 +83,10 @@ def jet_from_json(space: JetSpace, data: dict) -> Jet:
                 _integer(e, "terms[%d].index[%d]" % (i, a))
                 for a, e in enumerate(term["index"])
             )
+            if index in coeffs:
+                raise ScenarioError(
+                    "field 'terms[%d].index' repeats the index %s" % (i, index)
+                )
             coeffs[index] = Fraction(str(term["value"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise ScenarioError("malformed jet record: %s" % exc) from None

@@ -789,6 +789,8 @@ class HomSymbol:
 
 class FormalSymbol:
     """Graded family of homogeneous symbols on a contiguous degree range.
+    It has no arithmetic of its own: each of its grades is formed by one
+    ``HomSymbol.sum``.
 
     ``tail_exact`` records whether degrees below ``lo`` are genuinely zero
     (finite symbols such as q2 + q1 + q0) rather than unknown truncation.
@@ -813,10 +815,6 @@ class FormalSymbol:
         """The one homogeneous symbol ``sym``, every other grade exactly zero."""
         return cls(sym.ctx, {sym.degree: sym}, sym.degree, sym.degree, True)
 
-    @property
-    def depth(self) -> int:
-        return self.hi - self.lo + 1
-
     def grade(self, j: int) -> HomSymbol:
         if j > self.hi:
             return HomSymbol.zero(self.ctx, j)
@@ -833,54 +831,8 @@ class FormalSymbol:
         out = {j: fn(s) for j, s in self.comps.items()}
         return FormalSymbol(self.ctx, out, self.hi, self.lo, self.tail_exact)
 
-    def d_r(self) -> "FormalSymbol":
-        return self.map_components(HomSymbol.d_r)
-
-    def scale_jet(self, jet) -> "FormalSymbol":
-        return self.map_components(lambda s: s.scale(jet))
-
-    def __neg__(self):
-        return self.map_components(lambda s: -s)
-
-    def __add__(self, other: "FormalSymbol") -> "FormalSymbol":
-        bounds = []
-        if not self.tail_exact:
-            bounds.append(self.lo)
-        if not other.tail_exact:
-            bounds.append(other.lo)
-        hi = max(self.hi, other.hi)
-        lo = max(bounds) if bounds else min(self.lo, other.lo)
-        out = {}
-        for j in range(lo, hi + 1):
-            out[j] = self.grade(j) + other.grade(j)
-        return FormalSymbol(self.ctx, out, hi, lo, self.tail_exact and other.tail_exact)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def truncated_below(self, lo: int) -> "FormalSymbol":
-        if lo <= self.lo:
-            return self
-        return FormalSymbol(
-            self.ctx,
-            {j: self.comps[j] for j in range(lo, self.hi + 1)},
-            self.hi,
-            lo,
-            False,
-        )
-
     def restricted_to_boundary(self, bctx: SymbolContext) -> "FormalSymbol":
         return self.map_components(lambda s: s.restricted_to_boundary(bctx))
-
-    def is_zero(self) -> bool:
-        return all(s.is_zero for s in self.comps.values())
-
-    def __eq__(self, other):
-        if not isinstance(other, FormalSymbol):
-            return NotImplemented
-        if self.hi != other.hi or self.lo != other.lo:
-            return False
-        return all(self.comps[j] == other.comps[j] for j in self.comps)
 
     def __repr__(self):
         return "FormalSymbol(grades %d..%d%s)" % (

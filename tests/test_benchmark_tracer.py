@@ -49,4 +49,5 @@ def test_the_benchmark_tracer_attaches_counts_and_detaches(monkeypatch, capsys):
     assert all(after[key] is value for key, value in before.items())
     metrics = tracer.layer_metrics()
     assert metrics["factorization.solve.calls"][0] > 0
+    assert metrics["factorization.verify.calls"][0] > 0
     assert metrics["jets.mul.calls"][0] > 0

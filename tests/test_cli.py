@@ -295,6 +295,11 @@ def test_schema_validation_messages():
         # the schema refuses a gauge on the scalar map rather than run without it
         (["factorize", "--mode", "scalar", "--gauge", "sigma"], r"tasks\[0\]\.gauge only applies to gauge"),
         (["dn", "--gauge", "sigma"], r"tasks\[0\]\.gauge only applies to lambda1"),
+        # the schema, not the parser, knows the values of the choice fields
+        (["factorize", "--mode", "x"], r"tasks\[0\]\.mode must be"),
+        (["factorize", "--mode", "gauge", "--gauge", "x"], r"tasks\[0\]\.gauge must be"),
+        (["dn", "--map", "x"], r"tasks\[0\]\.map must be"),
+        (["dn", "--map", "lambda1", "--gauge", "x"], r"tasks\[0\]\.gauge must be"),
     ],
 )
 def test_a_malformed_flag_value_exits_two_naming_the_field(argv, field, capsys):
@@ -441,6 +446,10 @@ def _jet(*terms):
             {"metric": {"1,1": {**_jet(([0, 0, 0], "1")), "radial_order": 2.5}}},
             r"metric entry '1,1': field 'radial_order' must be an integer",
         ),
+        (
+            {"weight": _jet(([1, 0, 0], "1"), (["1", 0, 0], "5"))},
+            r"weight: field 'terms\[1\]\.index' repeats the index \(1, 0, 0\)",
+        ),
     ],
     ids=[
         "weight-index",
@@ -449,6 +458,7 @@ def _jet(*terms):
         "fractional-index",
         "boolean-index",
         "fractional-order",
+        "repeated-index",
     ],
 )
 def test_a_malformed_jet_or_metric_table_exits_two_naming_the_field(

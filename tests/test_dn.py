@@ -237,6 +237,44 @@ def test_the_three_data_kinds_are_one_conjugation_apart(seed, n, kr, ky, depth):
         assert dn_to_json(got) == dn_to_json(want)
 
 
+@pytest.mark.parametrize(
+    "seed, kwargs, depth",
+    [(1000, {}, 3), (41, {"n": 4, "kr": 5, "ky": 4, "tangentially_constant": True}, 4)],
+    ids=["n3", "n4-y-independent"],
+)
+def test_the_three_kinds_are_one_conjugation_apart_over_the_whole_collar(
+    seed, kwargs, depth
+):
+    # the identities behind the derived data hold for the factorisations on
+    # the whole collar, not only at r = 0: the sigma run conjugated by
+    # e^{+-(V - V(0))/2} is the gauge-s run, and adding d_r V / 2 at grade 0
+    # gives the scalar run, budgets and denominator powers included
+    metric, weight = random_instance(seed, **kwargs)
+    ctx = metric.ctx
+    sigma = factorize_gauge(metric, gauge_sigma(metric, weight), depth, weight=weight).symbol
+    s = factorize_gauge(metric, gauge_s(metric, weight), depth, weight=weight).symbol
+    scalar = factorize_scalar(metric, weight, depth).symbol
+    v = weight - weight.constant_term()
+
+    def conjugated(left, right):
+        left = FormalSymbol.single(HomSymbol.from_jet(ctx, left.exp()))
+        right = FormalSymbol.single(HomSymbol.from_jet(ctx, right.exp()))
+        return compose(compose(left, sigma, lowest=sigma.lo), right, lowest=sigma.lo)
+
+    twisted = conjugated(v.scale(HALF), v.scale(-HALF))
+    shift = HomSymbol.from_jet(ctx, weight.partial(0).scale(HALF))
+    assert not shift.is_zero
+    assert list(twisted.grades()) == list(s.grades()) == list(scalar.grades())
+    for j in s.grades():
+        want_scalar = twisted.grade(j) + shift if j == 0 else twisted.grade(j)
+        for got, want in ((s.grade(j), twisted.grade(j)), (scalar.grade(j), want_scalar)):
+            assert got == want
+            assert (got.kr, got.ky, got.p) == (want.kr, want.ky, want.p)
+    if seed == 1000:
+        untwisted = conjugated(v.scale(-HALF), v.scale(HALF))
+        assert [j for j in s.grades() if untwisted.grade(j) != s.grade(j)] == [0, -1]
+
+
 def test_rescaling_derived_data_keeps_its_ratios():
     # the data are a representation up to a positive unit factor; Lambda1 s,
     # derived from the sigma run, must leave the rescale-invariant ratios

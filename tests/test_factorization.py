@@ -129,6 +129,17 @@ def test_residual_passes_on_random_instances_both_modes():
         assert verify_residual(res) is None
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_a_depth_one_gauge_s_factorisation_passes_its_verifier(n):
+    # a_r = d_r V / 2 is nonzero, and the one reliable grade at depth 1, the
+    # principal grade 2 of the identity, holds no a_r term
+    metric, weight = random_instance(3, n=n, kr=2, ky=2)
+    gauge = gauge_s(metric, weight)
+    assert not gauge.a_r.is_zero
+    res = factorize_gauge(metric, gauge, 1, weight=weight)
+    assert verify_residual(res) is None
+
+
 def test_residual_passes_custom_gauge():
     metric, weight = random_instance(9)
     sp = metric.space
@@ -240,9 +251,9 @@ def rebuilt(sym):
 
 def test_the_verifier_reuses_the_derivative_chains_of_the_solver(monkeypatch):
     # the recursion has formed every d_xi chain the verifier's composition
-    # needs, on the same component objects.  The verifier still computes
-    # d_r of the lowest grade and, in gauge s, the D_y chains (|K| <= 2) of
-    # the a_r symbol, which the recursion forms on jets
+    # needs, and d_r of every grade the verifier checks, on the same
+    # component objects.  The verifier computes only, in gauge s, the D_y
+    # chains (|K| <= 2) of the a_r symbol, which the recursion forms on jets
     metric, weight = y_dependent_n4_instance()
     results = {
         "scalar": factorize_scalar(metric, weight, 4),
@@ -258,8 +269,8 @@ def test_the_verifier_reuses_the_derivative_chains_of_the_solver(monkeypatch):
 
         monkeypatch.setattr(HomSymbol, name, counted)
     expected = {
-        "scalar": {"xi_partial": 0, "base_partial": 1},
-        "gauge": {"xi_partial": 0, "base_partial": 1 + 9},
+        "scalar": {"xi_partial": 0, "base_partial": 0},
+        "gauge": {"xi_partial": 0, "base_partial": 9},
     }
     for mode, res in results.items():
         calls.update(xi_partial=0, base_partial=0)

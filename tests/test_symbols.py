@@ -319,17 +319,6 @@ def test_compose_associativity_to_depth():
         assert lhs.grade(j) == rhs.grade(j)
 
 
-def test_formal_symbol_add_respects_exact_tails():
-    ctx = euclidean_ctx()
-    q = FormalSymbol.single(HomSymbol.q2_symbol(ctx))
-    b = FormalSymbol(
-        ctx, {1: -HomSymbol.xi_norm(ctx), 0: HomSymbol.zero(ctx, 0)}, 1, 0
-    )
-    s = q + b
-    assert s.lo == 0 and s.hi == 2
-    assert s.grade(2) == HomSymbol.q2_symbol(ctx)
-
-
 def test_q2_factor_above_the_base_order_still_normalises():
     # every coefficient of r * q2 * X vanishes at the base point, so the early
     # test of the q2 division reads the order-1 terms, q2(0) times those of r X
