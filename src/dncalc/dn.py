@@ -108,7 +108,7 @@ class DNSymbolData:
             raise DepthError("grade %d not retained (lo=%d)" % (j, self.symbol.lo))
         ev_j, od_j = self.symbol.grade(j).eval_jets(xi)
         inv1 = self._principal_odd(xi).reciprocal()
-        return od_j * inv1, ev_j * inv1 * self.ctx.q2_value(xi).reciprocal()
+        return od_j * inv1, ev_j * inv1 * self.ctx.q2_inverse(xi)
 
     def density_ratio_sq(self, other: "DNSymbolData", xi) -> Jet:
         """(O_1 / O_1')^2 for two data sets over the same boundary metric:

@@ -22,6 +22,18 @@ base point to the same (r, y) order k as P does (q2's leading coefficient is
 a unit), and the order-k part of P is q2(0) times that of Q.  So the rational
 xi-polynomial at each order-k monomial of P must be a multiple of q2(0).
 
+A product never multiplies by q2 only to divide it back out.  Its even part
+is AA + BB * q2, with AA = A1 A2 and BB = B1 B2, and q2 divides it exactly
+when it divides AA, so the first drop of p is (AA/q2 + BB, AB/q2, p - 1).
+``div_2b1`` applies the same rule to its even part B * q2.  AA and BB are
+truncated to the least orders of their coefficients and q2's first, which
+are the orders the division of the whole even part uses (a coefficient
+that would cancel in that sum still counts, as a zero term keeps its
+budgets in a sum), and the canonical form is unique, so the result is the
+one the long-hand formula gives.  When a first drop is refused, the result
+is the long-hand form at the full power, and no normalisation repeats the
+refused division.
+
 Reality.  The weighted Laplacian and its DN maps send real functions to real
 functions, so every symbol here satisfies s(x, -xi) = conj s(x, xi)
 (Hoermander, The Analysis of Linear Partial Differential Operators III,
@@ -171,6 +183,12 @@ class XiPoly:
         c = self.c if self.imag else {e: -v for e, v in self.c.items()}
         return XiPoly._make(self.nxi, self.deg, c, not self.imag)
 
+    def truncated(self, kr: int, ky: int) -> "XiPoly":
+        """Every coefficient truncated to at most orders (kr, ky)."""
+        if all(v.kr <= kr and v.ky <= ky for v in self.c.values()):
+            return self
+        return self.map_coeffs(lambda v: v.truncated(kr, ky))
+
     def map_coeffs(self, fn) -> "XiPoly":
         """Apply a real-linear map to every coefficient, keeping the phase."""
         out = {}
@@ -231,8 +249,9 @@ class SymbolContext:
 
     Built from the inverse tangential metric g^{ab} (a symmetric matrix of
     real jets); caches the quadratic form q2 as a polynomial, its xi- and
-    base-derivatives, and the reciprocal of its leading coefficient, which
-    drives exact division during normalisation.
+    base-derivatives, the reciprocal of its leading coefficient, which
+    drives exact division during normalisation, and its values and their
+    reciprocals at the fibre points symbols are evaluated at.
     """
 
     __slots__ = (
@@ -246,6 +265,7 @@ class SymbolContext:
         "_q2_base",
         "_lead_inv",
         "_q2_values",
+        "_q2_inverses",
         "_q2_base_point",
     )
 
@@ -273,6 +293,7 @@ class SymbolContext:
         self._q2_base = {}
         self._lead_inv = None
         self._q2_values = {}
+        self._q2_inverses = {}
         self._q2_base_point = None
 
     def q2_base_partial(self, direction: int) -> XiPoly:
@@ -297,6 +318,14 @@ class SymbolContext:
             self._q2_values[key] = val
         return val
 
+    def q2_inverse(self, xi) -> Jet:
+        """1 / q2 at a rational fibre point, as a real jet."""
+        key = tuple(xi)
+        val = self._q2_inverses.get(key)
+        if val is None:
+            val = self._q2_inverses[key] = self.q2_value(xi).reciprocal()
+        return val
+
     def same_structure(self, other: "SymbolContext") -> bool:
         if self is other:
             return True
@@ -309,6 +338,16 @@ class SymbolContext:
         )
 
     # exact polynomial division by q2 (or None if not divisible) -----------
+
+    def common_orders(self, *polys: XiPoly) -> tuple[int, int]:
+        """The least truncation orders among q2's and the coefficients of
+        ``polys``, at which ``divide_by_q2`` divides any one of them."""
+        kr, ky = self.kr, self.ky
+        for poly in polys:
+            for v in poly.c.values():
+                kr = min(kr, v.kr)
+                ky = min(ky, v.ky)
+        return kr, ky
 
     def divide_by_q2(self, poly: XiPoly) -> XiPoly | None:
         """The quotient Q with poly = q2 * Q, or None if there is none.
@@ -324,12 +363,7 @@ class SymbolContext:
         and poly's coefficients, so every coefficient is truncated to them
         first: one the division never touches must not keep terms beyond.
         """
-        kr, ky = self.kr, self.ky
-        for v in poly.c.values():
-            kr = min(kr, v.kr)
-            ky = min(ky, v.ky)
-        if any(v.kr != kr or v.ky != ky for v in poly.c.values()):
-            poly = poly.map_coeffs(lambda v: v.truncated(kr, ky))
+        poly = poly.truncated(*self.common_orders(poly))
         if poly.is_zero:
             return XiPoly._make(poly.nxi, poly.deg - 2, {}, poly.imag)
         if poly.deg < 2:
@@ -384,10 +418,7 @@ class SymbolContext:
         Gauss's lemma makes the quotient of an exact division integral, so
         a leading coefficient that q2(0)'s own does not divide refuses too.
         """
-        kr, ky = self.kr, self.ky
-        for v in poly.c.values():
-            kr = min(kr, v.kr)
-            ky = min(ky, v.ky)
+        kr, ky = self.common_orders(poly)
         low = None
         # monomial key -> {xi exponent: (numerator, den)}
         parts: dict = {}
@@ -631,13 +662,27 @@ class HomSymbol:
 
     def __mul__(self, other: "HomSymbol") -> "HomSymbol":
         self._check(other)
+        ctx = self.ctx
         deg = self.degree + other.degree
         kr, ky = self._budgets_with(other)
         if self.is_zero or other.is_zero:
-            return HomSymbol.zero(self.ctx, deg, kr, ky)
-        a = self.a * other.a + (self.b * other.b) * self.ctx.q2
-        b = self.a * other.b + self.b * other.a
-        return HomSymbol(self.ctx, deg, a, b, self.p + other.p, kr, ky).normalized()
+            return HomSymbol.zero(ctx, deg, kr, ky)
+        aa = self.a * other.a
+        bb = self.b * other.b
+        ab = self.a * other.b + self.b * other.a
+        p = self.p + other.p
+        if p:
+            # (AA + BB q2) / q2 = AA / q2 + BB, at the orders of AA + BB q2
+            qab = ctx.divide_by_q2(ab)
+            if qab is not None:
+                dkr, dky = ctx.common_orders(aa, bb)
+                qaa = ctx.divide_by_q2(aa.truncated(dkr, dky))
+                if qaa is not None:
+                    even = qaa + bb.truncated(dkr, dky)
+                    return HomSymbol(ctx, deg, even, qab, p - 1, kr, ky).normalized()
+        out = HomSymbol(ctx, deg, aa + bb * ctx.q2, ab, p, kr, ky)
+        # a refused first drop is not tried again
+        return out if p else out.normalized()
 
     def scale(self, factor) -> "HomSymbol":
         kr, ky = self.kr, self.ky
@@ -727,11 +772,18 @@ class HomSymbol:
 
     def div_2b1(self) -> "HomSymbol":
         """Division by twice the principal factor b1 = -w, i.e. multiplication
-        by -w/(2 q2)."""
-        na = (self.b * self.ctx.q2).scale(Fraction(-1, 2))
-        nb = self.a.scale(Fraction(-1, 2))
-        kr, ky = min(self.kr, self.ctx.kr), min(self.ky, self.ctx.ky)
-        return HomSymbol(self.ctx, self.degree - 1, na, nb, self.p + 1, kr, ky).normalized()
+        by -w/(2 q2): (-B q2 - A w) / (2 q2^(p+1)), which is
+        (-B - (A/q2) w) / (2 q2^p) when q2 divides A."""
+        ctx = self.ctx
+        kr, ky = min(self.kr, ctx.kr), min(self.ky, ctx.ky)
+        half = Fraction(-1, 2)
+        nb = self.a.scale(half)
+        qa = ctx.divide_by_q2(nb)
+        if qa is None:
+            na = (self.b * ctx.q2).scale(half)
+            return HomSymbol(ctx, self.degree - 1, na, nb, self.p + 1, kr, ky)
+        na = self.b.scale(half).truncated(*ctx.common_orders(self.b))
+        return HomSymbol(ctx, self.degree - 1, na, qa, self.p, kr, ky).normalized()
 
     def restricted_to_boundary(self, bctx: SymbolContext) -> "HomSymbol":
         kr = 0 if self.kr < UNRESTRICTED else UNRESTRICTED
@@ -756,7 +808,7 @@ class HomSymbol:
         av = self.a.evaluate(xi, ctx.space, kr, ky)
         bv = self.b.evaluate(xi, ctx.space, kr, ky)
         if self.p:
-            inv = ctx.q2_value(xi).reciprocal()
+            inv = ctx.q2_inverse(xi)
             for _ in range(self.p):
                 av = av * inv
                 bv = bv * inv

@@ -5,8 +5,9 @@ so that a test can check that an answer does not depend on the choice.
 """
 
 from dataclasses import replace
+from fractions import Fraction
 
-from dncalc.symbols import XiPoly
+from dncalc.symbols import HomSymbol, XiPoly
 
 
 def with_budgets(jet, kr, ky):
@@ -35,3 +36,25 @@ def rescaled(dn, unit):
     sym = dn.symbol.map_components(lambda s: s.scale(t))
     dsq = dn.density_sq * (t * t).reciprocal()
     return replace(dn, symbol=sym, density_sq=dsq)
+
+
+def long_hand_product(s, t):
+    """s * t by the defining formula: w * w rewritten to q2 in the even part,
+    then every common q2 factor divided back out by normalisation."""
+    ctx = s.ctx
+    deg = s.degree + t.degree
+    kr, ky = min(s.kr, t.kr), min(s.ky, t.ky)
+    if s.is_zero or t.is_zero:
+        return HomSymbol.zero(ctx, deg, kr, ky)
+    a = s.a * t.a + (s.b * t.b) * ctx.q2
+    b = s.a * t.b + s.b * t.a
+    return HomSymbol(ctx, deg, a, b, s.p + t.p, kr, ky).normalized()
+
+
+def long_hand_div_2b1(s):
+    """s times -w / (2 q2) by the defining formula, then normalised."""
+    ctx = s.ctx
+    a = (s.b * ctx.q2).scale(Fraction(-1, 2))
+    b = s.a.scale(Fraction(-1, 2))
+    kr, ky = min(s.kr, ctx.kr), min(s.ky, ctx.ky)
+    return HomSymbol(ctx, s.degree - 1, a, b, s.p + 1, kr, ky).normalized()

@@ -12,7 +12,7 @@ from dncalc.factorization import (
     verify_residual,
 )
 from dncalc.geometry import BoundaryMetricJet, GaugeData, gauge_s, gauge_sigma
-from dncalc.jets import JetSpace
+from dncalc.jets import Jet, JetSpace
 from dncalc.randomgen import random_instance
 from fractions import Fraction as mpq
 from dncalc.symbols import HomSymbol, SymbolContext, XiPoly
@@ -300,3 +300,24 @@ def test_n4_fault_detection_at_every_determined_grade(mode):
     bad = perturb_component(res, -1)
     fresh = replace(bad, symbol=bad.symbol.map_components(rebuilt))
     assert _defining_expression(bad) == _defining_expression(fresh)
+
+
+def test_a_verified_factorisation_stays_within_its_jet_product_count(monkeypatch):
+    # a work guard: the symbol products cancel w^2 = q2 from their parts, so
+    # a verified scalar and gauge-s pair at (5,4), depth 3, costs 2600 jet
+    # products; forming q2 * B1 B2 and dividing it back out cost 3032
+    metric, weight = random_instance(1000, kr=5, ky=4)
+    calls = [0]
+    multiply = Jet.__mul__
+
+    def counted(self, other):
+        calls[0] += 1
+        return multiply(self, other)
+
+    monkeypatch.setattr(Jet, "__mul__", counted)
+    results = [
+        factorize_scalar(metric, weight, 3),
+        factorize_gauge(metric, gauge_s(metric, weight), 3, weight=weight),
+    ]
+    assert all(verify_residual(res) is None for res in results)
+    assert calls[0] <= 2600

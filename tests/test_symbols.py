@@ -7,7 +7,7 @@ from dncalc.errors import IncompatibleJetsError
 from dncalc.jets import JetSpace
 from fractions import Fraction as mpq
 from dncalc.symbols import FormalSymbol, HomSymbol, SymbolContext, XiPoly, compose
-from helpers import eval_pair
+from helpers import eval_pair, long_hand_div_2b1, long_hand_product
 
 
 def euclidean_ctx(n=3, kr=4, ky=3):
@@ -426,3 +426,130 @@ def test_memoised_derivative_chains_equal_fresh_ones():
         assert sym.d_r() is sym.d_r()
         assert sym.d_r().a == rebuilt(sym).base_partial(0).a
         assert sym.d_r().b == rebuilt(sym).base_partial(0).b
+
+
+SHAPES = ("A", "B", "AB")
+
+
+def shaped(sym, shape):
+    """``sym`` with only the parts that ``shape`` names: A, B or both."""
+    nxi = sym.ctx.nxi
+    a = sym.a if "A" in shape else XiPoly(nxi, sym.a.deg, {}, sym.a.imag)
+    b = sym.b if "B" in shape else XiPoly(nxi, sym.b.deg, {}, sym.b.imag)
+    return HomSymbol(sym.ctx, sym.degree, a, b, sym.p, sym.kr, sym.ky)
+
+
+def assert_same_form(got, ref):
+    """Equal values, the same power and budgets, and the same coefficient
+    jets term by term, truncation orders included."""
+    assert got == ref
+    assert (got.degree, got.p, got.kr, got.ky) == (ref.degree, ref.p, ref.kr, ref.ky)
+    for g, r in ((got.a, ref.a), (got.b, ref.b)):
+        assert g.c.keys() == r.c.keys()
+        for e, v in g.c.items():
+            assert (v.kr, v.ky, v.den, v.num) == (r.c[e].kr, r.c[e].ky, r.c[e].den, r.c[e].num)
+
+
+def part_factors(rng, ctx):
+    """Factors of every part shape, keyed by (shape, kind of factor): "p1"
+    over q2, "p0" a polynomial, and "q2" a polynomial whose numerator holds
+    q2, so that a product with a "p1" factor drops its first power."""
+    q2 = HomSymbol.q2_symbol(ctx)
+    out = {}
+    for shape in SHAPES:
+        kind = rng.randint(0, 1)
+        over = random_symbol(rng, ctx, rng.choice([0, -1]), p=1, kind=kind)
+        poly = random_symbol(rng, ctx, rng.choice([0, 1]), p=0, kind=kind)
+        assert over.p == 1
+        out[shape, "p1"] = shaped(over, shape)
+        out[shape, "p0"] = shaped(poly, shape)
+        out[shape, "q2"] = long_hand_product(q2, shaped(poly, shape))
+    return out
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_a_product_and_div_2b1_equal_the_long_hand_formula(n):
+    rng = random.Random(47 + n)
+    ctx = random_ctx(rng, n=n)
+    factors = part_factors(rng, ctx)
+    sp = ctx.space
+    deep = sp.jet({(0,) * n: 2, (ctx.kr + 1,) + (0,) * (n - 1): 3}, ctx.kr + 1, ctx.ky + 1)
+    extra = [HomSymbol.q2_symbol(ctx), HomSymbol.from_jet(ctx, deep)]
+    lowered = set()
+    for (s1, k1), f in factors.items():
+        for (s2, k2), g in factors.items():
+            if k1 == "q2" and k2 == "q2":
+                continue
+            ref = long_hand_product(f, g)
+            assert_same_form(f * g, ref)
+            if ref.p < f.p + g.p:
+                lowered.add((s1, k1, s2, k2))
+        for g in extra:
+            assert_same_form(f * g, long_hand_product(f, g))
+            assert_same_form(g * f, long_hand_product(g, f))
+        assert_same_form(f.div_2b1(), long_hand_div_2b1(f))
+    for g in extra:
+        assert_same_form(g.div_2b1(), long_hand_div_2b1(g))
+    # first drops with B1 B2 nonzero: w^2 / q2 alone, and over q2 times q2
+    assert {("B", "p1", "B", "p0"), ("B", "p1", "AB", "q2"), ("AB", "q2", "AB", "p1")} <= lowered
+    # div_2b1 drops a power when q2 divides A, and keeps it when not
+    assert factors["A", "q2"].div_2b1().p == 0
+    assert factors["A", "p0"].div_2b1().p == 1
+
+
+def test_a_refused_first_drop_divides_by_q2_at_most_twice(monkeypatch):
+    # B1 = 0 and B2 holds q2, so A1 B2 divides and A1 A2 does not
+    rng = random.Random(53)
+    ctx = random_ctx(rng)
+    f = shaped(random_symbol(rng, ctx, 0, p=1, kind=0), "A")
+    g = random_symbol(rng, ctx, 3, p=0, kind=0)
+    y = XiPoly(ctx.nxi, 0, {(0,) * ctx.nxi: ctx.space.coordinate(0, ctx.kr, ctx.ky)}, g.b.imag)
+    g = HomSymbol(ctx, 3, g.a, ctx.q2 * y, 0)
+    assert f.p == 1 and not g.a.is_zero
+    ref = long_hand_product(f, g)
+    calls = [0]
+    divide = SymbolContext.divide_by_q2
+
+    def counted(self, poly):
+        calls[0] += 1
+        return divide(self, poly)
+
+    monkeypatch.setattr(SymbolContext, "divide_by_q2", counted)
+    got = f * g
+    assert calls[0] <= 2
+    assert got.p == 1
+    assert_same_form(got, ref)
+
+
+def test_a_first_drop_divides_at_the_orders_of_the_whole_even_part():
+    # f = (A1 + B1 w) / q2 and g = xi_1 + i w, whose parts' coefficients
+    # stop at different radial orders: the even part AA + BB q2 of f * g
+    # divides at its least orders, which BB sets in the first product and
+    # AA in the second
+    ctx = random_ctx(random.Random(59))
+    sp, nxi, kr, ky = ctx.space, ctx.nxi, ctx.kr, ctx.ky
+    one, r = sp.one(kr, ky), sp.coordinate(0, kr, ky)
+    low = sp.one(kr - 1, ky)
+    x = XiPoly(nxi, 1, {(1, 0): one, (0, 1): r})
+    g = HomSymbol(ctx, 1, XiPoly(nxi, 1, {(1, 0): one}), XiPoly(nxi, 0, {(0, 0): one}, True), 0)
+    # A1 = q2 x + r^kr xi_2^3 is a multiple of q2 only below radial order kr
+    rk = sp.jet({(kr, 0, 0): 1}, kr, ky)
+    a1 = ctx.q2 * x + XiPoly(nxi, 3, {(0, 3): rk})
+    b1 = ctx.q2 * XiPoly(nxi, 0, {(0, 0): low}, True)
+    f = HomSymbol(ctx, 1, a1, b1, 1, kr, ky)
+    got, ref = f * g, long_hand_product(f, g)
+    assert ref.p == 0
+    assert_same_form(got, ref)
+    # A1 stops at radial order kr - 1 and B1 at kr
+    a1 = (ctx.q2 * x).truncated(kr - 1, ky)
+    b1 = ctx.q2 * XiPoly(nxi, 0, {(0, 0): one + r}, True)
+    f = HomSymbol(ctx, 1, a1, b1, 1, kr, ky)
+    got, ref = f * g, long_hand_product(f, g)
+    assert ref.p == 0
+    assert_same_form(got, ref)
+    # div_2b1 of q2 x + B w, where B's coefficients stop at both orders
+    b = XiPoly(nxi, 2, {(2, 0): low, (0, 2): one + r}, True)
+    h = HomSymbol(ctx, 3, ctx.q2 * x, b, 0, kr, ky)
+    got, ref = h.div_2b1(), long_hand_div_2b1(h)
+    assert ref.p == 0
+    assert_same_form(got, ref)
