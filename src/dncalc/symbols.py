@@ -25,14 +25,14 @@ xi-polynomial at each order-k monomial of P must be a multiple of q2(0).
 A product never multiplies by q2 only to divide it back out.  Its even part
 is AA + BB * q2, with AA = A1 A2 and BB = B1 B2, and q2 divides it exactly
 when it divides AA, so the first drop of p is (AA/q2 + BB, AB/q2, p - 1).
-``div_2b1`` applies the same rule to its even part B * q2.  AA and BB are
-truncated to the least orders of their coefficients and q2's first, which
-are the orders the division of the whole even part uses (a coefficient
-that would cancel in that sum still counts, as a zero term keeps its
-budgets in a sum), and the canonical form is unique, so the result is the
-one the long-hand formula gives.  When a first drop is refused, the result
-is the long-hand form at the full power, and no normalisation repeats the
-refused division.
+``div_2b1`` is the product with -w/(2 q2), so it divides A by q2 before it
+would form B * q2.  AA and BB are first truncated to the least orders of
+their coefficients and q2's, which are the orders the division of the whole
+even part uses (a coefficient that would cancel in that sum still counts,
+as a zero term keeps its budgets in a sum), and the canonical form is
+unique, so the result is the one the long-hand formula gives.  When a first
+drop is refused, the result is the long-hand form at the full power, and no
+normalisation repeats the refused division.
 
 Reality.  The weighted Laplacian and its DN maps send real functions to real
 functions, so every symbol here satisfies s(x, -xi) = conj s(x, xi)
@@ -771,19 +771,15 @@ class HomSymbol:
         return self._derivative("base_partial", 0)
 
     def div_2b1(self) -> "HomSymbol":
-        """Division by twice the principal factor b1 = -w, i.e. multiplication
-        by -w/(2 q2): (-B q2 - A w) / (2 q2^(p+1)), which is
-        (-B - (A/q2) w) / (2 q2^p) when q2 divides A."""
+        """Division by twice the principal factor b1 = -w, i.e. the product
+        with the symbol -w/(2 q2)."""
         ctx = self.ctx
-        kr, ky = min(self.kr, ctx.kr), min(self.ky, ctx.ky)
-        half = Fraction(-1, 2)
-        nb = self.a.scale(half)
-        qa = ctx.divide_by_q2(nb)
-        if qa is None:
-            na = (self.b * ctx.q2).scale(half)
-            return HomSymbol(ctx, self.degree - 1, na, nb, self.p + 1, kr, ky)
-        na = self.b.scale(half).truncated(*ctx.common_orders(self.b))
-        return HomSymbol(ctx, self.degree - 1, na, qa, self.p, kr, ky).normalized()
+        half = ctx.space.constant(Fraction(-1, 2), ctx.kr, ctx.ky)
+        factor = HomSymbol(
+            ctx, -1, XiPoly(ctx.nxi, 1, {}), XiPoly(ctx.nxi, 0, {(0,) * ctx.nxi: half}), 1,
+            ctx.kr, ctx.ky,
+        )
+        return self * factor
 
     def restricted_to_boundary(self, bctx: SymbolContext) -> "HomSymbol":
         kr = 0 if self.kr < UNRESTRICTED else UNRESTRICTED

@@ -304,7 +304,7 @@ def test_n4_fault_detection_at_every_determined_grade(mode):
 
 def test_a_verified_factorisation_stays_within_its_jet_product_count(monkeypatch):
     # a work guard: the symbol products cancel w^2 = q2 from their parts, so
-    # a verified scalar and gauge-s pair at (5,4), depth 3, costs 2600 jet
+    # a verified scalar and gauge-s pair at (5,4), depth 3, costs 2640 jet
     # products; forming q2 * B1 B2 and dividing it back out cost 3032
     metric, weight = random_instance(1000, kr=5, ky=4)
     calls = [0]
@@ -320,4 +320,4 @@ def test_a_verified_factorisation_stays_within_its_jet_product_count(monkeypatch
         factorize_gauge(metric, gauge_s(metric, weight), 3, weight=weight),
     ]
     assert all(verify_residual(res) is None for res in results)
-    assert calls[0] <= 2600
+    assert calls[0] <= 2640
