@@ -773,13 +773,8 @@ class HomSymbol:
     def div_2b1(self) -> "HomSymbol":
         """Division by twice the principal factor b1 = -w, i.e. the product
         with the symbol -w/(2 q2)."""
-        ctx = self.ctx
-        half = ctx.space.constant(Fraction(-1, 2), ctx.kr, ctx.ky)
-        factor = HomSymbol(
-            ctx, -1, XiPoly(ctx.nxi, 1, {}), XiPoly(ctx.nxi, 0, {(0,) * ctx.nxi: half}), 1,
-            ctx.kr, ctx.ky,
-        )
-        return self * factor
+        w = HomSymbol.xi_norm(self.ctx)
+        return self * HomSymbol(self.ctx, -1, w.a, w.b.scale(Fraction(-1, 2)), 1, w.kr, w.ky)
 
     def restricted_to_boundary(self, bctx: SymbolContext) -> "HomSymbol":
         kr = 0 if self.kr < UNRESTRICTED else UNRESTRICTED
