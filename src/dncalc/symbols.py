@@ -22,17 +22,18 @@ base point to the same (r, y) order k as P does (q2's leading coefficient is
 a unit), and the order-k part of P is q2(0) times that of Q.  So the rational
 xi-polynomial at each order-k monomial of P must be a multiple of q2(0).
 
-A product never multiplies by q2 only to divide it back out.  Its even part
-is AA + BB * q2, with AA = A1 A2 and BB = B1 B2, and q2 divides it exactly
-when it divides AA, so the first drop of p is (AA/q2 + BB, AB/q2, p - 1).
-``div_2b1`` is the product with -w/(2 q2), so it divides A by q2 before it
-would form B * q2.  AA and BB are first truncated to the least orders of
-their coefficients and q2's, which are the orders the division of the whole
-even part uses (a coefficient that would cancel in that sum still counts,
-as a zero term keeps its budgets in a sum), and the canonical form is
-unique, so the result is the one the long-hand formula gives.  When a first
-drop is refused, the result is the long-hand form at the full power, and no
-normalisation repeats the refused division.
+One rule lowers p.  Each operation states its result as parts (A_k, B_k, k)
+over q2^k: a product is (A1 A2, A1 B2 + B1 A2, p) plus (B1 B2, 0, p - 1), as
+w^2 = q2; a derivative is (dA, dB, p) plus (-p A dq2, (1 - 2p)/2 B dq2,
+p + 1); a sum is its terms.  ``HomSymbol._from_parts`` alone divides by q2.
+As q2 divides N + q2 L exactly when it divides N, only the numerator at the
+top power is divided, the next power's parts join the quotient, and at a
+refused drop the lower parts are multiplied up to the current power.  The
+parts are first truncated to the budgets, and each parity divides at the
+least orders of q2 and its parts, those of its whole numerator, so the form
+is the long-hand formula's.  Only where the long hand's least-order
+coefficients all cancel does it divide at higher orders; the parts keep the
+cancelled orders, as a zero term keeps its budgets in a sum.
 
 Reality.  The weighted Laplacian and its DN maps send real functions to real
 functions, so every symbol here satisfies s(x, -xi) = conj s(x, xi)
@@ -589,25 +590,48 @@ class HomSymbol:
     def is_zero(self):
         return self.a.is_zero and self.b.is_zero
 
-    def normalized(self) -> "HomSymbol":
-        """Minimal denominator power; prunes zero terms (w^2 -> q2 is
-        structural through the even/odd split)."""
-        a, b, p = self.a, self.b, self.p
-        while p > 0 and not (a.is_zero and b.is_zero):
-            qb = self.ctx.divide_by_q2(b)
+    @staticmethod
+    def _from_parts(ctx: SymbolContext, degree: int, parts, kr: int, ky: int) -> "HomSymbol":
+        """The canonical form of sum_k (A_k + B_k w) / q2^k over the parts
+        (A_k, B_k, k), k >= -1, with budgets (kr, ky), by the rule of the
+        module docstring.  The odd part is divided first."""
+        powers: dict = {}
+        for a, b, k in parts:
+            a, b = a.truncated(kr, ky), b.truncated(kr, ky)
+            if k in powers:
+                a, b = powers[k][0] + a, powers[k][1] + b
+            powers[k] = (a, b)
+        if not powers:
+            return HomSymbol.zero(ctx, degree, kr, ky)
+        ka = ctx.common_orders(*(a for a, _ in powers.values()))
+        kb = ctx.common_orders(*(b for _, b in powers.values()))
+        p = max(powers)
+        a, b = powers.pop(p)
+        while p > 0:
+            qb = ctx.divide_by_q2(b.truncated(*kb))
             if qb is None:
                 break
-            qa = self.ctx.divide_by_q2(a)
+            qa = ctx.divide_by_q2(a.truncated(*ka))
             if qa is None:
                 break
-            a, b, p = qa, qb, p - 1
+            p -= 1
+            powers = {k: (pa.truncated(*ka), pb.truncated(*kb)) for k, (pa, pb) in powers.items()}
+            a, b = qa, qb
+            if p in powers:
+                pa, pb = powers.pop(p)
+                a, b = a + pa, b + pb
+        for k, (pa, pb) in powers.items():
+            for _ in range(p - k):
+                pa, pb = pa * ctx.q2, pb * ctx.q2
+            a, b = a + pa, b + pb
         if a.is_zero and b.is_zero:
-            p = 0
-            a = XiPoly(self.ctx.nxi, self.degree, {})
-            b = XiPoly(self.ctx.nxi, self.degree - 1, {})
-        if p == self.p and a is self.a and b is self.b:
-            return self
-        return HomSymbol(self.ctx, self.degree, a, b, p, self.kr, self.ky)
+            return HomSymbol.zero(ctx, degree, kr, ky)
+        return HomSymbol(ctx, degree, a, b, p, kr, ky)
+
+    def normalized(self) -> "HomSymbol":
+        """The canonical form: the least denominator power."""
+        parts = [(self.a, self.b, self.p)]
+        return HomSymbol._from_parts(self.ctx, self.degree, parts, self.kr, self.ky)
 
     def _check(self, other: "HomSymbol"):
         if self.ctx is not other.ctx and not self.ctx.same_structure(other.ctx):
@@ -615,11 +639,11 @@ class HomSymbol:
 
     @staticmethod
     def sum(terms, ctx: SymbolContext, degree: int) -> "HomSymbol":
-        """Sum of same-degree symbols with one final normalisation instead of
-        one per pairwise addition.  Its budgets are the least of every
-        term's, a zero term's included (see the class docstring)."""
+        """Sum of same-degree symbols in one canonical form.  Its budgets are
+        the least of every term's, a zero term's included (see the class
+        docstring)."""
         kr = ky = UNRESTRICTED
-        nonzero = []
+        parts = []
         for t in terms:
             if t.degree != degree:
                 raise IncompatibleJetsError(
@@ -627,26 +651,8 @@ class HomSymbol:
                 )
             kr, ky = min(kr, t.kr), min(ky, t.ky)
             if not t.is_zero:
-                nonzero.append(t)
-        if not nonzero:
-            return HomSymbol.zero(ctx, degree, kr, ky)
-        p = max(t.p for t in nonzero)
-        acc_a = None
-        acc_b = None
-        for t in nonzero:
-            r = t._raise_p(p)
-            acc_a = r.a if acc_a is None else acc_a + r.a
-            acc_b = r.b if acc_b is None else acc_b + r.b
-        return HomSymbol(ctx, degree, acc_a, acc_b, p, kr, ky).normalized()
-
-    def _raise_p(self, p: int) -> "HomSymbol":
-        if p == self.p:
-            return self
-        a, b = self.a, self.b
-        for _ in range(p - self.p):
-            a = a * self.ctx.q2
-            b = b * self.ctx.q2
-        return HomSymbol(self.ctx, self.degree, a, b, p, self.kr, self.ky)
+                parts.append((t.a, t.b, t.p))
+        return HomSymbol._from_parts(ctx, degree, parts, kr, ky)
 
     # -- ring operations --------------------------------------------------------
 
@@ -667,22 +673,14 @@ class HomSymbol:
         kr, ky = self._budgets_with(other)
         if self.is_zero or other.is_zero:
             return HomSymbol.zero(ctx, deg, kr, ky)
-        aa = self.a * other.a
+        # w * w = q2 puts B1 B2 one power lower
         bb = self.b * other.b
-        ab = self.a * other.b + self.b * other.a
         p = self.p + other.p
-        if p:
-            # (AA + BB q2) / q2 = AA / q2 + BB, at the orders of AA + BB q2
-            qab = ctx.divide_by_q2(ab)
-            if qab is not None:
-                dkr, dky = ctx.common_orders(aa, bb)
-                qaa = ctx.divide_by_q2(aa.truncated(dkr, dky))
-                if qaa is not None:
-                    even = qaa + bb.truncated(dkr, dky)
-                    return HomSymbol(ctx, deg, even, qab, p - 1, kr, ky).normalized()
-        out = HomSymbol(ctx, deg, aa + bb * ctx.q2, ab, p, kr, ky)
-        # a refused first drop is not tried again
-        return out if p else out.normalized()
+        parts = [
+            (self.a * other.a, self.a * other.b + self.b * other.a, p),
+            (bb, XiPoly(ctx.nxi, bb.deg - 1), p - 1),
+        ]
+        return HomSymbol._from_parts(ctx, deg, parts, kr, ky)
 
     def scale(self, factor) -> "HomSymbol":
         kr, ky = self.kr, self.ky
@@ -707,14 +705,12 @@ class HomSymbol:
     def _quotient_rule(self, degree: int, da: XiPoly, db: XiPoly, dq2: XiPoly,
                        kr: int, ky: int) -> "HomSymbol":
         """The derivative of (A + B w)/q2^p, given those of A, B and q2, as a
-        symbol of ``degree`` over q2^(p+1) with budgets (kr, ky)."""
-        ctx = self.ctx
+        symbol of ``degree`` with budgets (kr, ky)."""
+        p = self.p
         # B w / q2^p: w gives B dq2 w / (2 q2), and q2^-p gives -p B dq2 w / q2
-        na = da * ctx.q2
-        nb = db * ctx.q2 + (self.b * dq2).scale(Fraction(1 - 2 * self.p, 2))
-        if self.p:
-            na = na - (self.a * dq2).scale(self.p)
-        return HomSymbol(ctx, degree, na, nb, self.p + 1, kr, ky).normalized()
+        ea = (self.a * dq2).scale(-p) if p else XiPoly(self.ctx.nxi, da.deg + 2)
+        eb = (self.b * dq2).scale(Fraction(1 - 2 * p, 2))
+        return HomSymbol._from_parts(self.ctx, degree, [(da, db, p), (ea, eb, p + 1)], kr, ky)
 
     def xi_partial(self, a: int) -> "HomSymbol":
         """d/d xi_a; the degree drops by one."""

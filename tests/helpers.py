@@ -7,7 +7,7 @@ so that a test can check that an answer does not depend on the choice.
 from dataclasses import replace
 from fractions import Fraction
 
-from dncalc.symbols import HomSymbol, XiPoly
+from dncalc.symbols import UNRESTRICTED, HomSymbol, XiPoly
 
 
 def with_budgets(jet, kr, ky):
@@ -51,6 +51,45 @@ def long_hand_product(s, t):
     return HomSymbol(ctx, deg, a, b, s.p + t.p, kr, ky).normalized()
 
 
+def long_hand_quotient_rule(s, name, direction):
+    """``getattr(s, name)(direction)`` for ``xi_partial`` or ``base_partial``
+    by the quotient rule on (A + B w)/q2^p: (dA q2 - p A dq2,
+    dB q2 + (1 - 2p)/2 B dq2) over q2^(p+1), then normalised."""
+    ctx, p = s.ctx, s.p
+    kr, ky = min(s.kr, ctx.kr), min(s.ky, ctx.ky)
+    if name == "xi_partial":
+        degree, dq2 = s.degree - 1, ctx.q2_xi[direction]
+    else:
+        degree, dq2 = s.degree, ctx.q2_base_partial(direction)
+        kr, ky = (kr - 1, ky) if direction == 0 else (kr, ky - 1)
+    da, db = getattr(s.a, name)(direction), getattr(s.b, name)(direction)
+    na = da * ctx.q2
+    nb = db * ctx.q2 + (s.b * dq2).scale(Fraction(1 - 2 * p, 2))
+    if p:
+        na = na - (s.a * dq2).scale(p)
+    return HomSymbol(ctx, degree, na, nb, p + 1, kr, ky).normalized()
+
+
+def long_hand_sum(terms, ctx, degree):
+    """HomSymbol.sum by the defining formula: every nonzero term raised to
+    the top power by products with q2, the numerators added, then
+    normalised.  The budgets are the least of every term's."""
+    kr = min([t.kr for t in terms], default=UNRESTRICTED)
+    ky = min([t.ky for t in terms], default=UNRESTRICTED)
+    nonzero = [t for t in terms if not t.is_zero]
+    if not nonzero:
+        return HomSymbol.zero(ctx, degree, kr, ky)
+    top = max(t.p for t in nonzero)
+    acc_a = acc_b = None
+    for t in nonzero:
+        a, b = t.a, t.b
+        for _ in range(top - t.p):
+            a, b = a * ctx.q2, b * ctx.q2
+        acc_a = a if acc_a is None else acc_a + a
+        acc_b = b if acc_b is None else acc_b + b
+    return HomSymbol(ctx, degree, acc_a, acc_b, top, kr, ky).normalized()
+
+
 def long_hand_div_2b1(s):
     """s times -w / (2 q2) by the defining formula, then normalised."""
     ctx = s.ctx
@@ -58,3 +97,14 @@ def long_hand_div_2b1(s):
     b = s.a.scale(Fraction(-1, 2))
     kr, ky = min(s.kr, ctx.kr), min(s.ky, ctx.ky)
     return HomSymbol(ctx, s.degree - 1, a, b, s.p + 1, kr, ky).normalized()
+
+
+def assert_same_form(got, ref):
+    """Equal values, the same power and budgets, and the same coefficient
+    jets term by term, truncation orders included."""
+    assert got == ref
+    assert (got.degree, got.p, got.kr, got.ky) == (ref.degree, ref.p, ref.kr, ref.ky)
+    for g, r in ((got.a, ref.a), (got.b, ref.b)):
+        assert g.c.keys() == r.c.keys()
+        for e, v in g.c.items():
+            assert (v.kr, v.ky, v.den, v.num) == (r.c[e].kr, r.c[e].ky, r.c[e].den, r.c[e].num)

@@ -7,7 +7,15 @@ from dncalc.errors import IncompatibleJetsError
 from dncalc.jets import JetSpace
 from fractions import Fraction as mpq
 from dncalc.symbols import FormalSymbol, HomSymbol, SymbolContext, XiPoly, compose
-from helpers import eval_pair, long_hand_div_2b1, long_hand_product
+from helpers import (
+    assert_same_form,
+    eval_pair,
+    long_hand_div_2b1,
+    long_hand_product,
+    long_hand_quotient_rule,
+    long_hand_sum,
+    with_budgets,
+)
 
 
 def euclidean_ctx(n=3, kr=4, ky=3):
@@ -439,17 +447,6 @@ def shaped(sym, shape):
     return HomSymbol(sym.ctx, sym.degree, a, b, sym.p, sym.kr, sym.ky)
 
 
-def assert_same_form(got, ref):
-    """Equal values, the same power and budgets, and the same coefficient
-    jets term by term, truncation orders included."""
-    assert got == ref
-    assert (got.degree, got.p, got.kr, got.ky) == (ref.degree, ref.p, ref.kr, ref.ky)
-    for g, r in ((got.a, ref.a), (got.b, ref.b)):
-        assert g.c.keys() == r.c.keys()
-        for e, v in g.c.items():
-            assert (v.kr, v.ky, v.den, v.num) == (r.c[e].kr, r.c[e].ky, r.c[e].den, r.c[e].num)
-
-
 def part_factors(rng, ctx):
     """Factors of every part shape, keyed by (shape, kind of factor): "p1"
     over q2, "p0" a polynomial, and "q2" a polynomial whose numerator holds
@@ -498,16 +495,23 @@ def test_a_product_and_div_2b1_equal_the_long_hand_formula(n):
 
 
 def test_a_refused_first_drop_divides_by_q2_at_most_twice(monkeypatch):
-    # B1 = 0 and B2 holds q2, so A1 B2 divides and A1 A2 does not
+    # B1 = 0 and B2 holds q2, so A1 B2 divides and A1 A2 does not.  The
+    # derivative of the canonical f and its sum with a polynomial divide
+    # their zero odd part and are refused on the even one
     rng = random.Random(53)
     ctx = random_ctx(rng)
     f = shaped(random_symbol(rng, ctx, 0, p=1, kind=0), "A")
     g = random_symbol(rng, ctx, 3, p=0, kind=0)
     y = XiPoly(ctx.nxi, 0, {(0,) * ctx.nxi: ctx.space.coordinate(0, ctx.kr, ctx.ky)}, g.b.imag)
     g = HomSymbol(ctx, 3, g.a, ctx.q2 * y, 0)
+    h = random_symbol(rng, ctx, 0, p=0, kind=0)
     assert f.p == 1 and ctx.divide_by_q2(f.a * g.b) is not None
-    ref = long_hand_product(f, g)
-    assert ref.p == 1
+    cases = [
+        (lambda: f * g, long_hand_product(f, g)),
+        (lambda: f.xi_partial(0), long_hand_quotient_rule(f, "xi_partial", 0)),
+        (lambda: HomSymbol.sum([f, h], ctx, 0), long_hand_sum([f, h], ctx, 0)),
+    ]
+    assert [ref.p for _, ref in cases] == [1, 2, 1]
     calls = [0]
     divide = SymbolContext.divide_by_q2
 
@@ -516,10 +520,11 @@ def test_a_refused_first_drop_divides_by_q2_at_most_twice(monkeypatch):
         return divide(self, poly)
 
     monkeypatch.setattr(SymbolContext, "divide_by_q2", counted)
-    got = f * g
-    assert calls[0] <= 2
-    assert got.p == 1
-    assert_same_form(got, ref)
+    for op, ref in cases:
+        calls[0] = 0
+        got = op()
+        assert calls[0] <= 2
+        assert_same_form(got, ref)
 
 
 def test_a_first_drop_divides_at_the_orders_of_the_whole_even_part():
@@ -554,3 +559,79 @@ def test_a_first_drop_divides_at_the_orders_of_the_whole_even_part():
     got, ref = h.div_2b1(), long_hand_div_2b1(h)
     assert ref.p == 0
     assert_same_form(got, ref)
+
+
+def over_q2(sym):
+    """``sym`` over one more power of q2, with q2 times its numerators, so
+    that the top numerators of its derivatives divide."""
+    ctx = sym.ctx
+    return HomSymbol(ctx, sym.degree, ctx.q2 * sym.a, ctx.q2 * sym.b, sym.p + 1, sym.kr, sym.ky)
+
+
+def assert_derivatives_equal_the_long_hand_formula(sym):
+    for a in range(sym.ctx.nxi):
+        assert_same_form(sym.xi_partial(a), long_hand_quotient_rule(sym, "xi_partial", a))
+    for d in range(sym.ctx.space.n):
+        assert_same_form(sym.base_partial(d), long_hand_quotient_rule(sym, "base_partial", d))
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_a_derivative_and_a_sum_equal_the_long_hand_formula(n):
+    rng = random.Random(61 + n)
+    # radial_ctx depends on r alone, so d q2 / dy = 0
+    for ctx in (random_ctx(rng, n=n), radial_ctx(n)):
+        sp, nxi, kr, ky = ctx.space, ctx.nxi, ctx.kr, ctx.ky
+        zero = (0,) * n
+        deep = sp.jet({zero: 2, (1,) + zero[1:]: 3, (kr + 1,) + zero[1:]: 1}, kr + 1, ky + 1)
+        syms = [HomSymbol.from_jet(ctx, deep)]
+        for p in (0, 1, 2):
+            for shape in SHAPES:
+                sym = shaped(random_symbol(rng, ctx, rng.choice([0, -1]), p=p), shape)
+                assert sym.p == p
+                syms += [sym, over_q2(sym)]
+        # coefficients that stop at different orders: the quotient of the
+        # top numerator joins dA at the least of them
+        low, one = sp.one(kr - 1, ky) + sp.coordinate(1, kr - 1, ky), sp.one(kr, ky)
+        e1, e2 = (1,) + (0,) * (nxi - 1), (0,) * (nxi - 1) + (1,)
+        x = XiPoly(nxi, 1, {e1: low, e2: one + sp.coordinate(0, kr, ky)})
+        y = XiPoly(nxi, 0, {(0,) * nxi: one - sp.coordinate(n - 1, kr, ky)}, True)
+        syms.append(HomSymbol(ctx, -1, ctx.q2 * x, ctx.q2 * y, 2, kr, ky))
+        for sym in syms:
+            assert_derivatives_equal_the_long_hand_formula(sym)
+        # the one departure from the long hand: the parts divide at the
+        # orders of all their coefficients, the long hand at those of the
+        # coefficients its sum keeps.  d/d xi_n-1 of (q2 x)/q2 cancels the
+        # low-order term of x in value; where no other term shares its
+        # monomials (radial_ctx), the long hand drops those orders, and the
+        # parts keep them
+        sym = HomSymbol(ctx, 1, ctx.q2 * x, ctx.q2 * y, 1, kr, ky)
+        got = sym.xi_partial(nxi - 1)
+        ref = long_hand_quotient_rule(sym, "xi_partial", nxi - 1)
+        assert got == ref and (got.p, got.kr, got.ky) == (ref.p, ref.kr, ref.ky)
+        assert {(v.kr, v.ky) for v in got.a.c.values()} == {(kr - 1, ky)}
+
+        def check_sum(terms):
+            got = HomSymbol.sum(terms, ctx, -1)
+            assert_same_form(got, long_hand_sum(terms, ctx, -1))
+            return got
+
+        t0, t1, t2 = (random_symbol(rng, ctx, -1, p=p, kind=1) for p in (0, 1, 2))
+        f = random_symbol(rng, ctx, -1, p=1, kind=1)
+        # q2 f.a - t2.a over q2^2: the top numerators of t2 + u cancel to q2 f
+        u = HomSymbol(ctx, -1, ctx.q2 * f.a - t2.a, ctx.q2 * f.b - t2.b, 2)
+        assert check_sum([t2, u]).p < 2
+        assert check_sum([t2, u, t1, t0]).p < 2
+        for terms in ([t0, t2], [t1, t0], [t2, t1, t0], [t0, t1, t2, -t1]):
+            check_sum(terms)
+        # the top divides at the low orders of x and the power-1 term joins
+        # at them
+        hi = HomSymbol(ctx, -1, ctx.q2 * x, ctx.q2 * y, 2, kr, ky)
+        assert check_sum([hi, t1]).p < 2
+        # the term r^kr xi_(n-1)^3 blocks the division of the even part at
+        # radial order kr; a zero term's budgets truncate the sum below it
+        rk = sp.jet({(kr,) + zero[1:]: 1}, kr, ky)
+        xk = x.truncated(kr - 1, ky).map_coeffs(lambda c: with_budgets(c, kr, ky))
+        even = ctx.q2 * xk + XiPoly(nxi, 3, {(0,) * (nxi - 1) + (3,): rk})
+        v = HomSymbol(ctx, -1, even, ctx.q2 * y, 2)
+        assert HomSymbol.sum([v], ctx, -1).p == 2
+        assert check_sum([HomSymbol.zero(ctx, -1, kr - 1, ky), v]).p < 2
