@@ -16,7 +16,9 @@ which keeps every multi-index bound and combinatorial factor tied to one
 place; the verifier recombines the identity through the full asymptotic
 composition, with its own products and one sum per grade (the components'
 derivatives are memoised on them, so it shares those), and demands that
-every reliable grade vanish.
+every reliable grade vanish.  Neither forms a xi-chain d^K_xi s whose D_y
+partner (D^K_y s or D^K_y a_r) is zero: both take the term from
+``xi_derivative_times``, which returns the zero with the product's budgets.
 
 Residual grades are labelled by the component they determine (label = grade
 of the identity minus one), so a corrupted s_j trips the verifier at label j.
@@ -30,7 +32,15 @@ from itertools import combinations_with_replacement
 from .errors import BudgetExhaustedError, DepthError
 from .geometry import BoundaryMetricJet, GaugeData, compute_q_symbols, radial_drift
 from .jets import Jet
-from .symbols import FormalSymbol, HomSymbol, SymbolContext, XiPoly, compose, inv_factorial
+from .symbols import (
+    FormalSymbol,
+    HomSymbol,
+    SymbolContext,
+    XiPoly,
+    compose,
+    inv_factorial,
+    xi_derivative_times,
+)
 
 
 @dataclass(frozen=True)
@@ -89,19 +99,21 @@ class _Recursion:
                 left = self.comps[m]
                 for key in combinations_with_replacement(range(nxi), k):
                     right, imag = self.ar_deriv(key)
-                    term = left.xi_derivative(key).scale(right).scale(inv_factorial(key))
+                    term = xi_derivative_times(left, key, right).scale(inv_factorial(key))
                     terms.append(term.times_i() if imag else term)
-        for m in self.comps:
-            for l in self.comps:
+        for m, left in self.comps.items():
+            for l, right in self.comps.items():
                 k = m + l - gamma
-                if k < 0:
+                if k < 0 or (k == 0 and l < m):
                     continue
-                left, right = self.comps[m], self.comps[l]
+                if k == 0:
+                    # s_l s_m = s_m s_l: one product, added once per order
+                    term = left * right
+                    terms += [term] if l == m else [term, term]
+                    continue
                 for key in combinations_with_replacement(range(nxi), k):
-                    term = left.xi_derivative(key) * right.dy_derivative(key)
-                    if k:
-                        term = term.scale(inv_factorial(key))
-                    terms.append(term)
+                    term = xi_derivative_times(left, key, right.dy_derivative(key))
+                    terms.append(term.scale(inv_factorial(key)))
         return HomSymbol.sum(terms, ctx, gamma)
 
     def solve(self, depth: int) -> FormalSymbol:

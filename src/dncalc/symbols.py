@@ -54,7 +54,11 @@ a time.  A chain the factorisation recursion formed is a string of lookups
 when the verifier's ``compose`` asks for it again; the public ``xi_partial``
 and ``base_partial`` always compute.  The verifier shares only these values:
 every product, the K-sum with its 1/K! factors, the grade sums and the
-normalisation it still forms itself.
+normalisation it still forms itself.  Both take each term d^K_xi f D^K_y g
+from ``xi_derivative_times``, which looks at the D_y factor first: a
+xi-chain whose D_y partner is zero is never formed, so on a tangentially
+constant collar no xi-derivative is taken at all.  The zero it returns in
+its place keeps the budgets the product would have had.
 
 A FormalSymbol is a graded family of homogeneous symbols on a contiguous
 range of degrees; the asymptotic composition
@@ -477,6 +481,14 @@ def _base_value(jet: Jet, imag: bool) -> complex:
 UNRESTRICTED = 1 << 30
 
 
+def _over_q2(ctx: SymbolContext, poly: XiPoly, orders) -> XiPoly | None:
+    """poly / q2 divided at ``orders``, or None; a zero numerator's quotient
+    is the zero of degree two less, with no call to ``divide_by_q2``."""
+    if poly.is_zero:
+        return XiPoly._make(poly.nxi, poly.deg - 2, {}, poly.imag)
+    return ctx.divide_by_q2(poly.truncated(*orders))
+
+
 class HomSymbol:
     """Homogeneous symbol (A + B*w)/q2^p of a fixed degree.
 
@@ -608,10 +620,10 @@ class HomSymbol:
         p = max(powers)
         a, b = powers.pop(p)
         while p > 0:
-            qb = ctx.divide_by_q2(b.truncated(*kb))
+            qb = _over_q2(ctx, b, kb)
             if qb is None:
                 break
-            qa = ctx.divide_by_q2(a.truncated(*ka))
+            qa = _over_q2(ctx, a, ka)
             if qa is None:
                 break
             p -= 1
@@ -889,6 +901,26 @@ def inv_factorial(key) -> Fraction:
     return Fraction(1, mult)
 
 
+def xi_derivative_times(f: HomSymbol, key, right) -> HomSymbol:
+    """d^K_xi f times ``right``, for K the directions in ``key`` and
+    ``right`` the factor D^K_y g of a symbol (a HomSymbol) or of a real
+    multiplier (a Jet).
+
+    For |K| >= 1 the D_y factor is looked at first: if it is zero, so is the
+    product, and the chain d^K_xi f is never formed.  The zero keeps the
+    degree and budgets the product would have had (a zero term keeps its
+    budgets in a sum): every xi-step takes the least of the symbol's and
+    the context's budgets, and the product the least of those and
+    ``right``'s."""
+    if key and right.is_zero:
+        ctx = f.ctx
+        degree = f.degree - len(key) + (right.degree if isinstance(right, HomSymbol) else 0)
+        kr, ky = min(f.kr, ctx.kr, right.kr), min(f.ky, ctx.ky, right.ky)
+        return HomSymbol.zero(ctx, degree, kr, ky)
+    left = f.xi_derivative(key)
+    return left * right if isinstance(right, HomSymbol) else left.scale(right)
+
+
 def compose(f: FormalSymbol, g: FormalSymbol, lowest: int | None = None) -> FormalSymbol:
     """Asymptotic composition sum_K 1/K! d^K_xi f D^K_y g.
 
@@ -927,7 +959,7 @@ def compose(f: FormalSymbol, g: FormalSymbol, lowest: int | None = None) -> Form
                 if grade > hi:
                     continue
                 for key in combinations_with_replacement(range(nxi), k):
-                    term = s1.xi_derivative(key) * s2.dy_derivative(key)
+                    term = xi_derivative_times(s1, key, s2.dy_derivative(key))
                     if k:
                         term = term.scale(inv_factorial(key))
                     out[grade].append(term)

@@ -6,8 +6,9 @@ so that a test can check that an answer does not depend on the choice.
 
 from dataclasses import replace
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
-from dncalc.symbols import UNRESTRICTED, HomSymbol, XiPoly
+from dncalc.symbols import UNRESTRICTED, HomSymbol, XiPoly, inv_factorial
 
 
 def with_budgets(jet, kr, ky):
@@ -97,6 +98,29 @@ def long_hand_div_2b1(s):
     b = s.a.scale(Fraction(-1, 2))
     kr, ky = min(s.kr, ctx.kr), min(s.ky, ctx.ky)
     return HomSymbol(ctx, s.degree - 1, a, b, s.p + 1, kr, ky).normalized()
+
+
+def long_hand_terms(f, g, grade):
+    """The products (j1, j2, K, d^K_xi f_j1 D^K_y g_j2) that grade ``grade``
+    of f # g sums, each chain d^K_xi f_j1 formed, also where D^K_y g_j2 is
+    zero."""
+    for j1 in f.grades():
+        for j2 in g.grades():
+            k = j1 + j2 - grade
+            if k < 0:
+                continue
+            for key in combinations_with_replacement(range(f.ctx.nxi), k):
+                yield j1, j2, key, f.comps[j1].xi_derivative(key) * g.comps[j2].dy_derivative(key)
+
+
+def long_hand_compose(f, g, grade):
+    """Grade ``grade`` of sum_K 1/K! d^K_xi f D^K_y g over every product of
+    ``long_hand_terms``."""
+    terms = [
+        term.scale(inv_factorial(key)) if key else term
+        for _, _, key, term in long_hand_terms(f, g, grade)
+    ]
+    return HomSymbol.sum(terms, f.ctx, grade)
 
 
 def assert_same_form(got, ref):

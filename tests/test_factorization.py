@@ -15,13 +15,22 @@ from dncalc.geometry import BoundaryMetricJet, GaugeData, gauge_s, gauge_sigma
 from dncalc.jets import Jet, JetSpace
 from dncalc.randomgen import random_instance
 from fractions import Fraction as mpq
-from dncalc.symbols import HomSymbol, SymbolContext, XiPoly
+from dncalc.symbols import (
+    FormalSymbol,
+    HomSymbol,
+    SymbolContext,
+    XiPoly,
+    compose,
+    xi_derivative_times,
+)
 from helpers import (
     assert_same_form,
     eval_pair,
+    long_hand_compose,
     long_hand_product,
     long_hand_quotient_rule,
     long_hand_sum,
+    long_hand_terms,
 )
 
 
@@ -353,10 +362,11 @@ def test_every_symbol_operation_of_a_factorisation_equals_the_long_hand_formula(
 
 def test_a_verified_factorisation_stays_within_its_jet_product_count(monkeypatch):
     # a work guard: products and derivatives pass their parts over powers of
-    # q2 to one canonical form, so a verified scalar and gauge-s pair at
-    # (5,4), depth 3, costs 2352 jet products.  Multiplying dA and dB by q2
-    # in the quotient rule and dividing it back out cost 2628, and forming
-    # q2 * B1 B2 in products as well cost 3032
+    # q2 to one canonical form, and the recursion forms each K = 0 product
+    # s_m s_l, m != l, once, so a verified scalar and gauge-s pair at (5,4),
+    # depth 3, costs 2334 jet products.  Forming s_l s_m as well cost 2352,
+    # multiplying dA and dB by q2 in the quotient rule and dividing it back
+    # out 2628, and forming q2 * B1 B2 in products as well 3032
     metric, weight = random_instance(1000, kr=5, ky=4)
     calls = [0]
     multiply = Jet.__mul__
@@ -371,4 +381,72 @@ def test_a_verified_factorisation_stays_within_its_jet_product_count(monkeypatch
         factorize_gauge(metric, gauge_s(metric, weight), 3, weight=weight),
     ]
     assert all(verify_residual(res) is None for res in results)
-    assert calls[0] <= 2352
+    assert calls[0] <= 2334
+
+
+@pytest.mark.parametrize("instance", ["y-free", "y-dependent"])
+def test_the_verifier_compositions_equal_the_long_hand_composition(instance):
+    # compose forms no d_xi chain whose D_y partner is zero.  The zero it
+    # puts in its place keeps the product's degree and budgets, so each
+    # grade of b # b and of the gauge-s b # a_r has the form of the sum over
+    # every chain, budgets included.  A grade's budgets are the least of its
+    # terms', which may hide those of a zero term, so every term is compared
+    # too, and so is the product with each jet D_y^K a_r the recursion uses
+    if instance == "y-free":
+        metric, weight = random_instance(41, n=4, kr=5, ky=4, tangentially_constant=True)
+    else:
+        metric, weight = y_dependent_n4_instance()
+    depth, lo = 4, -1
+    gauge = gauge_s(metric, weight)
+    assert not gauge.a_r.is_zero
+    b = factorize_gauge(metric, gauge, depth, weight=weight).symbol
+    ar_sym = FormalSymbol.single(HomSymbol.from_jet(metric.ctx, gauge.a_r))
+    zeros = 0
+    for f, g in ((b, b), (b, ar_sym)):
+        out = compose(f, g, lowest=lo)
+        assert (out.hi, out.lo) == (f.hi + g.hi, lo)
+        for j in out.grades():
+            assert_same_form(out.grade(j), long_hand_compose(f, g, j))
+            for j1, j2, key, term in long_hand_terms(f, g, j):
+                right = g.grade(j2).dy_derivative(key)
+                zeros += bool(key) and right.is_zero
+                assert_same_form(xi_derivative_times(f.grade(j1), key, right), term)
+    for j in b.grades():
+        for key in ((0,), (1,), (2,), (0, 0), (1, 2)):
+            right = gauge.a_r
+            for a in key:
+                right = right.partial(a + 1)
+            zeros += right.is_zero
+            term = b.grade(j).xi_derivative(key).scale(right)
+            assert_same_form(xi_derivative_times(b.grade(j), key, right), term)
+    assert zeros > 0
+
+
+def test_a_y_free_factorisation_forms_no_xi_derivative(monkeypatch):
+    # a work guard: on a tangentially constant collar every D_y^K with
+    # |K| >= 1 is zero, so neither the recursion nor the verifier forms a
+    # d_xi chain, and a verified scalar and gauge-s pair of this n = 4
+    # instance at (5,4), depth 4, costs 2294 jet products.  Forming the
+    # chains and multiplying them by zero cost 62 xi-derivatives and 4679
+    # jet products
+    metric, weight = random_instance(41, n=4, kr=5, ky=4, tangentially_constant=True)
+    calls = {"xi_partial": 0, "jet": 0}
+    xi_partial, multiply = HomSymbol.xi_partial, Jet.__mul__
+
+    def counted_xi(self, a):
+        calls["xi_partial"] += 1
+        return xi_partial(self, a)
+
+    def counted_mul(self, other):
+        calls["jet"] += 1
+        return multiply(self, other)
+
+    monkeypatch.setattr(HomSymbol, "xi_partial", counted_xi)
+    monkeypatch.setattr(Jet, "__mul__", counted_mul)
+    results = [
+        factorize_scalar(metric, weight, 4),
+        factorize_gauge(metric, gauge_s(metric, weight), 4, weight=weight),
+    ]
+    assert all(verify_residual(res) is None for res in results)
+    assert calls["xi_partial"] == 0
+    assert calls["jet"] <= 2294

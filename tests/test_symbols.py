@@ -6,7 +6,14 @@ import pytest
 from dncalc.errors import IncompatibleJetsError
 from dncalc.jets import JetSpace
 from fractions import Fraction as mpq
-from dncalc.symbols import FormalSymbol, HomSymbol, SymbolContext, XiPoly, compose
+from dncalc.symbols import (
+    FormalSymbol,
+    HomSymbol,
+    SymbolContext,
+    XiPoly,
+    compose,
+    xi_derivative_times,
+)
 from helpers import (
     assert_same_form,
     eval_pair,
@@ -635,3 +642,35 @@ def test_a_derivative_and_a_sum_equal_the_long_hand_formula(n):
         v = HomSymbol(ctx, -1, even, ctx.q2 * y, 2)
         assert HomSymbol.sum([v], ctx, -1).p == 2
         assert check_sum([HomSymbol.zero(ctx, -1, kr - 1, ky), v]).p < 2
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_a_product_with_a_zero_d_y_factor_keeps_the_long_hand_budgets(n):
+    # xi_derivative_times forms no d_xi chain whose D_y partner is zero, and
+    # returns the zero the product would be.  Factors whose budgets lie
+    # above the context's, and a y-free jet multiplier whose d_y is a zero
+    # of those budgets, pin each of the three budgets it takes the least of
+    rng = random.Random(71 + n)
+    for ctx in (random_ctx(rng, n=n), radial_ctx(n)):
+        sp, kr, ky = ctx.space, ctx.kr, ctx.ky
+        zero = (0,) * n
+        deep = sp.jet({zero: 2, (1,) + zero[1:]: 3, (kr + 1,) + zero[1:]: 1}, kr + 1, ky + 4)
+        y_dep = deep + sp.coordinate(n - 1, kr + 1, ky + 4)
+        fs = [HomSymbol.from_jet(ctx, deep), random_symbol(rng, ctx, 0), HomSymbol.xi_norm(ctx)]
+        # at K = 0 only a zero factor gives a zero product
+        gs = fs + [HomSymbol.from_jet(ctx, y_dep), HomSymbol.zero(ctx, 0)]
+        zeros = 0
+        for key in ((), (0,), (n - 2,), (0, n - 2), (0, 0, n - 2)):
+            for f in fs:
+                for g in gs:
+                    right = g.dy_derivative(key)
+                    zeros += right.is_zero
+                    ref = f.xi_derivative(key) * right
+                    assert_same_form(xi_derivative_times(f, key, right), ref)
+                for jet in (deep, y_dep):
+                    for a in key:
+                        jet = jet.partial(a + 1)
+                    zeros += jet.is_zero
+                    ref = f.xi_derivative(key).scale(jet)
+                    assert_same_form(xi_derivative_times(f, key, jet), ref)
+        assert zeros > 0
