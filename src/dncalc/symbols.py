@@ -481,14 +481,6 @@ def _base_value(jet: Jet, imag: bool) -> complex:
 UNRESTRICTED = 1 << 30
 
 
-def _over_q2(ctx: SymbolContext, poly: XiPoly, orders) -> XiPoly | None:
-    """poly / q2 divided at ``orders``, or None; a zero numerator's quotient
-    is the zero of degree two less, with no call to ``divide_by_q2``."""
-    if poly.is_zero:
-        return XiPoly._make(poly.nxi, poly.deg - 2, {}, poly.imag)
-    return ctx.divide_by_q2(poly.truncated(*orders))
-
-
 class HomSymbol:
     """Homogeneous symbol (A + B*w)/q2^p of a fixed degree.
 
@@ -620,10 +612,10 @@ class HomSymbol:
         p = max(powers)
         a, b = powers.pop(p)
         while p > 0:
-            qb = _over_q2(ctx, b, kb)
+            qb = ctx.divide_by_q2(b.truncated(*kb))
             if qb is None:
                 break
-            qa = _over_q2(ctx, a, ka)
+            qa = ctx.divide_by_q2(a.truncated(*ka))
             if qa is None:
                 break
             p -= 1
@@ -907,17 +899,16 @@ def xi_derivative_times(f: HomSymbol, key, right) -> HomSymbol:
     multiplier (a Jet).
 
     For |K| >= 1 the D_y factor is looked at first: if it is zero, so is the
-    product, and the chain d^K_xi f is never formed.  The zero keeps the
-    degree and budgets the product would have had (a zero term keeps its
-    budgets in a sum): every xi-step takes the least of the symbol's and
-    the context's budgets, and the product the least of those and
-    ``right``'s."""
+    product, and the chain d^K_xi f is never formed.  In its place stands
+    the zero with the chain's degree and budgets (every xi-step takes the
+    least of the symbol's and the context's), so the product keeps the
+    degree and budgets it would have had (a zero term keeps its budgets in
+    a sum)."""
     if key and right.is_zero:
         ctx = f.ctx
-        degree = f.degree - len(key) + (right.degree if isinstance(right, HomSymbol) else 0)
-        kr, ky = min(f.kr, ctx.kr, right.kr), min(f.ky, ctx.ky, right.ky)
-        return HomSymbol.zero(ctx, degree, kr, ky)
-    left = f.xi_derivative(key)
+        left = HomSymbol.zero(ctx, f.degree - len(key), min(f.kr, ctx.kr), min(f.ky, ctx.ky))
+    else:
+        left = f.xi_derivative(key)
     return left * right if isinstance(right, HomSymbol) else left.scale(right)
 
 
