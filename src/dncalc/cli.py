@@ -26,6 +26,7 @@ from .serialize import (
     Scenario,
     dump_report,
     load_scenario,
+    task_from_json,
 )
 from .runner import run_scenario
 
@@ -33,8 +34,9 @@ EXIT_OK = 0
 EXIT_TASK_FAILED = 1
 EXIT_INPUT_ERROR = 2
 
-#: the geometry of a validate-disk scenario, which its task does not read
-_DISK_GEOMETRY = {"dimension": 2, "truncation": {"radial": 4, "tangential": 3}, "depth": 2}
+#: the geometry of a validate-disk scenario, which its task does not read;
+#: the scenario's depth is the task's
+_DISK_GEOMETRY = {"dimension": 2, "truncation": {"radial": 4, "tangential": 3}}
 
 
 def _add_geometry_flags(parser):
@@ -100,7 +102,13 @@ def _cmd_task(args):
     for field in TASK_FIELDS[args.command]:
         if getattr(args, field, None) is not None:
             task[field] = getattr(args, field)
-    geometry = _DISK_GEOMETRY if args.command == "validate-disk" else _geometry(args)
+    if args.command == "validate-disk":
+        # the depth J, with the schema's default and checks, so that the
+        # report's provenance gives the depth the task ran at (a disk task
+        # reads no scenario depth, so any valid one serves the check)
+        geometry = dict(_DISK_GEOMETRY, depth=task_from_json(task, 0, 1)["depth"])
+    else:
+        geometry = _geometry(args)
     raw = {"schema_version": SCHEMA_VERSION, **geometry, "tasks": [task]}
     return _emit(run_scenario(Scenario(raw), "inline"), args.output)
 

@@ -16,9 +16,12 @@ which keeps every multi-index bound and combinatorial factor tied to one
 place; the verifier recombines the identity through the full asymptotic
 composition, with its own products and one sum per grade (the components'
 derivatives are memoised on them, so it shares those), and demands that
-every reliable grade vanish.  Neither forms a xi-chain d^K_xi s whose D_y
-partner (D^K_y s or D^K_y a_r) is zero: both take the term from
-``xi_derivative_times``, which returns the zero with the product's budgets.
+every reliable grade vanish.  Neither normalises its products, or its
+scalings by the drift and a_r, one by one: each hands its parts to the
+grade sum, which is put in canonical form once.  Neither forms a xi-chain
+d^K_xi s whose D_y partner (D^K_y s or D^K_y a_r) is zero: both take the
+term from ``xi_derivative_times``, which returns the zero with the
+product's budgets.
 
 Residual grades are labelled by the component they determine (label = grade
 of the identity minus one), so a corrupted s_j trips the verifier at label j.
@@ -89,7 +92,7 @@ class _Recursion:
             terms.append(-q)
         bg = self.comps.get(gamma)
         if bg is not None:
-            terms.append(-bg.scale(self.drift))
+            terms.append(-bg.times(self.drift))
             terms.append(bg.d_r())
         if self.a_r is not None:
             for k in range(1, 1 - gamma + 1):
@@ -108,7 +111,7 @@ class _Recursion:
                     continue
                 if k == 0:
                     # s_l s_m = s_m s_l: one product, added once per order
-                    term = left * right
+                    term = left.times(right)
                     terms += [term] if l == m else [term, term]
                     continue
                 for key in combinations_with_replacement(range(nxi), k):
@@ -190,9 +193,9 @@ def _defining_expression(result: FactorizationResult) -> dict[int, HomSymbol]:
             terms.append(-q[gamma])
         if gamma <= b.hi:
             bg = b.grade(gamma)
-            terms += [bg.d_r(), -bg.scale(result.drift)]
+            terms += [bg.d_r(), -bg.times(result.drift)]
             if coupled is not None:
-                terms += [coupled.grade(gamma), -bg.scale(a_r)]
+                terms += [coupled.grade(gamma), -bg.times(a_r)]
         expr[gamma] = HomSymbol.sum(terms, ctx, gamma)
     return expr
 

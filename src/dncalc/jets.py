@@ -16,6 +16,13 @@ of a product monomial is the sum of the factors' keys, and its truncation
 test reads the m and t fields of that sum.  ``Jet.c`` is a read-only view
 of the same coefficients as multi-index tuple -> ``Fraction``.
 
+Products run one term loop, ``_sum_products``, which sums products of jet
+pairs as integers over one denominator and reduces the sum once.  A Jet
+product is the sum of one pair.  ``sums_of_products`` forms every
+coefficient of a product of xi-polynomials as one such sum, at the least
+orders of all its products, and prepares each right-hand jet for the loop
+once.
+
 Radial and tangential truncation orders act as derivative budgets: taking a
 radial derivative returns a jet whose radial order is one lower, and
 combining jets of different orders truncates to the common (minimum) orders.
@@ -352,57 +359,9 @@ class Jet:
         self._check_space(other)
         kr = self.kr if self.kr < other.kr else other.kr
         ky = self.ky if self.ky < other.ky else other.ky
-        space = self.space
-        an, bn = self.num, other.num
-        if not an or not bn:
-            return Jet._make(space, kr, ky, 1, {})
-        if len(bn) < len(an):
-            an, bn = bn, an
-        # a key k is inside the orders iff (k + off) & guard == 0; keys of
-        # in-range factors add without carrying between fields
-        off = space._offset(kr, ky)
-        guard = space._guard
-        bitems = [(k, v) for k, v in bn.items() if not (k + off) & guard]
-        out: dict = {}
-        get = out.get
-        if len(an) * len(bitems) <= _DIRECT_PAIRS:
-            for k1, v1 in an.items():
-                if (k1 + off) & guard:
-                    continue
-                for k2, v2 in bitems:
-                    k = k1 + k2
-                    if (k + off) & guard:
-                        continue
-                    out[k] = get(k, 0) + v1 * v2
-            return _reduced(space, kr, ky, self.den * other.den, out)
-        # large products: bucket b by its (m, t) fields, and give each (m, t)
-        # of a the concatenated buckets whose products stay in range, so
-        # that the inner loop visits in-range pairs only
-        tshift = space._tshift
-        offh, guardh = off >> tshift, guard >> tshift
-        rows: dict = {}
-        for item in bitems:
-            h = item[0] >> tshift
-            row = rows.get(h)
-            if row is None:
-                rows[h] = [item]
-            else:
-                row.append(item)
-        rows = list(rows.items())
-        partners: dict = {}
-        for k1, v1 in an.items():
-            if (k1 + off) & guard:
-                continue
-            h1 = k1 >> tshift
-            plist = partners.get(h1)
-            if plist is None:
-                plist = partners[h1] = [
-                    item for h2, row in rows if not (h1 + h2 + offh) & guardh for item in row
-                ]
-            for k2, v2 in plist:
-                k = k1 + k2
-                out[k] = get(k, 0) + v1 * v2
-        return _reduced(space, kr, ky, self.den * other.den, out)
+        # the longer factor is the one the term loop may bucket
+        a, b = (self, other) if len(self.num) <= len(other.num) else (other, self)
+        return _sum_products(self.space, kr, ky, a.den * b.den, [(a, b, 1)], {})
 
     __rmul__ = __mul__
 
@@ -564,6 +523,86 @@ class Jet:
             val = str(v)
             terms.append(val if not mono else "%s*%s" % (val, mono))
         return "Jet(%s)" % " + ".join(terms)
+
+
+def _sum_products(space: JetSpace, kr: int, ky: int, den: int, pairs, prepared: dict) -> "Jet":
+    """The jet at orders (kr, ky) of the sum of f * a * b over the (a, b, f)
+    in ``pairs``, each integer f putting the numerators of a * b over
+    ``den``: the package's one term loop.  The sum is reduced once.
+
+    A key k is inside the orders iff (k + off) & guard == 0, and keys of
+    in-range factors add without carrying between fields.  ``prepared``
+    holds each right-hand jet's in-range terms at an offset, and its buckets
+    once a product is large, so that pairs sharing a right-hand jet build
+    them once."""
+    off, guard = space._offset(kr, ky), space._guard
+    out: dict = {}
+    get = out.get
+    for a, b, f in pairs:
+        prep = prepared.get((id(b), off))
+        if prep is None:
+            bitems = [(k, v) for k, v in b.num.items() if not (k + off) & guard]
+            prep = prepared[id(b), off] = [bitems, None, {}]
+        bitems = prep[0]
+        if len(a.num) * len(bitems) <= _DIRECT_PAIRS:
+            for k1, v1 in a.num.items():
+                if (k1 + off) & guard:
+                    continue
+                v1 *= f
+                for k2, v2 in bitems:
+                    k = k1 + k2
+                    if (k + off) & guard:
+                        continue
+                    out[k] = get(k, 0) + v1 * v2
+            continue
+        # large products: bucket b by its (m, t) fields, and give each (m, t)
+        # of a the concatenated buckets whose products stay in range, so
+        # that the inner loop visits in-range pairs only
+        tshift = space._tshift
+        offh, guardh = off >> tshift, guard >> tshift
+        rows, partners = prep[1], prep[2]
+        if rows is None:
+            rows = {}
+            for item in bitems:
+                rows.setdefault(item[0] >> tshift, []).append(item)
+            rows = prep[1] = list(rows.items())
+        for k1, v1 in a.num.items():
+            if (k1 + off) & guard:
+                continue
+            h1 = k1 >> tshift
+            plist = partners.get(h1)
+            if plist is None:
+                plist = partners[h1] = [
+                    item for h2, row in rows if not (h1 + h2 + offh) & guardh for item in row
+                ]
+            v1 *= f
+            for k2, v2 in plist:
+                k = k1 + k2
+                out[k] = get(k, 0) + v1 * v2
+    return _reduced(space, kr, ky, den, out)
+
+
+def sums_of_products(groups: dict, sign: int) -> dict:
+    """{key: sign * sum of a * b over the jet pairs (a, b) of groups[key]},
+    without the sums that are zero.  Each sum takes the least orders of
+    all its products, those that cancel included, and adds them as
+    integers over one denominator, the lcm of theirs; a right-hand jet
+    that several pairs share is prepared for the term loop once."""
+    out = {}
+    prepared: dict = {}
+    for key, pairs in groups.items():
+        a, b = pairs[0]
+        space, kr, ky = a.space, a.kr, a.ky
+        for a, b in pairs:
+            a._check_space(b)
+            kr = min(kr, a.kr, b.kr)
+            ky = min(ky, a.ky, b.ky)
+        den = math.lcm(*(a.den * b.den for a, b in pairs))
+        terms = [(a, b, sign * (den // (a.den * b.den))) for a, b in pairs]
+        jet = _sum_products(space, kr, ky, den, terms, prepared)
+        if jet.num:
+            out[key] = jet
+    return out
 
 
 def collar_from_radial_orders(

@@ -26,6 +26,10 @@ One rule lowers p.  Each operation states its result as parts (A_k, B_k, k)
 over q2^k: a product is (A1 A2, A1 B2 + B1 A2, p) plus (B1 B2, 0, p - 1), as
 w^2 = q2; a derivative is (dA, dB, p) plus (-p A dq2, (1 - 2p)/2 B dq2,
 p + 1); a sum is its terms.  ``HomSymbol._from_parts`` alone divides by q2.
+A term that only feeds a sum is not put in canonical form on its own: a
+product or a scaling by a jet hands its parts (``HomSymbol.times``, a
+``Parts``) to the sum, and ``*`` and ``scale`` are the canonical form of
+the same parts, so the recursion and the verifier normalise each grade once.
 As q2 divides N + q2 L exactly when it divides N, only the numerator at the
 top power is divided, the next power's parts join the quotient, and at a
 refused drop the lower parts are multiplied up to the current power.  The
@@ -55,10 +59,11 @@ when the verifier's ``compose`` asks for it again; the public ``xi_partial``
 and ``base_partial`` always compute.  The verifier shares only these values:
 every product, the K-sum with its 1/K! factors, the grade sums and the
 normalisation it still forms itself.  Both take each term d^K_xi f D^K_y g
-from ``xi_derivative_times``, which looks at the D_y factor first: a
-xi-chain whose D_y partner is zero is never formed, so on a tangentially
-constant collar no xi-derivative is taken at all.  The zero it returns in
-its place keeps the budgets the product would have had.
+from ``xi_derivative_times`` as the parts of the product, which looks at
+the D_y factor first: a xi-chain whose D_y partner is zero is never formed,
+so on a tangentially constant collar no xi-derivative is taken at all.  The
+zero term it returns in its place keeps the budgets the product would have
+had.
 
 A FormalSymbol is a graded family of homogeneous symbols on a contiguous
 range of degrees; the asymptotic composition
@@ -77,7 +82,7 @@ from itertools import combinations_with_replacement
 from operator import add
 
 from .errors import BudgetExhaustedError, DepthError, IncompatibleJetsError
-from .jets import Jet, JetSpace, rational
+from .jets import Jet, JetSpace, rational, sums_of_products
 
 
 class XiPoly:
@@ -149,33 +154,19 @@ class XiPoly:
             return self.scale(other)
         deg = self.deg + other.deg
         imag = self.imag != other.imag
-        c1, c2 = self.c, other.c
-        if not c1 or not c2:
-            return XiPoly._make(self.nxi, deg, {}, imag)
-        if self.imag and other.imag:  # i * i = -1: negate the shorter factor
-            if len(c2) < len(c1):
-                c2 = {e: -v for e, v in c2.items()}
-            else:
-                c1 = {e: -v for e, v in c1.items()}
-        out: dict = {}
-        for e1, v1 in c1.items():
-            for e2, v2 in c2.items():
-                e = tuple(map(add, e1, e2))
-                p = v1 * v2
-                s = out.get(e)
-                s = p if s is None else s + p
-                if s.is_zero:
-                    out.pop(e, None)
-                else:
-                    out[e] = s
-        return XiPoly._make(self.nxi, deg, out, imag)
+        # each output coefficient is one sum of jet products
+        groups: dict = {}
+        for e1, v1 in self.c.items():
+            for e2, v2 in other.c.items():
+                groups.setdefault(tuple(map(add, e1, e2)), []).append((v1, v2))
+        sign = -1 if self.imag and other.imag else 1  # i * i = -1
+        return XiPoly._make(self.nxi, deg, sums_of_products(groups, sign), imag)
 
     def scale(self, factor) -> "XiPoly":
         """Multiply every coefficient by a real Jet or scalar."""
         if isinstance(factor, Jet):
-            out = {e: v * factor for e, v in self.c.items()}
-        else:
-            out = {e: v.scale(factor) for e, v in self.c.items()}
+            return self * XiPoly(self.nxi, 0, {(0,) * self.nxi: factor})
+        out = {e: v.scale(factor) for e, v in self.c.items()}
         return XiPoly._make(
             self.nxi, self.deg, {e: v for e, v in out.items() if not v.is_zero}, self.imag
         )
@@ -544,9 +535,6 @@ class HomSymbol:
         out.kr, out.ky, out._derivs = self.kr, self.ky, {}
         return out
 
-    def _budgets_with(self, other: "HomSymbol"):
-        return min(self.kr, other.kr), min(self.ky, other.ky)
-
     # -- constructors -------------------------------------------------------
 
     @classmethod
@@ -641,11 +629,16 @@ class HomSymbol:
         if self.ctx is not other.ctx and not self.ctx.same_structure(other.ctx):
             raise IncompatibleJetsError("symbols refer to different fibre metrics")
 
+    @property
+    def parts(self) -> list:
+        """The one part (A, B, p) of the form, none for a zero symbol."""
+        return [] if self.is_zero else [(self.a, self.b, self.p)]
+
     @staticmethod
     def sum(terms, ctx: SymbolContext, degree: int) -> "HomSymbol":
-        """Sum of same-degree symbols in one canonical form.  Its budgets are
-        the least of every term's, a zero term's included (see the class
-        docstring)."""
+        """Sum of same-degree symbols or ``Parts`` in one canonical form.
+        Its budgets are the least of every term's, a zero term's included
+        (see the class docstring)."""
         kr = ky = UNRESTRICTED
         parts = []
         for t in terms:
@@ -654,8 +647,7 @@ class HomSymbol:
                     "sum mixes degrees %d and %d" % (t.degree, degree)
                 )
             kr, ky = min(kr, t.kr), min(ky, t.ky)
-            if not t.is_zero:
-                parts.append((t.a, t.b, t.p))
+            parts += t.parts
         return HomSymbol._from_parts(ctx, degree, parts, kr, ky)
 
     # -- ring operations --------------------------------------------------------
@@ -670,33 +662,40 @@ class HomSymbol:
     def __sub__(self, other):
         return self + (-other)
 
-    def __mul__(self, other: "HomSymbol") -> "HomSymbol":
-        self._check(other)
+    def times(self, factor) -> "Parts":
+        """The product with a symbol or a real Jet f, as parts: (A1 A2,
+        A1 B2 + B1 A2, p1 + p2) and (B1 B2, 0, p1 + p2 - 1), as w * w = q2,
+        or (f A, f B, p).  ``*`` and ``scale`` are their canonical form."""
         ctx = self.ctx
-        deg = self.degree + other.degree
-        kr, ky = self._budgets_with(other)
-        if self.is_zero or other.is_zero:
-            return HomSymbol.zero(ctx, deg, kr, ky)
+        if isinstance(factor, Jet):
+            deg = self.degree
+        else:
+            self._check(factor)
+            deg = self.degree + factor.degree
+        kr, ky = min(self.kr, factor.kr), min(self.ky, factor.ky)
+        if self.is_zero or factor.is_zero:
+            return Parts(ctx, deg, [], kr, ky)
+        if isinstance(factor, Jet):
+            return Parts(ctx, deg, [(self.a.scale(factor), self.b.scale(factor), self.p)], kr, ky)
         # w * w = q2 puts B1 B2 one power lower
-        bb = self.b * other.b
-        p = self.p + other.p
+        bb = self.b * factor.b
+        p = self.p + factor.p
         parts = [
-            (self.a * other.a, self.a * other.b + self.b * other.a, p),
+            (self.a * factor.a, self.a * factor.b + self.b * factor.a, p),
             (bb, XiPoly(ctx.nxi, bb.deg - 1), p - 1),
         ]
-        return HomSymbol._from_parts(ctx, deg, parts, kr, ky)
+        return Parts(ctx, deg, parts, kr, ky)
+
+    def __mul__(self, other: "HomSymbol") -> "HomSymbol":
+        return self.times(other).normalized()
 
     def scale(self, factor) -> "HomSymbol":
-        kr, ky = self.kr, self.ky
         if isinstance(factor, Jet):
-            kr, ky = min(kr, factor.kr), min(ky, factor.ky)
-        out = HomSymbol(
-            self.ctx, self.degree, self.a.scale(factor), self.b.scale(factor), self.p, kr, ky
-        )
+            return self.times(factor).normalized()
+        if not factor:
+            return HomSymbol.zero(self.ctx, self.degree, self.kr, self.ky)
         # a nonzero rational creates or removes no q2 factor
-        if isinstance(factor, Jet) or not factor:
-            return out.normalized()
-        return out
+        return self._like(self.a.scale(factor), self.b.scale(factor))
 
     def times_i(self) -> "HomSymbol":
         return self._like(self.a.times_i(), self.b.times_i())
@@ -830,6 +829,39 @@ class HomSymbol:
         )
 
 
+class Parts:
+    """A term of a grade sum, sum_k (A_k + B_k w) / q2^k over its parts
+    (A_k, B_k, k), of one degree and with budgets (kr, ky), not put in
+    canonical form on its own: ``HomSymbol.sum`` takes the parts of all
+    its terms, and ``normalized`` is the term's own canonical form."""
+
+    __slots__ = ("ctx", "degree", "parts", "kr", "ky")
+
+    def __init__(self, ctx: SymbolContext, degree: int, parts: list, kr: int, ky: int):
+        self.ctx = ctx
+        self.degree = degree
+        self.parts = parts
+        self.kr = kr
+        self.ky = ky
+
+    def _map(self, fn) -> "Parts":
+        parts = [(fn(a), fn(b), k) for a, b, k in self.parts]
+        return Parts(self.ctx, self.degree, parts, self.kr, self.ky)
+
+    def __neg__(self):
+        return self._map(XiPoly.__neg__)
+
+    def scale(self, factor) -> "Parts":
+        """The term times a nonzero rational."""
+        return self._map(lambda poly: poly.scale(factor))
+
+    def times_i(self) -> "Parts":
+        return self._map(XiPoly.times_i)
+
+    def normalized(self) -> HomSymbol:
+        return HomSymbol._from_parts(self.ctx, self.degree, self.parts, self.kr, self.ky)
+
+
 class FormalSymbol:
     """Graded family of homogeneous symbols on a contiguous degree range.
     It has no arithmetic of its own: each of its grades is formed by one
@@ -893,10 +925,10 @@ def inv_factorial(key) -> Fraction:
     return Fraction(1, mult)
 
 
-def xi_derivative_times(f: HomSymbol, key, right) -> HomSymbol:
-    """d^K_xi f times ``right``, for K the directions in ``key`` and
-    ``right`` the factor D^K_y g of a symbol (a HomSymbol) or of a real
-    multiplier (a Jet).
+def xi_derivative_times(f: HomSymbol, key, right) -> Parts:
+    """d^K_xi f times ``right``, as the parts of ``HomSymbol.times``, for K
+    the directions in ``key`` and ``right`` the factor D^K_y g of a symbol
+    (a HomSymbol) or of a real multiplier (a Jet).
 
     For |K| >= 1 the D_y factor is looked at first: if it is zero, so is the
     product, and the chain d^K_xi f is never formed.  In its place stands
@@ -909,7 +941,7 @@ def xi_derivative_times(f: HomSymbol, key, right) -> HomSymbol:
         left = HomSymbol.zero(ctx, f.degree - len(key), min(f.kr, ctx.kr), min(f.ky, ctx.ky))
     else:
         left = f.xi_derivative(key)
-    return left * right if isinstance(right, HomSymbol) else left.scale(right)
+    return left.times(right)
 
 
 def compose(f: FormalSymbol, g: FormalSymbol, lowest: int | None = None) -> FormalSymbol:

@@ -7,6 +7,7 @@ so that a test can check that an answer does not depend on the choice.
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from operator import add
 
 from dncalc.symbols import UNRESTRICTED, HomSymbol, XiPoly, inv_factorial
 
@@ -37,6 +38,36 @@ def rescaled(dn, unit):
     sym = dn.symbol.map_components(lambda s: s.scale(t))
     dsq = dn.density_sq * (t * t).reciprocal()
     return replace(dn, symbol=sym, density_sq=dsq)
+
+
+def long_hand_products(pairs, sign):
+    """sign times the sum of a * b over the jet pairs (a, b), by the
+    Fraction convolution of their ``Jet.c`` views, at the least orders of
+    all the pairs' products."""
+    kr = min(min(a.kr, b.kr) for a, b in pairs)
+    ky = min(min(a.ky, b.ky) for a, b in pairs)
+    out = {}
+    for a, b in pairs:
+        for i1, v1 in a.c.items():
+            for i2, v2 in b.c.items():
+                idx = tuple(map(add, i1, i2))
+                if idx[0] <= kr and sum(idx[1:]) <= ky:
+                    out[idx] = out.get(idx, 0) + sign * v1 * v2
+    return pairs[0][0].space.jet(out, kr, ky)
+
+
+def long_hand_xi_product(p, q):
+    """The coefficients of the XiPoly product p * q: each the
+    ``long_hand_products`` of the coefficient pairs whose monomials multiply
+    to it, negated when both are imaginary (i * i = -1), zero sums left
+    out."""
+    groups = {}
+    for e1, v1 in p.c.items():
+        for e2, v2 in q.c.items():
+            groups.setdefault(tuple(map(add, e1, e2)), []).append((v1, v2))
+    sign = -1 if p.imag and q.imag else 1
+    coeffs = {e: long_hand_products(pairs, sign) for e, pairs in groups.items()}
+    return {e: v for e, v in coeffs.items() if not v.is_zero}
 
 
 def long_hand_product(s, t):

@@ -667,6 +667,16 @@ def test_validate_disk_subcommand(tmp_path):
     assert task["slope"] <= -1.7
 
 
+@pytest.mark.parametrize("flags, depth", [(["--depth", "3"], 3), ([], 2)], ids=["depth-3", "default"])
+def test_a_validate_disk_report_gives_the_depth_its_task_ran_at(tmp_path, flags, depth):
+    # the one-task scenario's depth is the task's J, the schema default 2
+    # when --depth is left out, so the provenance names the depth that ran
+    out = str(tmp_path / "disk.json")
+    assert main(["validate-disk", "--modes", "8:32", *flags, "-o", out]) == 0
+    report = read_report(out)
+    assert report["provenance"]["depth"] == report["tasks"][0]["depth"] == depth
+
+
 def test_selftest_quick_criteria(capsys):
     code = main(["selftest", "--criteria", "2,3,5,7,8"])
     captured = capsys.readouterr()

@@ -12,12 +12,14 @@ from dncalc.factorization import (
     verify_residual,
 )
 from dncalc.geometry import BoundaryMetricJet, GaugeData, gauge_s, gauge_sigma
+from dncalc import jets
 from dncalc.jets import Jet, JetSpace
 from dncalc.randomgen import random_instance
 from fractions import Fraction as mpq
 from dncalc.symbols import (
     FormalSymbol,
     HomSymbol,
+    Parts,
     SymbolContext,
     XiPoly,
     compose,
@@ -317,16 +319,31 @@ def test_n4_fault_detection_at_every_determined_grade(mode):
     assert _defining_expression(bad) == _defining_expression(fresh)
 
 
+def canonical(term):
+    """A grade-sum term in canonical form: a symbol as it is, ``Parts`` by
+    their own normalisation."""
+    return term.normalized() if isinstance(term, Parts) else term
+
+
 def test_every_symbol_operation_of_a_factorisation_equals_the_long_hand_formula(monkeypatch):
     # every product, derivative and sum that verified scalar, s and sigma
     # factorisations of two small y-dependent instances form has the power,
-    # budgets and coefficient jets of the long-hand formula.  The long hand's
-    # own == forms sums, which are not checked again
+    # budgets and coefficient jets of the long-hand formula.  A product that
+    # feeds a grade sum is formed as parts (``times``), whose canonical form
+    # is checked, a jet multiplier as the degree-0 symbol; a sum of parts is
+    # checked against the long-hand sum of its terms' canonical forms.  The
+    # long hand's own == forms sums, which are not checked again
+    def long_hand_times(s, factor):
+        if isinstance(factor, Jet):
+            factor = HomSymbol.from_jet(s.ctx, factor)
+        return long_hand_product(s, factor)
+
     long_hands = {
         "__mul__": long_hand_product,
+        "times": long_hand_times,
         "xi_partial": lambda s, a: long_hand_quotient_rule(s, "xi_partial", a),
         "base_partial": lambda s, d: long_hand_quotient_rule(s, "base_partial", d),
-        "sum": long_hand_sum,
+        "sum": lambda terms, ctx, j: long_hand_sum([canonical(t) for t in terms], ctx, j),
     }
     checked = dict.fromkeys(long_hands, 0)
     busy = [False]
@@ -337,7 +354,7 @@ def test_every_symbol_operation_of_a_factorisation_equals_the_long_hand_formula(
             if not busy[0]:
                 busy[0] = True
                 try:
-                    assert_same_form(out, long_hands[name](*args))
+                    assert_same_form(canonical(out), long_hands[name](*args))
                 finally:
                     busy[0] = False
                 checked[name] += 1
@@ -360,28 +377,60 @@ def test_every_symbol_operation_of_a_factorisation_equals_the_long_hand_formula(
     assert all(checked.values()), checked
 
 
-def test_a_verified_factorisation_stays_within_its_jet_product_count(monkeypatch):
-    # a work guard: products and derivatives pass their parts over powers of
-    # q2 to one canonical form, and the recursion forms each K = 0 product
-    # s_m s_l, m != l, once, so a verified scalar and gauge-s pair at (5,4),
-    # depth 3, costs 2334 jet products.  Forming s_l s_m as well cost 2352,
-    # multiplying dA and dB by q2 in the quotient rule and dividing it back
-    # out 2628, and forming q2 * B1 B2 in products as well 3032
-    metric, weight = random_instance(1000, kr=5, ky=4)
+def counted_jet_products(monkeypatch) -> list:
+    """A one-entry list that counts the jet products the term loop forms:
+    one per jet pair, of a Jet product or inside an XiPoly product."""
     calls = [0]
-    multiply = Jet.__mul__
+    term_loop = jets._sum_products
 
-    def counted(self, other):
-        calls[0] += 1
-        return multiply(self, other)
+    def counted(space, kr, ky, den, pairs, prepared):
+        calls[0] += len(pairs)
+        return term_loop(space, kr, ky, den, pairs, prepared)
 
-    monkeypatch.setattr(Jet, "__mul__", counted)
+    monkeypatch.setattr(jets, "_sum_products", counted)
+    return calls
+
+
+def verified_dense_pair():
+    """A verified scalar and gauge-s pair of random_instance(1000) at (5,4),
+    depth 3."""
+    metric, weight = random_instance(1000, kr=5, ky=4)
     results = [
         factorize_scalar(metric, weight, 3),
         factorize_gauge(metric, gauge_s(metric, weight), 3, weight=weight),
     ]
     assert all(verify_residual(res) is None for res in results)
-    assert calls[0] <= 2334
+
+
+def test_a_verified_factorisation_stays_within_its_jet_product_count(monkeypatch):
+    # a work guard: products, jet scalings and derivatives pass their parts
+    # over powers of q2 to one canonical form per grade, and the recursion
+    # forms each K = 0 product s_m s_l, m != l, once, so a verified scalar
+    # and gauge-s pair at (5,4), depth 3, costs 1950 jet products.  Putting
+    # each product in canonical form before its grade sum cost 2334, forming
+    # s_l s_m as well 2352, multiplying dA and dB by q2 in the quotient rule
+    # and dividing it back out 2628, and forming q2 * B1 B2 in products as
+    # well 3032
+    calls = counted_jet_products(monkeypatch)
+    verified_dense_pair()
+    assert calls[0] <= 1950
+
+
+def test_a_verified_factorisation_stays_within_its_q2_division_count(monkeypatch):
+    # a work guard: a term that feeds a grade sum hands it its parts, so the
+    # grade divides by q2 where the term alone would have, and the pair of
+    # the jet product guard makes 105 divide_by_q2 calls.  Putting each
+    # product and jet scaling in canonical form first made 205
+    calls = [0]
+    divide = SymbolContext.divide_by_q2
+
+    def counted(self, poly):
+        calls[0] += 1
+        return divide(self, poly)
+
+    monkeypatch.setattr(SymbolContext, "divide_by_q2", counted)
+    verified_dense_pair()
+    assert calls[0] <= 105
 
 
 @pytest.mark.parametrize("instance", ["y-free", "y-dependent"])
@@ -410,7 +459,7 @@ def test_the_verifier_compositions_equal_the_long_hand_composition(instance):
             for j1, j2, key, term in long_hand_terms(f, g, j):
                 right = g.grade(j2).dy_derivative(key)
                 zeros += bool(key) and right.is_zero
-                assert_same_form(xi_derivative_times(f.grade(j1), key, right), term)
+                assert_same_form(xi_derivative_times(f.grade(j1), key, right).normalized(), term)
     for j in b.grades():
         for key in ((0,), (1,), (2,), (0, 0), (1, 2)):
             right = gauge.a_r
@@ -418,7 +467,7 @@ def test_the_verifier_compositions_equal_the_long_hand_composition(instance):
                 right = right.partial(a + 1)
             zeros += right.is_zero
             term = b.grade(j).xi_derivative(key).scale(right)
-            assert_same_form(xi_derivative_times(b.grade(j), key, right), term)
+            assert_same_form(xi_derivative_times(b.grade(j), key, right).normalized(), term)
     assert zeros > 0
 
 
@@ -430,23 +479,19 @@ def test_a_y_free_factorisation_forms_no_xi_derivative(monkeypatch):
     # chains and multiplying them by zero cost 62 xi-derivatives and 4679
     # jet products
     metric, weight = random_instance(41, n=4, kr=5, ky=4, tangentially_constant=True)
-    calls = {"xi_partial": 0, "jet": 0}
-    xi_partial, multiply = HomSymbol.xi_partial, Jet.__mul__
+    xi_calls = [0]
+    xi_partial = HomSymbol.xi_partial
 
     def counted_xi(self, a):
-        calls["xi_partial"] += 1
+        xi_calls[0] += 1
         return xi_partial(self, a)
 
-    def counted_mul(self, other):
-        calls["jet"] += 1
-        return multiply(self, other)
-
     monkeypatch.setattr(HomSymbol, "xi_partial", counted_xi)
-    monkeypatch.setattr(Jet, "__mul__", counted_mul)
+    jet_calls = counted_jet_products(monkeypatch)
     results = [
         factorize_scalar(metric, weight, 4),
         factorize_gauge(metric, gauge_s(metric, weight), 4, weight=weight),
     ]
     assert all(verify_residual(res) is None for res in results)
-    assert calls["xi_partial"] == 0
-    assert calls["jet"] <= 2294
+    assert xi_calls[0] == 0
+    assert jet_calls[0] <= 2294

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -9,9 +10,17 @@ from dncalc.errors import (
     IncompatibleJetsError,
     NotInvertibleError,
 )
-from dncalc.jets import MAX_ORDER, Jet, JetSpace, collar_from_radial_orders
+from dncalc.jets import (
+    _DIRECT_PAIRS,
+    MAX_ORDER,
+    Jet,
+    JetSpace,
+    collar_from_radial_orders,
+    sums_of_products,
+)
+from dncalc.symbols import XiPoly
 from fractions import Fraction as mpq
-from helpers import with_budgets
+from helpers import long_hand_products, long_hand_xi_product, with_budgets
 
 
 def rational_space(n=3):
@@ -71,6 +80,83 @@ def test_mul_matches_dense_convolution_oracle():
         a = random_jet(rng, sp, rng.randint(1, 5), rng.randint(1, 4))
         b = random_jet(rng, sp, rng.randint(1, 5), rng.randint(1, 4))
         assert a * b == dense_product_oracle(a, b)
+
+
+def dense_jet(rng, space, kr, ky, den):
+    """A jet with a numerator in -4..4, over ``den``, at every monomial
+    inside orders (kr, ky)."""
+    coeffs = {}
+    for m in range(kr + 1):
+        for mu in itertools.product(range(ky + 1), repeat=space.n - 1):
+            if sum(mu) <= ky:
+                coeffs[(m, *mu)] = mpq(rng.randint(-4, 4), den)
+    return space.jet(coeffs, kr, ky)
+
+
+def assert_same_jet(got, ref):
+    assert (got.den, got.num, got.kr, got.ky) == (ref.den, ref.num, ref.kr, ref.ky)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_the_term_loop_equals_the_long_hand_convolution(n):
+    # Jet products and the sums of products of an XiPoly coefficient run
+    # one term loop, which tests each pair below _DIRECT_PAIRS candidate
+    # pairs and buckets the right-hand jet above.  Every result must be the
+    # Fraction convolution's, orders and lowest terms included: factors of
+    # different orders and denominators, zero factors, and sums whose
+    # partial sum cancels, which keep the least orders of every product
+    rng = random.Random(5 + n)
+    sp = JetSpace(n)
+    small = [random_jet(rng, sp, kr, ky) for kr, ky in ((2, 1), (3, 2), (4, 3))]
+    large = [dense_jet(rng, sp, kr, ky, den) for kr, ky, den in ((4, 3, 6), (5, 3, 35), (3, 4, 1))]
+    zeros = [sp.zero(2, 2), sp.zero(5, 4)]
+    sizes = set()
+    for a in small + large + zeros:
+        for b in small + large + zeros:
+            sizes.add(len(a.num) * len(b.num) > _DIRECT_PAIRS)
+            assert_same_jet(a * b, long_hand_products([(a, b)], 1))
+    assert sizes == {False, True}
+    x, y = large[0], large[1]
+    # at orders (3, 2), below those of x * y
+    cancelling = [(small[1], small[2]), (-small[1], small[2])]
+    groups = {
+        "one": [(x, y)],
+        "cancels": cancelling,
+        "cancels first": cancelling + [(x, y)],
+        "zero factor": [(zeros[0], y), (small[2], x)],
+        "shared right": [(small[0], y), (small[1], y), (large[2], y)],
+    }
+    for sign in (1, -1):
+        got = sums_of_products(groups, sign)
+        assert "cancels" not in got
+        for key, pairs in groups.items():
+            if key != "cancels":
+                assert_same_jet(got[key], long_hand_products(pairs, sign))
+    assert (got["cancels first"].kr, got["cancels first"].ky) == (3, 2)
+
+
+def test_an_xipoly_product_equals_the_long_hand_products():
+    # each coefficient of an XiPoly product is one sum over the term loop:
+    # coefficients of different orders and denominators share right-hand
+    # jets across monomials, one monomial's partial sum cancels before a
+    # product of higher orders joins it, and i * i negates
+    rng = random.Random(17)
+    sp = JetSpace(3)
+    lo = dense_jet(rng, sp, 2, 2, 3)
+    hi = dense_jet(rng, sp, 4, 3, 10)
+    left = {(2, 0): lo, (1, 1): -lo, (0, 2): hi}
+    right = {(0, 2): lo, (1, 1): lo, (2, 0): hi}
+    for imag in itertools.product((False, True), repeat=2):
+        p = XiPoly(2, 2, left, imag[0])
+        q = XiPoly(2, 2, right, imag[1])
+        got = p * q
+        ref = long_hand_xi_product(p, q)
+        assert got.imag == (imag[0] != imag[1])
+        assert got.c.keys() == ref.keys()
+        for e, v in got.c.items():
+            assert_same_jet(v, ref[e])
+        # (2,0)(0,2) and (1,1)(1,1) cancel, and (0,2)(2,0) carries (4,3)
+        assert (got.c[2, 2].kr, got.c[2, 2].ky) == (2, 2)
 
 
 def test_ring_axioms_on_random_jets():

@@ -666,11 +666,11 @@ def test_a_product_with_a_zero_d_y_factor_keeps_the_long_hand_budgets(n):
                     right = g.dy_derivative(key)
                     zeros += right.is_zero
                     ref = f.xi_derivative(key) * right
-                    assert_same_form(xi_derivative_times(f, key, right), ref)
+                    assert_same_form(xi_derivative_times(f, key, right).normalized(), ref)
                 for jet in (deep, y_dep):
                     for a in key:
                         jet = jet.partial(a + 1)
                     zeros += jet.is_zero
                     ref = f.xi_derivative(key).scale(jet)
-                    assert_same_form(xi_derivative_times(f, key, jet), ref)
+                    assert_same_form(xi_derivative_times(f, key, jet).normalized(), ref)
         assert zeros > 0
