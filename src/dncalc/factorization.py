@@ -16,12 +16,13 @@ which keeps every multi-index bound and combinatorial factor tied to one
 place; the verifier recombines the identity through the full asymptotic
 composition, with its own products and one sum per grade (the components'
 derivatives are memoised on them, so it shares those), and demands that
-every reliable grade vanish.  Neither normalises its products, or its
-scalings by the drift and a_r, one by one: each hands its parts to the
-grade sum, which is put in canonical form once.  Neither forms a xi-chain
-d^K_xi s whose D_y partner (D^K_y s or D^K_y a_r) is zero: both take the
-term from ``xi_derivative_times``, which returns the zero with the
-product's budgets.
+every reliable grade vanish.  Neither normalises its products one by one:
+each hands its parts to the grade sum, which is put in canonical form once.
+The drift, a_r and each D^K_y a_r enter those products as their degree-0
+symbols (``HomSymbol.from_jet``), so one product rule serves every term.
+Neither forms a xi-chain d^K_xi s whose D_y partner (D^K_y s or D^K_y a_r)
+is zero: both take the term from ``xi_derivative_times``, which returns the
+zero with the product's budgets.
 
 Residual grades are labelled by the component they determine (label = grade
 of the identity minus one), so a corrupted s_j trips the verifier at label j.
@@ -61,23 +62,25 @@ class _Recursion:
     def __init__(self, ctx: SymbolContext, q2, q1, q0, drift: Jet, a_r: Jet | None):
         self.ctx = ctx
         self.q = {2: q2, 1: q1, 0: q0}
-        self.drift = drift
+        self.drift = HomSymbol.from_jet(ctx, drift)
         self.a_r = a_r
         self.comps: dict[int, HomSymbol] = {}
         self._ar_dy: dict = {}
 
-    def ar_deriv(self, key: tuple) -> tuple[Jet, bool]:
-        """D_y^K a_r as a real jet and whether it is times i."""
+    def ar_deriv(self, key: tuple) -> tuple[Jet, bool, HomSymbol]:
+        """D_y^K a_r as a real jet, whether it is times i, and the degree-0
+        symbol of the two, which the products take."""
         val = self._ar_dy.get(key)
         if val is None:
             if not key:
-                val = (self.a_r, False)
+                jet, imag = self.a_r, False
             else:
-                jet, imag = self.ar_deriv(key[:-1])
+                jet, imag, _ = self.ar_deriv(key[:-1])
                 jet = jet.partial(key[-1] + 1)
                 # D_y = -i d_y: -i * (i * jet) = jet and -i * jet = i * (-jet)
-                val = (jet, False) if imag else (-jet, True)
-            self._ar_dy[key] = val
+                jet, imag = (jet, False) if imag else (-jet, True)
+            sym = HomSymbol.from_jet(self.ctx, jet)
+            val = self._ar_dy[key] = (jet, imag, sym.times_i() if imag else sym)
         return val
 
     def known_grade(self, gamma: int) -> HomSymbol:
@@ -101,9 +104,8 @@ class _Recursion:
                     continue
                 left = self.comps[m]
                 for key in combinations_with_replacement(range(nxi), k):
-                    right, imag = self.ar_deriv(key)
-                    term = xi_derivative_times(left, key, right).scale(inv_factorial(key))
-                    terms.append(term.times_i() if imag else term)
+                    term = xi_derivative_times(left, key, self.ar_deriv(key)[2])
+                    terms.append(term.scale(inv_factorial(key)))
         for m, left in self.comps.items():
             for l, right in self.comps.items():
                 k = m + l - gamma
@@ -180,12 +182,13 @@ def _defining_expression(result: FactorizationResult) -> dict[int, HomSymbol]:
     lo = 3 - result.depth
     q = dict(zip((2, 1, 0), result.q))
     square = compose(b, b, lowest=lo)
+    drift = HomSymbol.from_jet(ctx, result.drift)
     a_r = result.gauge.a_r if result.gauge is not None else None
     coupled = None
     # b # a_r has no grade above b.hi, so at depth 1 none is reliable
     if a_r is not None and not a_r.is_zero and b.hi >= lo:
-        ar_sym = FormalSymbol.single(HomSymbol.from_jet(ctx, a_r))
-        coupled = compose(b, ar_sym, lowest=lo)
+        ar_sym = HomSymbol.from_jet(ctx, a_r)
+        coupled = compose(b, FormalSymbol.single(ar_sym), lowest=lo)
     expr = {}
     for gamma in range(2, lo - 1, -1):
         terms = [square.grade(gamma)]
@@ -193,9 +196,9 @@ def _defining_expression(result: FactorizationResult) -> dict[int, HomSymbol]:
             terms.append(-q[gamma])
         if gamma <= b.hi:
             bg = b.grade(gamma)
-            terms += [bg.d_r(), -bg.times(result.drift)]
+            terms += [bg.d_r(), -bg.times(drift)]
             if coupled is not None:
-                terms += [coupled.grade(gamma), -bg.times(a_r)]
+                terms += [coupled.grade(gamma), -bg.times(ar_sym)]
         expr[gamma] = HomSymbol.sum(terms, ctx, gamma)
     return expr
 
@@ -230,7 +233,7 @@ def perturb_component(result: FactorizationResult, grade: int) -> FactorizationR
         # exactly when d is even, so the bump takes that phase
         imag = (p - 1) % 2 == 1
         odd = XiPoly(nxi, p - 1, {tuple(e): ctx.space.one(ctx.kr, ctx.ky)}, imag)
-        bump = HomSymbol(ctx, grade, XiPoly(nxi, 2 * p + grade, {}), odd, p)
+        bump = HomSymbol(ctx, grade, XiPoly(nxi, 2 * p + grade, {}), odd, p, ctx.kr, ctx.ky)
     comps = dict(result.symbol.comps)
     comps[grade] = comps[grade] + bump
     sym = FormalSymbol(ctx, comps, result.symbol.hi, result.symbol.lo)

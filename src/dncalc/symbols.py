@@ -26,18 +26,20 @@ One rule lowers p.  Each operation states its result as parts (A_k, B_k, k)
 over q2^k: a product is (A1 A2, A1 B2 + B1 A2, p) plus (B1 B2, 0, p - 1), as
 w^2 = q2; a derivative is (dA, dB, p) plus (-p A dq2, (1 - 2p)/2 B dq2,
 p + 1); a sum is its terms.  ``HomSymbol._from_parts`` alone divides by q2.
-A term that only feeds a sum is not put in canonical form on its own: a
-product or a scaling by a jet hands its parts (``HomSymbol.times``, a
-``Parts``) to the sum, and ``*`` and ``scale`` are the canonical form of
-the same parts, so the recursion and the verifier normalise each grade once.
-As q2 divides N + q2 L exactly when it divides N, only the numerator at the
-top power is divided, the next power's parts join the quotient, and at a
-refused drop the lower parts are multiplied up to the current power.  The
-parts are first truncated to the budgets, and each parity divides at the
-least orders of q2 and its parts, those of its whole numerator, so the form
-is the long-hand formula's.  Only where the long hand's least-order
-coefficients all cancel does it divide at higher orders; the parts keep the
-cancelled orders, as a zero term keeps its budgets in a sum.
+A real jet multiplies a symbol only as its degree-0 symbol
+``HomSymbol.from_jet``, so that product rule is the only one.  A term that
+only feeds a sum is not put in canonical form on its own: a product hands
+its parts (``HomSymbol.times``, a ``Parts``) to the sum, and ``*`` is the
+canonical form of the same parts, so the recursion and the verifier
+normalise each grade once.  As q2 divides N + q2 L exactly when it divides
+N, only the numerator at the top power is divided, the next power's parts
+join the quotient, and at a refused drop the lower parts are multiplied up
+to the current power.  The parts are first truncated to the budgets, and
+each parity divides at the least orders of q2 and its parts, those of its
+whole numerator, so the form is the long-hand formula's.  Only where the
+long hand's least-order coefficients all cancel does it divide at higher
+orders; the parts keep the cancelled orders, as a zero term keeps its
+budgets in a sum.
 
 Reality.  The weighted Laplacian and its DN maps send real functions to real
 functions, so every symbol here satisfies s(x, -xi) = conj s(x, xi)
@@ -150,8 +152,6 @@ class XiPoly:
         return self + (-other)
 
     def __mul__(self, other: "XiPoly") -> "XiPoly":
-        if not isinstance(other, XiPoly):
-            return self.scale(other)
         deg = self.deg + other.deg
         imag = self.imag != other.imag
         # each output coefficient is one sum of jet products
@@ -163,9 +163,7 @@ class XiPoly:
         return XiPoly._make(self.nxi, deg, sums_of_products(groups, sign), imag)
 
     def scale(self, factor) -> "XiPoly":
-        """Multiply every coefficient by a real Jet or scalar."""
-        if isinstance(factor, Jet):
-            return self * XiPoly(self.nxi, 0, {(0,) * self.nxi: factor})
+        """Multiply every coefficient by a rational."""
         out = {e: v.scale(factor) for e, v in self.c.items()}
         return XiPoly._make(
             self.nxi, self.deg, {e: v for e, v in out.items() if not v.is_zero}, self.imag
@@ -491,8 +489,8 @@ class HomSymbol:
         a: XiPoly,
         b: XiPoly,
         p: int,
-        kr: int | None = None,
-        ky: int | None = None,
+        kr: int,
+        ky: int,
     ):
         if p < 0:
             raise IncompatibleJetsError("denominator power must be nonnegative")
@@ -503,16 +501,6 @@ class HomSymbol:
         if not b.is_zero and b.deg != degree + 2 * p - 1:
             raise IncompatibleJetsError(
                 "odd part has degree %d, expected %d" % (b.deg, degree + 2 * p - 1)
-            )
-        if kr is None:
-            kr = min(
-                [v.kr for poly in (a, b) for v in poly.c.values()],
-                default=UNRESTRICTED,
-            )
-        if ky is None:
-            ky = min(
-                [v.ky for poly in (a, b) for v in poly.c.values()],
-                default=UNRESTRICTED,
             )
         if any(v.kr > kr or v.ky > ky for poly in (a, b) for v in poly.c.values()):
             trunc = lambda v: v.truncated(kr, ky)
@@ -662,21 +650,16 @@ class HomSymbol:
     def __sub__(self, other):
         return self + (-other)
 
-    def times(self, factor) -> "Parts":
-        """The product with a symbol or a real Jet f, as parts: (A1 A2,
-        A1 B2 + B1 A2, p1 + p2) and (B1 B2, 0, p1 + p2 - 1), as w * w = q2,
-        or (f A, f B, p).  ``*`` and ``scale`` are their canonical form."""
+    def times(self, factor: "HomSymbol") -> "Parts":
+        """The product with a symbol, as parts: (A1 A2, A1 B2 + B1 A2,
+        p1 + p2) and (B1 B2, 0, p1 + p2 - 1), as w * w = q2.  ``*`` is their
+        canonical form."""
+        self._check(factor)
         ctx = self.ctx
-        if isinstance(factor, Jet):
-            deg = self.degree
-        else:
-            self._check(factor)
-            deg = self.degree + factor.degree
+        deg = self.degree + factor.degree
         kr, ky = min(self.kr, factor.kr), min(self.ky, factor.ky)
         if self.is_zero or factor.is_zero:
             return Parts(ctx, deg, [], kr, ky)
-        if isinstance(factor, Jet):
-            return Parts(ctx, deg, [(self.a.scale(factor), self.b.scale(factor), self.p)], kr, ky)
         # w * w = q2 puts B1 B2 one power lower
         bb = self.b * factor.b
         p = self.p + factor.p
@@ -690,8 +673,7 @@ class HomSymbol:
         return self.times(other).normalized()
 
     def scale(self, factor) -> "HomSymbol":
-        if isinstance(factor, Jet):
-            return self.times(factor).normalized()
+        """The symbol times a rational."""
         if not factor:
             return HomSymbol.zero(self.ctx, self.degree, self.kr, self.ky)
         # a nonzero rational creates or removes no q2 factor
@@ -855,9 +837,6 @@ class Parts:
         """The term times a nonzero rational."""
         return self._map(lambda poly: poly.scale(factor))
 
-    def times_i(self) -> "Parts":
-        return self._map(XiPoly.times_i)
-
     def normalized(self) -> HomSymbol:
         return HomSymbol._from_parts(self.ctx, self.degree, self.parts, self.kr, self.ky)
 
@@ -925,10 +904,10 @@ def inv_factorial(key) -> Fraction:
     return Fraction(1, mult)
 
 
-def xi_derivative_times(f: HomSymbol, key, right) -> Parts:
+def xi_derivative_times(f: HomSymbol, key, right: HomSymbol) -> Parts:
     """d^K_xi f times ``right``, as the parts of ``HomSymbol.times``, for K
-    the directions in ``key`` and ``right`` the factor D^K_y g of a symbol
-    (a HomSymbol) or of a real multiplier (a Jet).
+    the directions in ``key`` and ``right`` the factor D^K_y g of a symbol g
+    (a real multiplier g enters as its ``HomSymbol.from_jet``).
 
     For |K| >= 1 the D_y factor is looked at first: if it is zero, so is the
     product, and the chain d^K_xi f is never formed.  In its place stands
@@ -969,7 +948,6 @@ def compose(f: FormalSymbol, g: FormalSymbol, lowest: int | None = None) -> Form
     if hi < lo:
         raise DepthError("no reliable grades in composition (hi=%d < lo=%d)" % (hi, lo))
     out = {j: [] for j in range(lo, hi + 1)}
-    tail_exact = f.tail_exact and g.tail_exact and lowest is not None
 
     nxi = ctx.nxi
     for j1 in f.grades():
@@ -987,4 +965,5 @@ def compose(f: FormalSymbol, g: FormalSymbol, lowest: int | None = None) -> Form
                         term = term.scale(inv_factorial(key))
                     out[grade].append(term)
     comps = {j: HomSymbol.sum(terms, ctx, j) for j, terms in out.items()}
-    return FormalSymbol(ctx, comps, hi, lo, tail_exact)
+    # the grades below lo are cut off, not zero, so the tail is never exact
+    return FormalSymbol(ctx, comps, hi, lo)

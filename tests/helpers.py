@@ -20,6 +20,14 @@ def with_budgets(jet, kr, ky):
     return jet.space.jet(kept.c, kr, ky)
 
 
+def least_budgets(ctx, degree, a, b, p):
+    """The symbol (a + b w) / q2^p whose budgets are the least truncation
+    orders of its coefficients, UNRESTRICTED when both parts are zero."""
+    kr = min([v.kr for poly in (a, b) for v in poly.c.values()], default=UNRESTRICTED)
+    ky = min([v.ky for poly in (a, b) for v in poly.c.values()], default=UNRESTRICTED)
+    return HomSymbol(ctx, degree, a, b, p, kr, ky)
+
+
 def eval_pair(sym, xi):
     """(even, odd) parts of a HomSymbol at a rational fibre point as degree-0
     polynomials, which carry the phase: the symbol value is
@@ -35,7 +43,8 @@ def rescaled(dn, unit):
     a positive unit jet t; the observable s * sqrt(density^2) is unchanged."""
     assert unit.constant_term() > 0
     t = unit.restricted_to_boundary()
-    sym = dn.symbol.map_components(lambda s: s.scale(t))
+    factor = HomSymbol.from_jet(dn.ctx, t)
+    sym = dn.symbol.map_components(lambda s: s * factor)
     dsq = dn.density_sq * (t * t).reciprocal()
     return replace(dn, symbol=sym, density_sq=dsq)
 

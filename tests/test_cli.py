@@ -26,6 +26,7 @@ from dncalc.dn import DNSymbolData
 from dncalc.errors import DataError, ScenarioError
 from dncalc.jets import JetSpace
 from dncalc.symbols import FormalSymbol, HomSymbol, XiPoly
+from helpers import least_budgets
 
 
 def write_scenario(tmp_path, raw, name="scenario.json"):
@@ -90,7 +91,7 @@ def poly_from_json(space, nxi, data):
 
 
 def homsymbol_from_json(ctx, data):
-    return HomSymbol(
+    return least_budgets(
         ctx,
         int(data["degree"]),
         poly_from_json(ctx.space, ctx.nxi, data["even"]),
@@ -143,7 +144,7 @@ def test_imaginary_polynomial_serialization_roundtrip():
     ctx = metric.ctx
     # i * g^{1b} xi_b over q2, whose even part is imaginary
     drift = HomSymbol.linear_form(ctx, metric.g_upper[0]).times_i()
-    sym = HomSymbol(ctx, -1, drift.a, XiPoly(ctx.nxi, 0, {}), 1)
+    sym = least_budgets(ctx, -1, drift.a, XiPoly(ctx.nxi, 0, {}), 1)
     data = homsymbol_to_json(sym)
     for term in data["even"]["terms"]:
         assert term["coeff"]["re"]["terms"] == [] and term["coeff"]["im"]["terms"]

@@ -1,19 +1,28 @@
 import time
 from dataclasses import replace
+from itertools import combinations_with_replacement
 
 import pytest
 
 from dncalc.errors import BudgetExhaustedError, DepthError
 from dncalc.factorization import (
+    _Recursion,
     _defining_expression,
     factorize_gauge,
     factorize_scalar,
     perturb_component,
     verify_residual,
 )
-from dncalc.geometry import BoundaryMetricJet, GaugeData, gauge_s, gauge_sigma
+from dncalc.geometry import (
+    BoundaryMetricJet,
+    GaugeData,
+    compute_q_symbols,
+    gauge_s,
+    gauge_sigma,
+    radial_drift,
+)
 from dncalc import jets
-from dncalc.jets import Jet, JetSpace
+from dncalc.jets import JetSpace
 from dncalc.randomgen import random_instance
 from fractions import Fraction as mpq
 from dncalc.symbols import (
@@ -330,17 +339,12 @@ def test_every_symbol_operation_of_a_factorisation_equals_the_long_hand_formula(
     # factorisations of two small y-dependent instances form has the power,
     # budgets and coefficient jets of the long-hand formula.  A product that
     # feeds a grade sum is formed as parts (``times``), whose canonical form
-    # is checked, a jet multiplier as the degree-0 symbol; a sum of parts is
-    # checked against the long-hand sum of its terms' canonical forms.  The
-    # long hand's own == forms sums, which are not checked again
-    def long_hand_times(s, factor):
-        if isinstance(factor, Jet):
-            factor = HomSymbol.from_jet(s.ctx, factor)
-        return long_hand_product(s, factor)
-
+    # is checked; a sum of parts is checked against the long-hand sum of its
+    # terms' canonical forms.  The long hand's own == forms sums, which are
+    # not checked again
     long_hands = {
         "__mul__": long_hand_product,
-        "times": long_hand_times,
+        "times": long_hand_product,
         "xi_partial": lambda s, a: long_hand_quotient_rule(s, "xi_partial", a),
         "base_partial": lambda s, d: long_hand_quotient_rule(s, "base_partial", d),
         "sum": lambda terms, ctx, j: long_hand_sum([canonical(t) for t in terms], ctx, j),
@@ -466,9 +470,37 @@ def test_the_verifier_compositions_equal_the_long_hand_composition(instance):
             for a in key:
                 right = right.partial(a + 1)
             zeros += right.is_zero
-            term = b.grade(j).xi_derivative(key).scale(right)
+            right = HomSymbol.from_jet(metric.ctx, right)
+            term = b.grade(j).xi_derivative(key) * right
             assert_same_form(xi_derivative_times(b.grade(j), key, right).normalized(), term)
     assert zeros > 0
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_the_recursion_multiplies_by_the_d_y_of_the_a_r_symbol(n):
+    # the recursion takes D_y^K a_r by hand, on a memoised chain of jets and
+    # phases, and hands the product its degree-0 symbol: for every |K| <= 3
+    # that symbol is D_y^K of the a_r symbol, budgets included.  A zero
+    # carries no phase, so the phases are compared where the value is not
+    # zero; both instances have zero and nonzero derivatives
+    if n == 3:
+        metric, weight = random_instance(3)
+    else:
+        metric, weight = y_dependent_n4_instance()
+    ctx = metric.ctx
+    gauge = gauge_s(metric, weight)
+    q = compute_q_symbols(metric, weight, gauge)
+    recursion = _Recursion(ctx, *q, radial_drift(metric), gauge.a_r)
+    a_r = HomSymbol.from_jet(ctx, gauge.a_r)
+    zeros = set()
+    for k in range(4):
+        for key in combinations_with_replacement(range(ctx.nxi), k):
+            got, ref = recursion.ar_deriv(key)[2], a_r.dy_derivative(key)
+            assert got == ref
+            assert (got.degree, got.p, got.kr, got.ky) == (ref.degree, ref.p, ref.kr, ref.ky)
+            assert got.a.imag == ref.a.imag or ref.is_zero
+            zeros.add(ref.is_zero)
+    assert zeros == {True, False}
 
 
 def test_a_y_free_factorisation_forms_no_xi_derivative(monkeypatch):

@@ -19,8 +19,8 @@ from dncalc.reconstruction import (
 )
 from dncalc.runner import true_metric_order
 from fractions import Fraction as mpq
-from dncalc.symbols import FormalSymbol, HomSymbol, XiPoly
-from helpers import rescaled
+from dncalc.symbols import FormalSymbol, XiPoly
+from helpers import least_budgets, rescaled
 
 
 KR, KY = 5, 4
@@ -427,7 +427,7 @@ def test_first_order_reads_the_even_part_of_grade_zero():
     dn_sig = dn_symbol_gauge(metric, weight, 3, "sigma")
     ctx, nxi = dn_sig.ctx, dn_sig.ctx.nxi
     one = ctx.space.one(ctx.kr, ctx.ky)
-    bump = HomSymbol(ctx, 0, XiPoly(nxi, 2, {}), XiPoly(nxi, 1, {(1, 0): one}, True), 1)
+    bump = least_budgets(ctx, 0, XiPoly(nxi, 2, {}), XiPoly(nxi, 1, {(1, 0): one}, True), 1)
     sym = dn_sig.symbol
     comps = dict(sym.comps)
     comps[0] = comps[0] + bump

@@ -18,7 +18,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dncalc.jets import JetSpace
-from dncalc.symbols import HomSymbol, SymbolContext, XiPoly
+from dncalc.symbols import SymbolContext, XiPoly
+from helpers import least_budgets
 
 SPACES = {n: JetSpace(n) for n in (2, 3, 4)}
 
@@ -241,7 +242,7 @@ def symbols(draw, ctx, kind=None):
             return XiPoly(ctx.nxi, deg, {}, imag)
         return draw(polys(ctx, deg, "any", imag=imag))
 
-    return HomSymbol(ctx, degree, part(degree + 2 * p), part(degree + 2 * p - 1), p)
+    return least_budgets(ctx, degree, part(degree + 2 * p), part(degree + 2 * p - 1), p)
 
 
 FIBRE = st.fractions(min_value=-3, max_value=3, max_denominator=4)

@@ -3,8 +3,9 @@ from itertools import product
 
 import pytest
 
-from dncalc.errors import IncompatibleJetsError
+from dncalc.errors import DepthError, IncompatibleJetsError
 from dncalc.jets import JetSpace
+from dncalc.randomgen import random_instance
 from fractions import Fraction as mpq
 from dncalc.symbols import (
     FormalSymbol,
@@ -17,6 +18,7 @@ from dncalc.symbols import (
 from helpers import (
     assert_same_form,
     eval_pair,
+    least_budgets,
     long_hand_div_2b1,
     long_hand_product,
     long_hand_quotient_rule,
@@ -95,7 +97,7 @@ def random_symbol(rng, ctx, degree, p=1, terms=3, kind=None):
             coeffs[tuple(e)] = rand_jet()
         return XiPoly(nxi, deg, coeffs, imag)
 
-    return HomSymbol(ctx, degree, rand_poly(degree + 2 * p), rand_poly(degree + 2 * p - 1), p).normalized()
+    return least_budgets(ctx, degree, rand_poly(degree + 2 * p), rand_poly(degree + 2 * p - 1), p).normalized()
 
 
 def rand_xi(rng, nxi):
@@ -109,7 +111,7 @@ def eval_state(sym, xi):
 
 def test_normalize_cancels_q2():
     ctx = euclidean_ctx()
-    raw = HomSymbol(ctx, 0, ctx.q2, XiPoly(ctx.nxi, 1, {}), 1)
+    raw = least_budgets(ctx, 0, ctx.q2, XiPoly(ctx.nxi, 1, {}), 1)
     norm = raw.normalized()
     assert norm.p == 0
     assert norm == HomSymbol.from_jet(ctx, ctx.space.one(ctx.kr, ctx.ky))
@@ -148,7 +150,7 @@ def test_mul_matches_pointwise_evaluation():
             ae, ao = eval_pair(a, xi)
             be, bo = eval_pair(b, xi)
             pe, po = eval_pair(prod, xi)
-            q2 = ctx.q2_value(xi)
+            q2 = XiPoly(ctx.nxi, 0, {(0,) * ctx.nxi: ctx.q2_value(xi)})
             # (ae + ao w)(be + bo w) = ae be + ao bo q2 + (ae bo + ao be) w
             assert pe == ae * be + (ao * bo) * q2
             assert po == ae * bo + ao * be
@@ -161,7 +163,7 @@ def test_xi_partial_of_norm_euclidean():
     # -xi_1/||xi'||: odd part -xi_1, denominator power 1
     e1 = [0] * ctx.nxi
     e1[0] = 1
-    expected = HomSymbol(
+    expected = least_budgets(
         ctx,
         0,
         XiPoly(ctx.nxi, 2, {}),
@@ -208,7 +210,7 @@ def test_base_partial_radial_metric():
         e = [0] * nxi
         e[a] = 2
         coeffs[tuple(e)] = ctx.space.constant(mpq(-1, 2), ctx.kr, ctx.ky)
-    expected = HomSymbol(ctx, 1, XiPoly(nxi, 3, {}), XiPoly(nxi, 2, coeffs), 1)
+    expected = least_budgets(ctx, 1, XiPoly(nxi, 3, {}), XiPoly(nxi, 2, coeffs), 1)
     assert d == expected
 
 
@@ -318,6 +320,18 @@ def test_compose_constant_coefficients_is_pointwise_product():
         assert prod.grade(j) == direct
 
 
+def test_a_composition_of_two_exact_symbols_claims_no_exact_tail():
+    # lowest cuts the grades below it off, and they need not be zero: grade 0
+    # of (V xi_1 + V^2 xi_2) # V is d_xi of the first times D_y V
+    metric, v = random_instance(3)
+    ctx = metric.ctx
+    f = FormalSymbol.single(HomSymbol.linear_form(ctx, [v, v * v]))
+    g = FormalSymbol.single(HomSymbol.from_jet(ctx, v))
+    assert not compose(f, g, lowest=-1).grade(0).is_zero
+    with pytest.raises(DepthError):
+        compose(f, g, lowest=1).grade(0)
+
+
 def test_compose_associativity_to_depth():
     rng = random.Random(19)
     ctx = random_ctx(rng)
@@ -342,8 +356,8 @@ def test_q2_factor_above_the_base_order_still_normalises():
     r = ctx.space.coordinate(0, ctx.kr, ctx.ky)
     for _ in range(4):
         x = random_symbol(rng, ctx, degree=rng.choice([0, 1, -1]))
-        rx = x.scale(r)
-        raw = HomSymbol(ctx, x.degree, ctx.q2 * rx.a, ctx.q2 * rx.b, rx.p + 1)
+        rx = x * HomSymbol.from_jet(ctx, r)
+        raw = least_budgets(ctx, x.degree, ctx.q2 * rx.a, ctx.q2 * rx.b, rx.p + 1)
         assert all(not v.constant_term() for v in raw.a.c.values())
         norm = raw.normalized()
         assert norm.p == raw.p - 1
@@ -358,7 +372,7 @@ def test_divisible_base_point_part_with_indivisible_order_one_part_keeps_p():
     y = XiPoly(nxi, 1, {(0, 1): one})
     # q2 * x passes the early test at order 0, and r * xi_2^4 is no multiple
     # of q2(0) at order 1, so only the long division refuses the division
-    raw = HomSymbol(ctx, 2, ctx.q2 * x + XiPoly(nxi, 4, {(0, 4): r}), ctx.q2 * y, 1)
+    raw = least_budgets(ctx, 2, ctx.q2 * x + XiPoly(nxi, 4, {(0, 4): r}), ctx.q2 * y, 1)
     assert ctx._lowest_order_divisible(raw.a)
     assert ctx.divide_by_q2(raw.a) is None
     assert raw.normalized().p == 1
@@ -510,7 +524,7 @@ def test_a_refused_first_drop_divides_by_q2_at_most_twice(monkeypatch):
     f = shaped(random_symbol(rng, ctx, 0, p=1, kind=0), "A")
     g = random_symbol(rng, ctx, 3, p=0, kind=0)
     y = XiPoly(ctx.nxi, 0, {(0,) * ctx.nxi: ctx.space.coordinate(0, ctx.kr, ctx.ky)}, g.b.imag)
-    g = HomSymbol(ctx, 3, g.a, ctx.q2 * y, 0)
+    g = least_budgets(ctx, 3, g.a, ctx.q2 * y, 0)
     h = random_symbol(rng, ctx, 0, p=0, kind=0)
     assert f.p == 1 and ctx.divide_by_q2(f.a * g.b) is not None
     cases = [
@@ -544,7 +558,7 @@ def test_a_first_drop_divides_at_the_orders_of_the_whole_even_part():
     one, r = sp.one(kr, ky), sp.coordinate(0, kr, ky)
     low = sp.one(kr - 1, ky)
     x = XiPoly(nxi, 1, {(1, 0): one, (0, 1): r})
-    g = HomSymbol(ctx, 1, XiPoly(nxi, 1, {(1, 0): one}), XiPoly(nxi, 0, {(0, 0): one}, True), 0)
+    g = least_budgets(ctx, 1, XiPoly(nxi, 1, {(1, 0): one}), XiPoly(nxi, 0, {(0, 0): one}, True), 0)
     # A1 = q2 x + r^kr xi_2^3 is a multiple of q2 only below radial order kr
     rk = sp.jet({(kr, 0, 0): 1}, kr, ky)
     a1 = ctx.q2 * x + XiPoly(nxi, 3, {(0, 3): rk})
@@ -625,7 +639,7 @@ def test_a_derivative_and_a_sum_equal_the_long_hand_formula(n):
         t0, t1, t2 = (random_symbol(rng, ctx, -1, p=p, kind=1) for p in (0, 1, 2))
         f = random_symbol(rng, ctx, -1, p=1, kind=1)
         # q2 f.a - t2.a over q2^2: the top numerators of t2 + u cancel to q2 f
-        u = HomSymbol(ctx, -1, ctx.q2 * f.a - t2.a, ctx.q2 * f.b - t2.b, 2)
+        u = least_budgets(ctx, -1, ctx.q2 * f.a - t2.a, ctx.q2 * f.b - t2.b, 2)
         assert check_sum([t2, u]).p < 2
         assert check_sum([t2, u, t1, t0]).p < 2
         for terms in ([t0, t2], [t1, t0], [t2, t1, t0], [t0, t1, t2, -t1]):
@@ -639,7 +653,7 @@ def test_a_derivative_and_a_sum_equal_the_long_hand_formula(n):
         rk = sp.jet({(kr,) + zero[1:]: 1}, kr, ky)
         xk = x.truncated(kr - 1, ky).map_coeffs(lambda c: with_budgets(c, kr, ky))
         even = ctx.q2 * xk + XiPoly(nxi, 3, {(0,) * (nxi - 1) + (3,): rk})
-        v = HomSymbol(ctx, -1, even, ctx.q2 * y, 2)
+        v = least_budgets(ctx, -1, even, ctx.q2 * y, 2)
         assert HomSymbol.sum([v], ctx, -1).p == 2
         assert check_sum([HomSymbol.zero(ctx, -1, kr - 1, ky), v]).p < 2
 
@@ -671,6 +685,7 @@ def test_a_product_with_a_zero_d_y_factor_keeps_the_long_hand_budgets(n):
                     for a in key:
                         jet = jet.partial(a + 1)
                     zeros += jet.is_zero
-                    ref = f.xi_derivative(key).scale(jet)
-                    assert_same_form(xi_derivative_times(f, key, jet).normalized(), ref)
+                    right = HomSymbol.from_jet(ctx, jet)
+                    ref = f.xi_derivative(key) * right
+                    assert_same_form(xi_derivative_times(f, key, right).normalized(), ref)
         assert zeros > 0
