@@ -5,9 +5,9 @@ Each check picks its instances and returns ``(passed, detail)``, reading its
 verdicts from ``runner.task_record`` wherever a task kind covers the claim.
 The flat baseline, the exact roots of the dichotomy, the trivial-weight disk
 modes and the fault injection are checked here: no task record carries them.
-All checks are exact but the disk comparison against the numeric radial
-solver, whose tolerances are stated inline.  Both the test suite and the CLI
-``selftest`` subcommand run this list.
+All checks are exact but the disk asymptotics, which fit a slope to the
+float differences between the disk's DN eigenvalues and the symbol partial
+sums.  Both the test suite and the CLI ``selftest`` subcommand run this list.
 """
 
 from __future__ import annotations
@@ -165,13 +165,13 @@ def known_volume_roundtrips():
 def disk_asymptotics():
     """Euclidean disk with a radial quadratic weight: error after the depth-J
     partial sum decays with fitted slope <= -(J - 0.3) for J in {2, 3}; the
-    trivial weight reproduces -k to 1e-8 relative."""
+    trivial weight reproduces -k exactly."""
     notes = []
     ok = True
     trivial = RadialProblem(rho_coeffs=())
     for k in (8, 16, 32, 64):
         ratio = solve_mode(trivial, k)
-        if abs(ratio + k) > 1e-8 * k:
+        if ratio != -k:
             ok = False
             notes.append("mode %d ratio %.12f" % (k, ratio))
     for depth in (2, 3):

@@ -154,6 +154,8 @@ class XiPoly:
     def __mul__(self, other: "XiPoly") -> "XiPoly":
         deg = self.deg + other.deg
         imag = self.imag != other.imag
+        if not self.c or not other.c:
+            return XiPoly._make(self.nxi, deg, {}, imag)
         # each output coefficient is one sum of jet products
         groups: dict = {}
         for e1, v1 in self.c.items():
@@ -691,6 +693,8 @@ class HomSymbol:
                        kr: int, ky: int) -> "HomSymbol":
         """The derivative of (A + B w)/q2^p, given those of A, B and q2, as a
         symbol of ``degree`` with budgets (kr, ky)."""
+        if self.is_zero:
+            return HomSymbol.zero(self.ctx, degree, kr, ky)
         p = self.p
         # B w / q2^p: w gives B dq2 w / (2 q2), and q2^-p gives -p B dq2 w / q2
         ea = (self.a * dq2).scale(-p) if p else XiPoly(self.ctx.nxi, da.deg + 2)

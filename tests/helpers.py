@@ -172,3 +172,24 @@ def assert_same_form(got, ref):
         assert g.c.keys() == r.c.keys()
         for e, v in g.c.items():
             assert (v.kr, v.ky, v.den, v.num) == (r.c[e].kr, r.c[e].ky, r.c[e].den, r.c[e].num)
+
+
+def substituted(jet, matrix):
+    """The jet J(r, A y) for a rational matrix A given by its rows: each
+    monomial's product of the linear forms (A y)_a, expanded in Fractions.
+    A linear map keeps every tangential degree, so the orders stay."""
+    nt = len(matrix)
+    out = {}
+    for idx, v in jet.c.items():
+        terms = {idx[:1] + (0,) * nt: v}
+        for a, power in enumerate(idx[1:]):
+            for _ in range(power):
+                step = {}
+                for e, c in terms.items():
+                    for b, entry in enumerate(matrix[a]):
+                        f = e[: b + 1] + (e[b + 1] + 1,) + e[b + 2 :]
+                        step[f] = step.get(f, 0) + c * entry
+                terms = step
+        for e, c in terms.items():
+            out[e] = out.get(e, 0) + c
+    return jet.space.jet(out, jet.kr, jet.ky)

@@ -895,14 +895,15 @@ def test_a_missing_unit_pivot_names_the_unknown_in_the_task_record(monkeypatch, 
 
 
 def test_an_exact_command_starts_without_numpy_or_scipy(tmp_path):
-    # only the numeric disk check needs them, and importing scipy.integrate
-    # took most of a cold start when diskcheck loaded it at import
+    # the package needs neither, the disk check included, and importing
+    # scipy.integrate took most of a cold start when it was loaded
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     code = (
         "import sys\n"
         "sys.path.insert(0, sys.argv[1])\n"
         "import dncalc, dncalc.cli\n"
-        "status = dncalc.cli.main(['factorize', '--depth', '2', '-o', sys.argv[2]])\n"
+        "status = [dncalc.cli.main([cmd, '--depth', '2', '-o', sys.argv[2]])\n"
+        "          for cmd in ('factorize', 'validate-disk')]\n"
         "loaded = [m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy')]\n"
         "print(status, sorted(loaded))\n"
     )
@@ -910,4 +911,4 @@ def test_an_exact_command_starts_without_numpy_or_scipy(tmp_path):
         [sys.executable, "-c", code, src, str(tmp_path / "report.json")],
         capture_output=True, text=True, check=True, timeout=120,
     ).stdout
-    assert out.splitlines()[-1] == "0 []"
+    assert out.splitlines()[-1] == "[0, 0] []"

@@ -1,23 +1,54 @@
-import math
-
 import pytest
+from scipy.integrate import solve_ivp
 
 from dncalc.diskcheck import (
     RadialProblem,
     asymptotic_compare,
     disk_factorization,
+    mode_ladder,
     solve_mode,
     symbol_partial_sum,
 )
 from dncalc.errors import DataError
 from fractions import Fraction as mpq
 
+QUADRATIC = RadialProblem(rho_coeffs=(mpq(1, 2), mpq(-1), mpq(1, 2)))
+CUBIC = RadialProblem(rho_coeffs=("1/3", "-1/2", "1/4", "-1/5"))
+
+
+def ode_mode(problem, k):
+    """Independent reference for ``solve_mode``: the Riccati form u = phi'/phi
+    of the mode's equation, u' = k^2/rho^2 - u^2 - u/rho + V'(rho) u,
+    integrated in floats by DOP853 from the regular data u(eps) = k/eps, and
+    -u(1).  The spurious mode decays like (eps/rho)^(2k), at most 1e-12 for
+    eps = 0.01 and k >= 3, below the solver's tolerance."""
+    eps = 0.01
+    terms = [(i - 1, i * float(c)) for i, c in enumerate(problem.rho_coeffs) if i]
+
+    def rhs(rho, y):
+        u = y[0]
+        weight_prime = sum(a * rho ** p for p, a in terms)
+        return [k * k / (rho * rho) - u * u - u / rho + weight_prime * u]
+
+    sol = solve_ivp(rhs, (eps, 1.0), [k / eps], method="DOP853", rtol=1e-12, atol=1e-10)
+    assert sol.success, sol.message
+    return -float(sol.y[0][-1])
+
+
+@pytest.mark.parametrize(
+    "problem, modes",
+    [(QUADRATIC, mode_ladder(8, 64)), (CUBIC, (3, 8, 21))],
+    ids=["quadratic", "cubic"],
+)
+def test_the_series_agrees_with_an_ode_solve_from_near_the_centre(problem, modes):
+    for k in modes:
+        assert abs(solve_mode(problem, k) - ode_mode(problem, k)) <= 1e-9, k
+
 
 def test_harmonic_modes_reproduce_minus_k():
     problem = RadialProblem(rho_coeffs=())
     for k in (1, 2, 5, 13, 32):
-        ratio = solve_mode(problem, k)
-        assert abs(ratio + k) <= 1e-8 * k
+        assert solve_mode(problem, k) == -k
 
 
 def test_flat_disk_symbol_is_exactly_minus_k():
@@ -45,12 +76,11 @@ def test_quadratic_weight_symbol_values():
 
 def test_cubic_weight_modes_are_pinned_bit_for_bit():
     # V' has a rho^2 term here, which the default quadratic weight never
-    # reaches; the values are those of an evaluation on numpy scalars, and
-    # any change in the order of the float operations moves them
-    problem = RadialProblem(rho_coeffs=("1/3", "-1/2", "1/4", "-1/5"))
-    assert solve_mode(problem, 3) == -2.7816903270196423
-    assert solve_mode(problem, 8) == -7.738694920698451
-    assert solve_mode(problem, 21) == -20.71639049700287
+    # reaches; each value is the float of an exact rational summed past the
+    # tail rule, so only a change to the series or its rule moves it
+    assert solve_mode(CUBIC, 3) == -2.7816802016510382
+    assert solve_mode(CUBIC, 8) == -7.738694920687147
+    assert solve_mode(CUBIC, 21) == -20.716390497002813
 
 
 def test_numeric_matches_depth_two_expansion():

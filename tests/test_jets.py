@@ -157,6 +157,11 @@ def test_an_xipoly_product_equals_the_long_hand_products():
             assert_same_jet(v, ref[e])
         # (2,0)(0,2) and (1,1)(1,1) cancel, and (0,2)(2,0) carries (4,3)
         assert (got.c[2, 2].kr, got.c[2, 2].ky) == (2, 2)
+        # an empty operand: no products, the summed degree and the phase
+        for pair in ((p, XiPoly(2, 1, {}, imag[1])), (XiPoly(2, 1, {}, imag[0]), q)):
+            got = pair[0] * pair[1]
+            assert long_hand_xi_product(*pair) == got.c == {}
+            assert (got.deg, got.imag) == (3, imag[0] != imag[1])
 
 
 def test_ring_axioms_on_random_jets():
