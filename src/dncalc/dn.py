@@ -27,13 +27,15 @@ r = 0, exactly and grade by grade:
     Lambda0   = Lambda1 s + d_r V / 2          (grade 0 only, when retained)
     density_sq(Lambda0) = density_sq(Lambda1 s) = e^{-2V} density_sq(Lambda1 sigma)
 
-So only sigma is factorised, and the other two kinds are derived from its
-run by two compositions with the multipliers e^{+-V/2} at r = 0 (and the
-shift).  Sigma is the kind to run because it exists for every rational
-weight: its density has no exponential of V.  The derived kinds check the
-truncation budgets and form their common density e^{-2V} delta before the
-sigma run, so where V(0) != 0 takes e^{-2V} out of the rational field, both
-fail on it.
+So only sigma is factorised, and the other kinds are derived once each, in
+the chain sigma -> Lambda1 s -> Lambda0.  A xi-free left factor has no
+xi-derivative, so e^{V/2} # sigma is the product grade by grade, and only
+e^{-V/2} takes a composition; Lambda0 reads the Lambda1 s data through
+``dn_symbol_gauge`` and adds the shift.  Sigma is the kind to run because it
+exists for every rational weight: its density has no exponential of V.  The
+s derivation checks the truncation budgets and forms the common density
+e^{-2V} delta before the sigma run, so where V(0) != 0 takes e^{-2V} out of
+the rational field, both derived kinds fail on it.
 
 Inside a ``shared_forward_runs`` block, data whose kind and exact inputs
 (depth, and the representation of the weight and of every metric entry)
@@ -50,7 +52,7 @@ kind of data it reads.  Outside any block every call factorises.
 from __future__ import annotations
 
 import contextlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import DataError, DepthError
 from .factorization import check_budgets, factorize_gauge
@@ -181,8 +183,10 @@ def _shared(kind: str, metric: BoundaryMetricJet, weight: Jet, depth: int):
 
 def _dn_data(kind: str, metric: BoundaryMetricJet, weight: Jet, depth: int):
     """The sigma run, or the data of another kind derived from it."""
-    if kind != "sigma":
-        return _dn_from_sigma(metric, weight, depth, kind)
+    if kind == "lambda0":
+        return _scalar_from_s(metric, weight, depth)
+    if kind == "s":
+        return _s_from_sigma(metric, weight, depth)
     gauge = gauge_sigma(metric, weight)
     result = factorize_gauge(metric, gauge, depth, weight=weight)
     bmetric = metric.restricted_to_boundary()
@@ -212,28 +216,29 @@ def dn_symbol_gauge(
     return _shared(gauge_tag, metric, weight, depth)
 
 
-def _dn_from_sigma(
-    metric: BoundaryMetricJet, weight: Jet, depth: int, kind: str
-) -> DNSymbolData:
-    """Lambda0 (kind "lambda0") or Lambda1 s (kind "s") from the sigma run on
-    the same inputs, by the identities of the module docstring."""
+def _s_from_sigma(metric: BoundaryMetricJet, weight: Jet, depth: int) -> DNSymbolData:
+    """Lambda1 s from the sigma data on the same inputs: each grade of sigma
+    times e^{V/2}, composed with e^{-V/2}."""
     check_budgets(metric, weight, depth)
     density_sq = weight.scale(-2).exp() * metric.delta
     sigma = dn_symbol_gauge(metric, weight, depth, "sigma")
-    bctx, lo = sigma.ctx, sigma.symbol.lo
     v0 = weight.restricted_to_boundary()
-    twist = FormalSymbol.single(HomSymbol.from_jet(bctx, v0.scale(HALF).exp()))
-    untwist = FormalSymbol.single(HomSymbol.from_jet(bctx, v0.scale(-HALF).exp()))
-    symbol = compose(compose(twist, sigma.symbol, lowest=lo), untwist, lowest=lo)
-    map_kind, gauge_tag = "lambda1", "s"
-    if kind == "lambda0":
-        if lo <= 0:
-            shift = weight.partial(0).restricted_to_boundary().scale(HALF)
-            comps = dict(symbol.comps)
-            comps[0] = comps[0] + HomSymbol.from_jet(bctx, shift)
-            symbol = FormalSymbol(bctx, comps, symbol.hi, lo)
-        map_kind, gauge_tag = "lambda0", None
+    twist = HomSymbol.from_jet(sigma.ctx, v0.scale(HALF).exp())
+    untwist = FormalSymbol.single(HomSymbol.from_jet(sigma.ctx, v0.scale(-HALF).exp()))
+    twisted = sigma.symbol.map_components(lambda s: twist * s)
+    symbol = compose(twisted, untwist, lowest=sigma.symbol.lo)
     density_sq = density_sq.restricted_to_boundary()
-    return DNSymbolData(
-        map_kind, gauge_tag, symbol, density_sq, sigma.boundary_metric, metric.n, depth
-    )
+    return replace(sigma, gauge_tag="s", symbol=symbol, density_sq=density_sq)
+
+
+def _scalar_from_s(metric: BoundaryMetricJet, weight: Jet, depth: int) -> DNSymbolData:
+    """Lambda0 from the Lambda1 s data on the same inputs: the same symbol
+    and density, with d_r V / 2 added at grade 0 when it is retained."""
+    s = dn_symbol_gauge(metric, weight, depth, "s")
+    symbol = s.symbol
+    if symbol.lo <= 0:
+        shift = weight.partial(0).restricted_to_boundary().scale(HALF)
+        comps = dict(symbol.comps)
+        comps[0] = comps[0] + HomSymbol.from_jet(symbol.ctx, shift)
+        symbol = FormalSymbol(symbol.ctx, comps, symbol.hi, symbol.lo)
+    return replace(s, map_kind="lambda0", gauge_tag=None, symbol=symbol)

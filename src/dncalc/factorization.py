@@ -99,10 +99,7 @@ class _Recursion:
             terms.append(bg.d_r())
         if self.a_r is not None:
             for k in range(1, 1 - gamma + 1):
-                m = gamma + k
-                if m not in self.comps:
-                    continue
-                left = self.comps[m]
+                left = self.comps[gamma + k]
                 for key in combinations_with_replacement(range(nxi), k):
                     term = xi_derivative_times(left, key, self.ar_deriv(key)[2])
                     terms.append(term.scale(inv_factorial(key)))

@@ -56,9 +56,12 @@ IncompatibleJetsError: the operators' reality is a checked invariant.
 Derivatives.  Symbols are immutable, so each HomSymbol memoises its first
 derivatives d_xi_a, D_y^a and d_r, keyed by operation and direction, and
 ``xi_derivative``/``dy_derivative`` walk a multi-index one memoised step at
-a time.  A chain the factorisation recursion formed is a string of lookups
-when the verifier's ``compose`` asks for it again; the public ``xi_partial``
-and ``base_partial`` always compute.  The verifier shares only these values:
+a time.  The budgets follow four rules: a xi-step keeps them, d_r lowers
+kr by one, D_y lowers ky by one, and a product or a sum takes the least of
+its inputs' (none exceeds the context's, see ``HomSymbol``).  A chain the
+factorisation recursion formed is a string of lookups when the verifier's
+``compose`` asks for it again; the public ``xi_partial`` and
+``base_partial`` always compute.  The verifier shares only these values:
 every product, the K-sum with its 1/K! factors, the grade sums and the
 normalisation it still forms itself.  Both take each term d^K_xi f D^K_y g
 from ``xi_derivative_times`` as the parts of the product, which looks at
@@ -468,10 +471,6 @@ def _base_value(jet: Jet, imag: bool) -> complex:
     return complex(0.0, v) if imag else complex(v, 0.0)
 
 
-#: budget value meaning "no truncation restriction" (exact zero tails)
-UNRESTRICTED = 1 << 30
-
-
 class HomSymbol:
     """Homogeneous symbol (A + B*w)/q2^p of a fixed degree.
 
@@ -480,6 +479,12 @@ class HomSymbol:
     the surviving coefficients: a truncated coefficient that cancels to the
     zero jet would otherwise take its validity restriction with it when
     pruned, silently overstating the precision of later sums.
+
+    No symbol is exact beyond the metric it is built over, so the
+    constructor cuts the budgets to its context's (kr, ky) before it
+    truncates the coefficients; a symbol given no budgets of its own (a
+    zero, an empty sum) has the context's.  So ``from_jet`` on a jet deeper
+    than its context is cut to the context's orders when it is built.
     """
 
     __slots__ = ("ctx", "degree", "p", "a", "b", "kr", "ky", "_derivs")
@@ -504,6 +509,7 @@ class HomSymbol:
             raise IncompatibleJetsError(
                 "odd part has degree %d, expected %d" % (b.deg, degree + 2 * p - 1)
             )
+        kr, ky = min(kr, ctx.kr), min(ky, ctx.ky)
         if any(v.kr > kr or v.ky > ky for poly in (a, b) for v in poly.c.values()):
             trunc = lambda v: v.truncated(kr, ky)
             a = a.map_coeffs(trunc)
@@ -529,9 +535,10 @@ class HomSymbol:
 
     @classmethod
     def zero(
-        cls, ctx: SymbolContext, degree: int, kr: int = UNRESTRICTED, ky: int = UNRESTRICTED
+        cls, ctx: SymbolContext, degree: int, kr: int | None = None, ky: int | None = None
     ) -> "HomSymbol":
         nxi = ctx.nxi
+        kr, ky = (ctx.kr, ctx.ky) if kr is None else (kr, ky)
         return cls(ctx, degree, XiPoly(nxi, degree, {}), XiPoly(nxi, degree - 1, {}), 0, kr, ky)
 
     @classmethod
@@ -557,7 +564,7 @@ class HomSymbol:
         """Degree-1 symbol sum_a c_a xi_a from real Jet coefficients."""
         nxi = ctx.nxi
         coeffs = {}
-        kr = ky = UNRESTRICTED
+        kr, ky = ctx.kr, ctx.ky
         for a, v in enumerate(coefficients):
             e = [0] * nxi
             e[a] = 1
@@ -629,7 +636,7 @@ class HomSymbol:
         """Sum of same-degree symbols or ``Parts`` in one canonical form.
         Its budgets are the least of every term's, a zero term's included
         (see the class docstring)."""
-        kr = ky = UNRESTRICTED
+        kr, ky = ctx.kr, ctx.ky
         parts = []
         for t in terms:
             if t.degree != degree:
@@ -703,26 +710,24 @@ class HomSymbol:
 
     def xi_partial(self, a: int) -> "HomSymbol":
         """d/d xi_a; the degree drops by one."""
-        ctx = self.ctx
         return self._quotient_rule(
-            self.degree - 1, self.a.xi_partial(a), self.b.xi_partial(a), ctx.q2_xi[a],
-            min(self.kr, ctx.kr), min(self.ky, ctx.ky),
+            self.degree - 1, self.a.xi_partial(a), self.b.xi_partial(a), self.ctx.q2_xi[a],
+            self.kr, self.ky,
         )
 
     def base_partial(self, direction: int) -> "HomSymbol":
         """d/dr or d/dy; hits jet coefficients and the metric inside w, q2."""
-        ctx = self.ctx
         if direction == 0:
-            if min(self.kr, ctx.kr) == 0:
+            if self.kr == 0:
                 raise BudgetExhaustedError("radial symbol budget exhausted")
-            kr, ky = min(self.kr, ctx.kr) - 1, min(self.ky, ctx.ky)
+            kr, ky = self.kr - 1, self.ky
         else:
-            if min(self.ky, ctx.ky) == 0:
+            if self.ky == 0:
                 raise BudgetExhaustedError("tangential symbol budget exhausted")
-            kr, ky = min(self.kr, ctx.kr), min(self.ky, ctx.ky) - 1
+            kr, ky = self.kr, self.ky - 1
         return self._quotient_rule(
             self.degree, self.a.base_partial(direction), self.b.base_partial(direction),
-            ctx.q2_base_partial(direction), kr, ky,
+            self.ctx.q2_base_partial(direction), kr, ky,
         )
 
     def d_y(self, a: int) -> "HomSymbol":
@@ -762,14 +767,14 @@ class HomSymbol:
         return self * HomSymbol(self.ctx, -1, w.a, w.b.scale(Fraction(-1, 2)), 1, w.kr, w.ky)
 
     def restricted_to_boundary(self, bctx: SymbolContext) -> "HomSymbol":
-        kr = 0 if self.kr < UNRESTRICTED else UNRESTRICTED
+        """The symbol at r = 0; the boundary context's kr = 0 caps its kr."""
         return HomSymbol(
             bctx,
             self.degree,
             self.a.map_coeffs(lambda v: v.restricted_to_boundary()),
             self.b.map_coeffs(lambda v: v.restricted_to_boundary()),
             self.p,
-            kr,
+            self.kr,
             self.ky,
         ).normalized()
 
@@ -779,8 +784,7 @@ class HomSymbol:
         """Real jets (E, O) at a rational fibre point: the symbol value is
         E + O * w(xi), where E is times i when ``a.imag`` is set and O when
         ``b.imag`` is."""
-        ctx = self.ctx
-        kr, ky = min(self.kr, ctx.kr), min(self.ky, ctx.ky)
+        ctx, kr, ky = self.ctx, self.kr, self.ky
         av = self.a.evaluate(xi, ctx.space, kr, ky)
         bv = self.b.evaluate(xi, ctx.space, kr, ky)
         if self.p:
@@ -915,20 +919,19 @@ def xi_derivative_times(f: HomSymbol, key, right: HomSymbol) -> Parts:
 
     For |K| >= 1 the D_y factor is looked at first: if it is zero, so is the
     product, and the chain d^K_xi f is never formed.  In its place stands
-    the zero with the chain's degree and budgets (every xi-step takes the
-    least of the symbol's and the context's), so the product keeps the
-    degree and budgets it would have had (a zero term keeps its budgets in
-    a sum)."""
+    the zero with the chain's degree and budgets (a xi-step keeps the
+    budgets), so the product keeps the degree and budgets it would have had
+    (a zero term keeps its budgets in a sum)."""
     if key and right.is_zero:
-        ctx = f.ctx
-        left = HomSymbol.zero(ctx, f.degree - len(key), min(f.kr, ctx.kr), min(f.ky, ctx.ky))
+        left = HomSymbol.zero(f.ctx, f.degree - len(key), f.kr, f.ky)
     else:
         left = f.xi_derivative(key)
     return left.times(right)
 
 
-def compose(f: FormalSymbol, g: FormalSymbol, lowest: int | None = None) -> FormalSymbol:
-    """Asymptotic composition sum_K 1/K! d^K_xi f D^K_y g.
+def compose(f: FormalSymbol, g: FormalSymbol, lowest: int) -> FormalSymbol:
+    """Asymptotic composition sum_K 1/K! d^K_xi f D^K_y g, from grade
+    ``lowest`` up.
 
     The output grades are those unaffected by the factors' dropped tails:
     a missing component of f below f.lo would first contribute at grade
@@ -938,15 +941,11 @@ def compose(f: FormalSymbol, g: FormalSymbol, lowest: int | None = None) -> Form
     if f.ctx is not g.ctx and not f.ctx.same_structure(g.ctx):
         raise IncompatibleJetsError("composition of symbols over different metrics")
     ctx = f.ctx
-    bounds = []
+    bounds = [lowest]
     if not f.tail_exact:
         bounds.append(f.lo + g.hi)
     if not g.tail_exact:
         bounds.append(g.lo + f.hi)
-    if lowest is not None:
-        bounds.append(lowest)
-    if not bounds:
-        raise DepthError("composition of two exact symbols needs an explicit depth")
     lo = max(bounds)
     hi = f.hi + g.hi
     if hi < lo:
@@ -961,8 +960,6 @@ def compose(f: FormalSymbol, g: FormalSymbol, lowest: int | None = None) -> Form
             kmax = j1 + j2 - lo
             for k in range(0, kmax + 1):
                 grade = j1 + j2 - k
-                if grade > hi:
-                    continue
                 for key in combinations_with_replacement(range(nxi), k):
                     term = xi_derivative_times(s1, key, s2.dy_derivative(key))
                     if k:

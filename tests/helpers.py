@@ -9,7 +9,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 from operator import add
 
-from dncalc.symbols import UNRESTRICTED, HomSymbol, XiPoly, inv_factorial
+from dncalc.symbols import HomSymbol, XiPoly, inv_factorial
 
 
 def with_budgets(jet, kr, ky):
@@ -22,9 +22,9 @@ def with_budgets(jet, kr, ky):
 
 def least_budgets(ctx, degree, a, b, p):
     """The symbol (a + b w) / q2^p whose budgets are the least truncation
-    orders of its coefficients, UNRESTRICTED when both parts are zero."""
-    kr = min([v.kr for poly in (a, b) for v in poly.c.values()], default=UNRESTRICTED)
-    ky = min([v.ky for poly in (a, b) for v in poly.c.values()], default=UNRESTRICTED)
+    orders of its coefficients, the context's when both parts are zero."""
+    kr = min([v.kr for poly in (a, b) for v in poly.c.values()], default=ctx.kr)
+    ky = min([v.ky for poly in (a, b) for v in poly.c.values()], default=ctx.ky)
     return HomSymbol(ctx, degree, a, b, p, kr, ky)
 
 
@@ -114,9 +114,10 @@ def long_hand_quotient_rule(s, name, direction):
 def long_hand_sum(terms, ctx, degree):
     """HomSymbol.sum by the defining formula: every nonzero term raised to
     the top power by products with q2, the numerators added, then
-    normalised.  The budgets are the least of every term's."""
-    kr = min([t.kr for t in terms], default=UNRESTRICTED)
-    ky = min([t.ky for t in terms], default=UNRESTRICTED)
+    normalised.  The budgets are the least of every term's, the context's
+    for no terms."""
+    kr = min([t.kr for t in terms], default=ctx.kr)
+    ky = min([t.ky for t in terms], default=ctx.ky)
     nonzero = [t for t in terms if not t.is_zero]
     if not nonzero:
         return HomSymbol.zero(ctx, degree, kr, ky)

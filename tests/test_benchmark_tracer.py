@@ -1,7 +1,8 @@
 """The benchmark's span tracer (``benchmark/tracing.py``) wraps dncalc's
 functions and methods by name, so a refactor that drops or renames one of
-them breaks only the traced benchmark run.  This test attaches it to one
-small task, as ``benchmark/run.py --trace 1`` does."""
+them breaks only the traced benchmark run.  This test attaches it to a
+small factorisation and a small scalar DN task, as ``benchmark/run.py
+--trace 1`` does."""
 
 import importlib
 import os
@@ -36,12 +37,12 @@ def test_the_benchmark_tracer_attaches_counts_and_detaches(monkeypatch, capsys):
     try:
         tracer.install()
         assert traced_bindings(tracing) != before
-        argv = [
-            "factorize", "--dimension", "3", "--radial-order", "3",
-            "--tangential-order", "2", "--depth", "2", "--metric", "random",
-            "--weight", "random", "--seed", "5",
+        geometry = [
+            "--dimension", "3", "--radial-order", "3", "--tangential-order", "2",
+            "--depth", "2", "--metric", "random", "--weight", "random", "--seed", "5",
         ]
-        assert main(argv) == 0
+        assert main(["factorize", *geometry]) == 0
+        assert main(["dn", "--map", "lambda0", *geometry]) == 0
     finally:
         tracer.uninstall()
     capsys.readouterr()
@@ -51,3 +52,4 @@ def test_the_benchmark_tracer_attaches_counts_and_detaches(monkeypatch, capsys):
     assert metrics["factorization.solve.calls"][0] > 0
     assert metrics["factorization.verify.calls"][0] > 0
     assert metrics["jets.mul.calls"][0] > 0
+    assert metrics["dn.symbol.calls"][0] > 0

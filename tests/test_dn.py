@@ -1,5 +1,6 @@
 import pytest
 
+import dncalc.dn
 from dncalc.dn import (
     DNSymbolData,
     dn_symbol_gauge,
@@ -293,3 +294,23 @@ def test_rescaling_derived_data_keeps_its_ratios():
         assert dn_s.density_ratio_sq(dn_sig, xi) == factor
         for j in dn_s.symbol.grades():
             assert scaled.grade_ratio_eval(j, xi) == dn_s.grade_ratio_eval(j, xi)
+
+
+def test_lambda1_s_and_lambda0_take_one_composition(monkeypatch):
+    # Lambda1 s twists each grade of sigma by e^{V/2} (a xi-free left factor
+    # has no xi-derivative) and composes once with e^{-V/2}; Lambda0 reads
+    # the block's Lambda1 s data and adds the shift, composing nothing
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return compose(*args, **kwargs)
+
+    monkeypatch.setattr(dncalc.dn, "compose", counted)
+    metric, weight = random_instance(11, kr=4, ky=3)
+    with shared_forward_runs():
+        lam_s = dn_symbol_gauge(metric, weight, 3, "s")
+        lam0 = dn_symbol_scalar(metric, weight, 3)
+    assert len(calls) == 1
+    assert lam0.density_sq == lam_s.density_sq
+    assert lam0.symbol.grade(0) != lam_s.symbol.grade(0)

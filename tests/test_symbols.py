@@ -288,14 +288,45 @@ def test_a_zero_term_keeps_its_budgets_in_a_sum():
     assert only_zero.is_zero and (only_zero.kr, only_zero.ky) == (2, 1)
 
 
+def test_no_symbol_is_exact_beyond_its_context():
+    # no symbol is exact beyond the metric it is built over: its budgets are
+    # cut to the context's when it is built, a jet deeper than the context
+    # and a symbol without budgets of its own included
+    metric, _ = random_instance(5, kr=3, ky=2)
+    ctx = metric.ctx
+    sp = ctx.space
+    assert (ctx.kr, ctx.ky) == (3, 2)
+    deep = sp.jet({(0, 0, 0): mpq(1), (2, 1, 0): mpq(3), (5, 0, 0): mpq(2), (0, 0, 4): mpq(7)}, 6, 5)
+    jet_sym = HomSymbol.from_jet(ctx, deep)
+    symbols = [
+        HomSymbol.zero(ctx, 0),
+        HomSymbol.zero(ctx, -2),
+        jet_sym,
+        HomSymbol.linear_form(ctx, [deep, deep * deep]),
+        HomSymbol.sum([], ctx, 0),
+        FormalSymbol(ctx, {}, 1, -1).grade(0),
+        FormalSymbol.single(jet_sym).grade(-1),
+        FormalSymbol.single(jet_sym).grade(2),
+        jet_sym.xi_partial(0),
+    ]
+    for sym in symbols:
+        assert (sym.kr, sym.ky) == (ctx.kr, ctx.ky)
+    (coeff,) = jet_sym.a.c.values()
+    assert (coeff.kr, coeff.ky) == (ctx.kr, ctx.ky)
+    assert coeff == sp.jet({(0, 0, 0): mpq(1), (2, 1, 0): mpq(3)}, 3, 2)
+    bctx = metric.restricted_to_boundary().ctx
+    edge = HomSymbol.zero(ctx, 0).restricted_to_boundary(bctx)
+    assert edge.is_zero and (edge.kr, edge.ky) == (0, bctx.ky) == (0, 2)
+
+
 def test_compose_with_identity():
     rng = random.Random(18)
     ctx = random_ctx(rng)
     one = FormalSymbol.single(HomSymbol.from_jet(ctx, ctx.space.one(ctx.kr, ctx.ky)))
     comps = {j: random_symbol(rng, ctx, j) for j in (1, 0, -1)}
     s = FormalSymbol(ctx, comps, 1, -1)
-    left = compose(s, one)
-    right = compose(one, s)
+    left = compose(s, one, lowest=-1)
+    right = compose(one, s, lowest=-1)
     for j in (1, 0, -1):
         assert left.grade(j) == s.grade(j)
         assert right.grade(j) == s.grade(j)
@@ -310,7 +341,7 @@ def test_compose_constant_coefficients_is_pointwise_product():
     c1 = -w
     c0 = HomSymbol.from_jet(ctx, sp.constant(mpq(1, 2), ctx.kr, ctx.ky))
     f = FormalSymbol(ctx, {1: c1, 0: c0}, 1, 0)
-    prod = compose(f, f)
+    prod = compose(f, f, lowest=1)
     for j in prod.grades():
         direct = HomSymbol.zero(ctx, j)
         for j1 in (1, 0):
@@ -341,8 +372,8 @@ def test_compose_associativity_to_depth():
         comps = {j: random_symbol(rng, ctx, j, p=1, terms=2, kind=kind) for j in (1, 0)}
         fs.append(FormalSymbol(ctx, comps, 1, 0))
     f, g, h = fs
-    lhs = compose(compose(f, g), h)
-    rhs = compose(f, compose(g, h))
+    lhs = compose(compose(f, g, lowest=1), h, lowest=2)
+    rhs = compose(f, compose(g, h, lowest=1), lowest=2)
     lo = max(lhs.lo, rhs.lo)
     for j in range(lo, min(lhs.hi, rhs.hi) + 1):
         assert lhs.grade(j) == rhs.grade(j)
